@@ -110,7 +110,8 @@ type Options struct {
 	InitTrials int
 	// StopWindow is the refinement stop parameter x (0 means 50).
 	StopWindow int
-	// Ubfactor is the allowed part imbalance (0 means 1.05).
+	// Ubfactor is the allowed part imbalance. Values of 1 or less, 0
+	// included, mean 1.05: exactly 1 does not request perfect balance.
 	Ubfactor float64
 	// Seed makes every run deterministic; the same seed gives the same
 	// partition, as the paper's "fixed seed" experiments require.
@@ -217,6 +218,12 @@ func (o Options) withDefaults() Options {
 	if o.Ubfactor <= 1 {
 		o.Ubfactor = 1.05
 	}
+	if o.NCuts < 1 {
+		o.NCuts = 1
+	}
+	if o.CoarsenWorkers < 1 {
+		o.CoarsenWorkers = 1
+	}
 	if o.ParallelDepth <= 0 {
 		o.ParallelDepth = 4
 	}
@@ -239,6 +246,9 @@ func (o Options) withDefaults() Options {
 func (o Options) Validate() error {
 	if o.NCuts < 0 {
 		return fmt.Errorf("multilevel: NCuts = %d, want >= 0", o.NCuts)
+	}
+	if o.CoarsenTo < 0 {
+		return fmt.Errorf("multilevel: CoarsenTo = %d, want >= 0", o.CoarsenTo)
 	}
 	if !o.Matching.Valid() {
 		return fmt.Errorf("multilevel: invalid matching scheme %d", int(o.Matching))
@@ -283,6 +293,21 @@ func (o Options) Validate() error {
 		return fmt.Errorf("multilevel: Cycles = %d, want >= 0", o.Cycles)
 	}
 	return nil
+}
+
+// Plan returns o as the engine runs it, reduced to what can change a
+// result: every default applied, the preset folded into Cycles, and the
+// knobs that are parity-tested never to change a result (Parallel,
+// ParallelDepth, ParallelMinVertices, RefineWorkers) cleared along with
+// the per-run Context, Tracer and Injector. Options with equal plans
+// produce identical partitions; the service cache key is built from it.
+func (o Options) Plan() Options {
+	o = o.withDefaults()
+	o.matchingSet, o.refinementSet = true, true
+	o.Cycles, o.Preset = o.CycleCount(), PresetFast
+	o.Parallel, o.ParallelDepth, o.ParallelMinVertices, o.RefineWorkers = false, 0, 0, 0
+	o.Context, o.Tracer, o.Injector = nil, nil, nil
+	return o
 }
 
 // CycleCount resolves the preset and the Cycles override into the number

@@ -59,6 +59,7 @@ func TestValidateOptions(t *testing.T) {
 		{"k<0", -3, Options{}},
 		{"k>n", 65, Options{}},
 		{"NCuts<0", 2, Options{NCuts: -1}},
+		{"CoarsenTo<0", 2, Options{CoarsenTo: -5}},
 		{"InitTrials<0", 2, Options{InitTrials: -2}},
 		{"CoarsenWorkers<0", 2, Options{CoarsenWorkers: -1}},
 		{"Ubfactor<1", 2, Options{Ubfactor: 0.5}},

@@ -17,20 +17,22 @@ import (
 
 	"mlpart"
 	"mlpart/internal/faults"
+	"mlpart/internal/jobs"
+	"mlpart/internal/trace"
 )
 
-// Endpoint names as they appear in /varz.
+// Endpoint names as they appear in /varz: each compute endpoint is named
+// after its job type.
 const (
-	epPartition   = "partition"
-	epOrder       = "order"
-	epRepartition = "repartition"
+	epPartition   = mlpart.JobTypePartition
+	epOrder       = mlpart.JobTypeOrder
+	epRepartition = mlpart.JobTypeRepartition
 )
 
 // job is one decoded, validated compute request.
 type job interface {
-	// key returns the result-cache key; ok=false disables caching for
-	// this request.
-	key() (string, bool)
+	// key returns the result-cache key.
+	key() string
 	// timeoutMS is the client's requested budget (0 = server default).
 	timeoutMS() int64
 	// run computes the response object. tr and inj may be nil;
@@ -40,33 +42,83 @@ type job interface {
 }
 
 // presetJob is implemented by jobs that carry a quality preset (see
-// mlpart.Options.Preset); serveCompute counts each accepted request under
-// its preset in /varz.
+// mlpart.Options.Preset); every accepted request is counted under its
+// preset in /varz.
 type presetJob interface{ preset() string }
 
-type decodeFunc func(dec *json.Decoder) (job, error)
-
-// binaryDecodeFunc decodes a binary CSR request body; the non-graph
-// request fields arrive as URL query parameters.
-type binaryDecodeFunc func(data []byte, q url.Values) (job, error)
-
-// codec is one endpoint's pair of request decoders, selected by the
-// request's Content-Type.
+// codec is one job type's request decoders: a JSON body, a binary CSR
+// body whose non-graph fields arrive as URL query parameters, and a
+// batch entry.
 type codec struct {
-	json   decodeFunc
-	binary binaryDecodeFunc
+	json   func(dec *json.Decoder) (job, error)
+	binary func(data []byte, q url.Values) (job, error)
+	// entry returns the builder of a batch entry's job, or nil when the
+	// entry leaves this type's field unset.
+	entry func(bj mlpart.BatchJob) func() (job, error)
+}
+
+// requestCodec builds the codec of request type R. JSON bodies and batch
+// entries share one path: the request's wire graph (graphOf) is
+// converted and the type's constructor (build) validates the rest.
+func requestCodec[R any](field func(mlpart.BatchJob) *R, graphOf func(*R) *mlpart.WireGraph,
+	build func(R, *mlpart.Graph) (job, error), binary func([]byte, url.Values) (job, error)) codec {
+	fromRequest := func(req *R) (job, error) {
+		g, err := graphOf(req).ToGraph()
+		if err != nil {
+			return nil, fmt.Errorf("bad graph: %v", err)
+		}
+		return build(*req, g)
+	}
+	return codec{
+		json: func(dec *json.Decoder) (job, error) {
+			var req R
+			if err := dec.Decode(&req); err != nil {
+				return nil, fmt.Errorf("bad request body: %v", err)
+			}
+			return fromRequest(&req)
+		},
+		binary: binary,
+		entry: func(bj mlpart.BatchJob) func() (job, error) {
+			req := field(bj)
+			if req == nil {
+				return nil
+			}
+			return func() (job, error) { return fromRequest(req) }
+		},
+	}
+}
+
+// jobTypes lists the compute job types in the order a batch entry's type
+// is inferred from its populated field.
+var jobTypes = []string{mlpart.JobTypePartition, mlpart.JobTypeOrder, mlpart.JobTypeRepartition}
+
+// codecs maps each job type to its codec; the synchronous endpoints,
+// POST /v1/jobs and batch entries all decode through it.
+var codecs = map[string]codec{
+	mlpart.JobTypePartition: requestCodec(
+		func(bj mlpart.BatchJob) *mlpart.PartitionRequest { return bj.Partition },
+		func(r *mlpart.PartitionRequest) *mlpart.WireGraph { return &r.Graph },
+		newPartitionJob, decodePartitionBinary),
+	mlpart.JobTypeOrder: requestCodec(
+		func(bj mlpart.BatchJob) *mlpart.OrderRequest { return bj.Order },
+		func(r *mlpart.OrderRequest) *mlpart.WireGraph { return &r.Graph },
+		newOrderJob, decodeOrderBinary),
+	mlpart.JobTypeRepartition: requestCodec(
+		func(bj mlpart.BatchJob) *mlpart.RepartitionRequest { return bj.Repartition },
+		func(r *mlpart.RepartitionRequest) *mlpart.WireGraph { return &r.Graph },
+		newRepartitionJob, decodeRepartitionBinary),
 }
 
 // serveCompute is the shared request path of the three compute
 // endpoints: admission control, decode, cache lookup, worker acquisition
-// under the request deadline, compute, cache fill, reply.
-func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, ep string, c codec) {
+// under the request deadline, then execute.
+func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, typ string) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, "%s requires POST", r.URL.Path)
 		return
 	}
-	epm := s.met.endpoints[ep]
+	epm := s.met.endpoints[typ]
 	epm.requests.Add(1)
 	start := time.Now()
 
@@ -74,11 +126,8 @@ func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, ep string,
 	// type is a protocol error the daemon can refuse without spending a
 	// queue slot, and its own counter separates "client speaks the wrong
 	// encoding" from generic bad requests in /varz.
-	isBinary, err := binaryRequest(r)
-	if err != nil {
-		s.met.unsupportedMedia.Add(1)
-		writeError(w, http.StatusUnsupportedMediaType,
-			"%v (want %q or %q)", err, mlpart.ContentTypeJSON, mlpart.ContentTypeBinaryCSR)
+	isBinary, ok := s.negotiate(w, r)
+	if !ok {
 		return
 	}
 
@@ -107,186 +156,229 @@ func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, ep string,
 	// Decoding (including the zero-copy binary decode and its fused
 	// validation) runs here, outside the worker slot: a malformed body
 	// never costs compute capacity.
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var j job
-	if isBinary {
-		data, rerr := io.ReadAll(r.Body)
-		if rerr != nil {
-			s.met.badReqs.Add(1)
-			writeError(w, http.StatusBadRequest, "read body: %v", rerr)
-			return
-		}
-		j, err = c.binary(data, r.URL.Query())
-	} else {
-		j, err = c.json(json.NewDecoder(r.Body))
-	}
-	if err != nil {
-		s.met.badReqs.Add(1)
-		writeError(w, http.StatusBadRequest, "%v", err)
+	j, ok := decodeBody(s, w, r, isBinary, codecs[typ].json, codecs[typ].binary)
+	if !ok {
 		return
 	}
 	if pj, ok := j.(presetJob); ok {
 		s.met.countPreset(pj.preset())
 	}
 	wantTrace := r.URL.Query().Get("trace") == "1"
-
-	// Cache lookup. Tracing bypasses the cache in both directions: its
-	// events describe one particular execution.
-	key, cacheable := j.key()
-	cacheable = cacheable && !wantTrace
-	if cacheable {
-		if body, ok := s.cache.get(key); ok {
-			s.met.cacheHits.Add(1)
-			epm.completed.Add(1)
-			epm.latency.observe(time.Since(start))
-			writeResult(w, body, "hit", 0)
-			return
-		}
-		s.met.cacheMisses.Add(1)
+	key := cacheKey(j, wantTrace)
+	if body, ok := s.cached(key); ok {
+		epm.completed.Add(1)
+		epm.latency.observe(time.Since(start))
+		writeResult(w, body, "hit", 0)
+		return
 	}
 
-	// Per-request deadline: the client's budget, clamped by the server
-	// ceiling; the context also fires when the client disconnects.
-	timeout := s.cfg.Timeout
-	if ms := j.timeoutMS(); ms > 0 {
-		if d := time.Duration(ms) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	// The context also fires when the client disconnects.
+	ctx, cancel := s.deadline(r.Context(), j)
 	defer cancel()
 
 	// Stage 2: wait for a worker slot. A request whose deadline already
 	// passed (or passes while queued) aborts here without ever entering
 	// the pool.
 	if err := s.pool.acquire(ctx); err != nil {
-		s.finishAborted(w, r, err)
+		writeOutcome(w, s.aborted(ctx, err), "")
 		return
 	}
 	dequeue()
+	defer s.pool.release()
+
+	cacheStatus := "miss"
+	var col *mlpart.TraceCollector
+	if wantTrace {
+		cacheStatus = "bypass"
+		col = &mlpart.TraceCollector{}
+	}
+	o := s.execute(ctx, j, key, faults.SiteServiceWorker, col, "")
+	if o.Code == http.StatusOK {
+		epm.completed.Add(1)
+		epm.latency.observe(time.Since(start))
+	}
+	writeOutcome(w, o, cacheStatus)
+}
+
+// cacheKey returns j's result-cache key, or "" when the request bypasses
+// the cache: tracing bypasses it in both directions, because its events
+// describe one particular execution.
+func cacheKey(j job, wantTrace bool) string {
+	if wantTrace {
+		return ""
+	}
+	return j.key()
+}
+
+// cached looks key up in the result cache and counts the hit or miss;
+// the empty key bypasses the cache uncounted.
+func (s *Server) cached(key string) ([]byte, bool) {
+	if key == "" {
+		return nil, false
+	}
+	body, ok := s.cache.get(key)
+	if ok {
+		s.met.cacheHits.Add(1)
+	} else {
+		s.met.cacheMisses.Add(1)
+	}
+	return body, ok
+}
+
+// deadline derives j's compute context from parent: the client's budget,
+// clamped by the server ceiling.
+func (s *Server) deadline(parent context.Context, j job) (context.Context, context.CancelFunc) {
+	timeout := s.cfg.Timeout
+	if ms := j.timeoutMS(); ms > 0 {
+		if d := time.Duration(ms) * time.Millisecond; d < timeout {
+			timeout = d
+		}
+	}
+	return context.WithTimeout(parent, timeout)
+}
+
+// outcome is one execution's reply: the status and encoded body the
+// synchronous endpoint writes and an asynchronous job stores.
+type outcome struct {
+	jobs.Outcome
+	incident string        // X-Incident-Id of an internal failure
+	reason   string        // a failed job record's error text
+	compute  time.Duration // time spent in the computation itself
+	canceled bool          // the caller went away: there is no reply
+}
+
+// execute runs one decoded job inside a held worker slot and encodes its
+// reply. Synchronous requests, jobs and batch entries all run through it,
+// so their replies are byte-identical by construction. The fault site
+// fires first (so operators can poison the worker path itself), then the
+// job runs with any panic — injected or organic — recovered into a typed
+// *faults.PanicError instead of unwinding into net/http, whose own
+// recover would kill the connection without a reply. A clean result is
+// cached under key ("" bypasses the cache) and, when col is non-nil,
+// wrapped with the captured trace; jobID names the asynchronous job whose
+// completion joins that trace ("" for synchronous requests).
+func (s *Server) execute(ctx context.Context, j job, key, site string, col *mlpart.TraceCollector, jobID string) (o outcome) {
 	s.met.inFlight.Add(1)
-	defer func() {
-		s.met.inFlight.Add(-1)
-		s.pool.release()
-	}()
+	defer s.met.inFlight.Add(-1)
 	if s.hookCompute != nil {
 		s.hookCompute(ctx)
 	}
 	s.met.started.Add(1)
 
-	var collector *mlpart.TraceCollector
-	var tracer mlpart.Tracer
-	if wantTrace {
-		collector = &mlpart.TraceCollector{}
-		tracer = collector
+	var tr mlpart.Tracer
+	if col != nil {
+		tr = col
 	}
-
-	computeStart := time.Now()
-	resp, err := s.runGuarded(ctx, j, tracer)
-	computeNS := time.Since(computeStart).Nanoseconds()
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.finishAborted(w, r, err)
-			return
-		}
-		status, incident, ebody := s.computeFailure(err)
-		if incident != "" {
-			w.Header().Set("X-Incident-Id", incident)
-		}
-		writeBody(w, status, ebody)
-		return
-	}
-	if degradedResponse(resp) {
-		// A degraded result is valid but execution-specific (it reflects
-		// transient fault state); count it and keep it out of the cache so
-		// a later identical request gets a clean run.
-		s.met.degraded.Add(1)
-		cacheable = false
-	}
-
-	body, err := json.Marshal(resp)
-	if err != nil {
-		s.met.errors.Add(1)
-		writeError(w, http.StatusInternalServerError, "encode: %v", err)
-		return
-	}
-	body = append(body, '\n')
-	if cacheable {
-		s.cache.put(key, body)
-	}
-	epm.completed.Add(1)
-	epm.latency.observe(time.Since(start))
-
-	if wantTrace {
-		env := struct {
-			Result json.RawMessage     `json:"result"`
-			Trace  []mlpart.TraceEvent `json:"trace"`
-		}{
-			Result: json.RawMessage(bytes.TrimRight(body, "\n")),
-			Trace:  collector.Events(),
-		}
-		tb, err := json.Marshal(env)
-		if err != nil {
-			s.met.errors.Add(1)
-			writeError(w, http.StatusInternalServerError, "encode trace: %v", err)
-			return
-		}
-		writeResult(w, append(tb, '\n'), "bypass", computeNS)
-		return
-	}
-	writeResult(w, body, "miss", computeNS)
-}
-
-// runGuarded is the worker-path panic boundary: the injector's
-// service/worker site fires first (so operators can poison the worker path
-// itself), then the job runs with any panic — injected or organic —
-// recovered into a typed *faults.PanicError instead of unwinding into
-// net/http, whose own recover would kill the connection without a reply.
-func (s *Server) runGuarded(ctx context.Context, j job, tr mlpart.Tracer) (resp any, err error) {
-	err = faults.Boundary(faults.SiteServiceWorker, func() error {
-		if ierr := s.inj.Fire(faults.SiteServiceWorker); ierr != nil {
+	var resp any
+	start := time.Now()
+	err := faults.Boundary(site, func() error {
+		if ierr := s.inj.Fire(site); ierr != nil {
 			return ierr
 		}
 		var rerr error
 		resp, rerr = j.run(ctx, tr, s.inj)
 		return rerr
 	})
-	if err != nil {
-		return nil, err
+	elapsed := time.Since(start)
+	defer func() { o.compute = elapsed }()
+	switch {
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		return s.aborted(ctx, err)
+	case err != nil:
+		return s.computeFailure(err)
 	}
-	return resp, nil
+	if degradedResponse(resp) {
+		// A degraded result is valid but execution-specific (it reflects
+		// transient fault state); count it and keep it out of the cache so
+		// a later identical request gets a clean run.
+		s.met.degraded.Add(1)
+		key = ""
+	}
+	body, err := json.Marshal(resp)
+	if err != nil {
+		return s.encodeFailure("encode", err)
+	}
+	body = append(body, '\n')
+	if key != "" {
+		s.cache.put(key, body)
+	}
+	if col != nil {
+		if jobID != "" {
+			col.Event(mlpart.TraceEvent{
+				Kind: trace.KindJob, Phase: "done", Job: jobID, ElapsedNS: elapsed.Nanoseconds(),
+			})
+		}
+		env := struct {
+			Result json.RawMessage     `json:"result"`
+			Trace  []mlpart.TraceEvent `json:"trace"`
+		}{
+			Result: json.RawMessage(bytes.TrimRight(body, "\n")),
+			Trace:  col.Events(),
+		}
+		tb, err := json.Marshal(env)
+		if err != nil {
+			return s.encodeFailure("encode trace", err)
+		}
+		body = append(tb, '\n')
+	}
+	return outcome{Outcome: jobs.Outcome{Code: http.StatusOK, Body: body}}
 }
 
-// computeFailure maps a non-context compute error to the HTTP status and
-// encoded wire error body the daemon replies with, bumping the same
-// counters and incident log whether the computation ran synchronously or
-// as an asynchronous job — a failed job replays byte-for-byte the error
-// the synchronous endpoint would have sent.
+// computeFailure maps a non-context compute error to its reply, bumping
+// the same counters and incident log for every caller.
 //
 // A recovered panic or an injected infrastructure fault is the server's
 // failure, not the client's: 500 with an incident id, detail logged
 // server-side — the poisoned request must not take the daemon down.
 // Everything else the engine rejects is a client error: 400.
-func (s *Server) computeFailure(err error) (status int, incident string, body []byte) {
+func (s *Server) computeFailure(err error) outcome {
+	o := outcome{reason: err.Error()}
 	var pe *faults.PanicError
-	if errors.As(err, &pe) {
+	var ie *faults.InjectedError
+	switch {
+	case errors.As(err, &pe):
 		s.met.panicsRecovered.Add(1)
 		s.met.errors.Add(1)
-		id := s.nextIncident()
-		log.Printf("mlserved: incident %s: recovered panic at %s: %v\n%s", id, pe.Site, pe.Value, pe.Stack)
-		return http.StatusInternalServerError, id,
-			errorBody("internal error (incident %s): the request could not be completed", id)
-	}
-	var ie *faults.InjectedError
-	if errors.As(err, &ie) {
+		o.incident = s.nextIncident()
+		log.Printf("mlserved: incident %s: recovered panic at %s: %v\n%s", o.incident, pe.Site, pe.Value, pe.Stack)
+		o.Code = http.StatusInternalServerError
+		o.Body = errorBody("internal error (incident %s): the request could not be completed", o.incident)
+	case errors.As(err, &ie):
 		s.met.errors.Add(1)
-		id := s.nextIncident()
-		log.Printf("mlserved: incident %s: %v", id, err)
-		return http.StatusInternalServerError, id,
-			errorBody("internal error (incident %s): %v", id, err)
+		o.incident = s.nextIncident()
+		log.Printf("mlserved: incident %s: %v", o.incident, err)
+		o.Code = http.StatusInternalServerError
+		o.Body = errorBody("internal error (incident %s): %v", o.incident, err)
+	default:
+		s.met.badReqs.Add(1)
+		o.Code = http.StatusBadRequest
+		o.Body = errorBody("%v", err)
 	}
-	s.met.badReqs.Add(1)
-	return http.StatusBadRequest, "", errorBody("%v", err)
+	return o
+}
+
+// encodeFailure is the 500 reply of a result the daemon could not encode.
+func (s *Server) encodeFailure(what string, err error) outcome {
+	s.met.errors.Add(1)
+	return outcome{
+		Outcome: jobs.Outcome{Code: http.StatusInternalServerError, Body: errorBody("%s: %v", what, err)},
+		reason:  "encode failure",
+	}
+}
+
+// aborted is the reply to work whose context ended it: a passed deadline
+// is a 504; a canceled caller — a vanished client or a DELETEd job — gets
+// no reply at all.
+func (s *Server) aborted(ctx context.Context, err error) outcome {
+	if errors.Is(ctx.Err(), context.Canceled) {
+		s.met.canceled.Add(1)
+		return outcome{canceled: true}
+	}
+	s.met.timedOut.Add(1)
+	return outcome{
+		Outcome: jobs.Outcome{Code: http.StatusGatewayTimeout, Body: errorBody("deadline exceeded: %v", err)},
+		reason:  "deadline exceeded",
+	}
 }
 
 // degradedResponse reports whether a computed response took a
@@ -296,15 +388,18 @@ func degradedResponse(resp any) bool {
 	return ok && len(pr.Degradations) > 0
 }
 
-// finishAborted handles a context-terminated request: a vanished client
-// gets nothing (and a "canceled" count), a live one gets 504.
-func (s *Server) finishAborted(w http.ResponseWriter, r *http.Request, err error) {
-	if r.Context().Err() != nil {
-		s.met.canceled.Add(1)
-		return
+// writeOutcome writes an execution's reply; cacheStatus labels a 200.
+func writeOutcome(w http.ResponseWriter, o outcome, cacheStatus string) {
+	switch {
+	case o.canceled:
+	case o.Code == http.StatusOK:
+		writeResult(w, o.Body, cacheStatus, o.compute.Nanoseconds())
+	default:
+		if o.incident != "" {
+			w.Header().Set("X-Incident-Id", o.incident)
+		}
+		writeBody(w, o.Code, o.Body)
 	}
-	s.met.timedOut.Add(1)
-	writeError(w, http.StatusGatewayTimeout, "deadline exceeded: %v", err)
 }
 
 // writeResult writes a 200 with the (already encoded) result body. The
@@ -320,10 +415,23 @@ func writeResult(w http.ResponseWriter, body []byte, cacheStatus string, compute
 	_, _ = w.Write(body)
 }
 
+// negotiate classifies the request body's encoding: JSON (the default
+// when Content-Type is absent) or binary CSR. Anything else is answered
+// with 415 Unsupported Media Type and ok=false.
+func (s *Server) negotiate(w http.ResponseWriter, r *http.Request) (isBinary, ok bool) {
+	isBinary, err := binaryRequest(r)
+	if err != nil {
+		s.met.unsupportedMedia.Add(1)
+		writeError(w, http.StatusUnsupportedMediaType,
+			"%v (want %q or %q)", err, mlpart.ContentTypeJSON, mlpart.ContentTypeBinaryCSR)
+		return false, false
+	}
+	return isBinary, true
+}
+
 // binaryRequest classifies the request's Content-Type: false for JSON
 // (the default when the header is absent), true for the binary CSR
-// encoding, an error for anything else — which serveCompute turns into
-// 415 Unsupported Media Type.
+// encoding, an error for anything else.
 func binaryRequest(r *http.Request) (bool, error) {
 	ctype := r.Header.Get("Content-Type")
 	if ctype == "" {
@@ -342,59 +450,59 @@ func binaryRequest(r *http.Request) (bool, error) {
 	return false, fmt.Errorf("unsupported Content-Type %q", mt)
 }
 
-// Query-parameter parsers for the binary request path. Each leaves dst
-// untouched when the parameter is absent, so zero values keep meaning
-// "server default" exactly as an omitted JSON field does.
-
-func queryInt(q url.Values, name string, dst *int) error {
-	s := q.Get(name)
-	if s == "" {
-		return nil
+// decodeBody caps the request body at MaxBodyBytes and decodes it with
+// fromBinary (the whole csrb body plus the URL query) or fromJSON. A
+// failure is answered with 400 and ok=false.
+func decodeBody[T any](s *Server, w http.ResponseWriter, r *http.Request, isBinary bool,
+	fromJSON func(*json.Decoder) (T, error), fromBinary func([]byte, url.Values) (T, error)) (v T, ok bool) {
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	var err error
+	if isBinary {
+		var data []byte
+		if data, err = io.ReadAll(r.Body); err != nil {
+			err = fmt.Errorf("read body: %v", err)
+		} else {
+			v, err = fromBinary(data, r.URL.Query())
+		}
+	} else {
+		v, err = fromJSON(json.NewDecoder(r.Body))
 	}
-	v, err := strconv.Atoi(s)
 	if err != nil {
-		return fmt.Errorf("query %s=%q: not an integer", name, s)
+		s.met.badReqs.Add(1)
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return v, false
 	}
-	*dst = v
-	return nil
+	return v, true
 }
 
-func queryInt64(q url.Values, name string, dst *int64) error {
-	s := q.Get(name)
-	if s == "" {
-		return nil
+// parseQuery sets each destination — *int, *int64, *float64 or *bool —
+// from the URL query parameter of its name. An absent parameter leaves
+// its destination untouched, so zero values keep meaning "server
+// default" exactly as an omitted JSON field does.
+func parseQuery(q url.Values, dsts map[string]any) error {
+	for name, dst := range dsts {
+		s := q.Get(name)
+		if s == "" {
+			continue
+		}
+		var err error
+		want := "an integer"
+		switch d := dst.(type) {
+		case *int:
+			*d, err = strconv.Atoi(s)
+		case *int64:
+			*d, err = strconv.ParseInt(s, 10, 64)
+		case *float64:
+			*d, err = strconv.ParseFloat(s, 64)
+			want = "a number"
+		case *bool:
+			*d, err = strconv.ParseBool(s)
+			want = "a boolean"
+		}
+		if err != nil {
+			return fmt.Errorf("query %s=%q: not %s", name, s, want)
+		}
 	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return fmt.Errorf("query %s=%q: not an integer", name, s)
-	}
-	*dst = v
-	return nil
-}
-
-func queryFloat(q url.Values, name string, dst *float64) error {
-	s := q.Get(name)
-	if s == "" {
-		return nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return fmt.Errorf("query %s=%q: not a number", name, s)
-	}
-	*dst = v
-	return nil
-}
-
-func queryBool(q url.Values, name string, dst *bool) error {
-	s := q.Get(name)
-	if s == "" {
-		return nil
-	}
-	v, err := strconv.ParseBool(s)
-	if err != nil {
-		return fmt.Errorf("query %s=%q: not a boolean", name, s)
-	}
-	*dst = v
 	return nil
 }
 
@@ -414,15 +522,15 @@ func optionsFromQuery(q url.Values) (*mlpart.Options, error) {
 	// same rules as the JSON form, e.g. GCLP-only knobs).
 	if q.Get("coarsening") != "" || q.Get("max_cluster_weight") != "" || q.Get("lp_rounds") != "" {
 		co := &mlpart.CoarseningOptions{Scheme: q.Get("coarsening")}
-		if err := queryInt(q, "max_cluster_weight", &co.MaxClusterWeight); err != nil {
-			return nil, err
-		}
-		if err := queryInt(q, "lp_rounds", &co.LPRounds); err != nil {
+		if err := parseQuery(q, map[string]any{
+			"max_cluster_weight": &co.MaxClusterWeight,
+			"lp_rounds":          &co.LPRounds,
+		}); err != nil {
 			return nil, err
 		}
 		o.Coarsening = co
 	}
-	for name, dst := range map[string]*int{
+	err := parseQuery(q, map[string]any{
 		"coarsen_to":            &o.CoarsenTo,
 		"parallel_depth":        &o.ParallelDepth,
 		"parallel_min_vertices": &o.ParallelMinVertices,
@@ -430,25 +538,14 @@ func optionsFromQuery(q url.Values) (*mlpart.Options, error) {
 		"coarsen_workers":       &o.CoarsenWorkers,
 		"refine_workers":        &o.RefineWorkers,
 		"cycles":                &o.Cycles,
-	} {
-		if err := queryInt(q, name, dst); err != nil {
-			return nil, err
-		}
-	}
-	if err := queryFloat(q, "ubfactor", &o.Ubfactor); err != nil {
+		"ubfactor":              &o.Ubfactor,
+		"seed":                  &o.Seed,
+		"parallel":              &o.Parallel,
+		"kway_refine":           &o.KWayRefine,
+		"compress_graph":        &o.CompressGraph,
+	})
+	if err != nil {
 		return nil, err
-	}
-	if err := queryInt64(q, "seed", &o.Seed); err != nil {
-		return nil, err
-	}
-	for name, dst := range map[string]*bool{
-		"parallel":       &o.Parallel,
-		"kway_refine":    &o.KWayRefine,
-		"compress_graph": &o.CompressGraph,
-	} {
-		if err := queryBool(q, name, dst); err != nil {
-			return nil, err
-		}
 	}
 	return o, nil
 }
@@ -464,57 +561,15 @@ func cloneOptions(o *mlpart.Options) *mlpart.Options {
 	return &c
 }
 
-// canonicalOptions renders the result-affecting options in defaulted
-// form: requests that spell the defaults explicitly share cache entries
-// with requests that omit them, and the scheduling-only knobs (Parallel,
-// ParallelDepth, ParallelMinVertices, RefineWorkers — parity-tested to
-// not change results) are excluded entirely. The preset/cycles pair is
-// canonicalized to the *effective* cycle count, so preset=strong and
-// cycles=4 share an entry while fast and strong never alias.
+// canonicalOptions is the options term of a result-cache key:
+// (*mlpart.Options).ResultKey, which resolves every default through the
+// engine itself, so requests that spell a default share the entry of
+// requests that omit it. Jobs hold validated options only; an invalid
+// configuration still renders a key, one that no valid request shares.
 func canonicalOptions(o *mlpart.Options) string {
-	cyc := o.EffectiveCycles()
-	c := mlpart.Options{}
-	if o != nil {
-		c = *o
-	}
-	// The matching/coarsening pair canonicalizes through EffectiveCoarsening,
-	// so the deprecated `matching` alias and the structured `coarsening`
-	// field produce identical keys (and share cache entries). Validate
-	// rejects unparseable configurations before any key is built; the
-	// fallback below only keeps an impossible call stable.
-	co, err := o.EffectiveCoarsening()
+	key, err := o.ResultKey()
 	if err != nil {
-		co = mlpart.CoarseningOptions{Scheme: c.Matching}
-	}
-	if c.InitPart == "" {
-		c.InitPart = mlpart.InitGGGP
-	}
-	if c.Refinement == "" {
-		c.Refinement = mlpart.RefineBKLGR
-	}
-	if c.CoarsenTo == 0 {
-		c.CoarsenTo = 100
-	}
-	if c.Ubfactor == 0 {
-		c.Ubfactor = 1.05
-	}
-	if c.NCuts <= 1 {
-		c.NCuts = 1
-	}
-	if c.CoarsenWorkers <= 1 {
-		c.CoarsenWorkers = 1
-	}
-	if c.Ordering == "" {
-		c.Ordering = mlpart.OrderingNone
-	}
-	key := fmt.Sprintf("m=%s i=%s r=%s ct=%d ub=%.17g s=%d kr=%t nc=%d cw=%d cg=%t ord=%s cyc=%d",
-		co.Scheme, c.InitPart, c.Refinement, c.CoarsenTo, c.Ubfactor,
-		c.Seed, c.KWayRefine, c.NCuts, c.CoarsenWorkers, c.CompressGraph, c.Ordering, cyc)
-	if co.Scheme == mlpart.MatchGCLP {
-		// GCLP's knobs change the result, so they join the key — but only
-		// for GCLP, keeping every matching-family key byte-identical to
-		// what previous releases produced.
-		key += fmt.Sprintf(" mcw=%d lpr=%d", co.MaxClusterWeight, co.LPRounds)
+		return "invalid: " + err.Error()
 	}
 	return key
 }
@@ -566,18 +621,6 @@ func newPartitionJob(req mlpart.PartitionRequest, g *mlpart.Graph) (job, error) 
 	return &partitionJob{req: req, g: g}, nil
 }
 
-func decodePartition(dec *json.Decoder) (job, error) {
-	var req mlpart.PartitionRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("bad request body: %v", err)
-	}
-	g, err := req.Graph.ToGraph()
-	if err != nil {
-		return nil, fmt.Errorf("bad graph: %v", err)
-	}
-	return newPartitionJob(req, g)
-}
-
 func decodePartitionBinary(data []byte, q url.Values) (job, error) {
 	g, err := mlpart.DecodeBinaryGraph(data)
 	if err != nil {
@@ -587,7 +630,7 @@ func decodePartitionBinary(data []byte, q url.Values) (job, error) {
 	if req.Options, err = optionsFromQuery(q); err != nil {
 		return nil, err
 	}
-	if err := queryInt(q, "k", &req.K); err != nil {
+	if err := parseQuery(q, map[string]any{"k": &req.K, "timeout_ms": &req.TimeoutMS}); err != nil {
 		return nil, err
 	}
 	req.Method = q.Get("method")
@@ -599,9 +642,6 @@ func decodePartitionBinary(data []byte, q url.Values) (job, error) {
 			}
 			req.Fractions = append(req.Fractions, f)
 		}
-	}
-	if err := queryInt64(q, "timeout_ms", &req.TimeoutMS); err != nil {
-		return nil, err
 	}
 	return newPartitionJob(req, g)
 }
@@ -623,7 +663,7 @@ func (j *partitionJob) preset() string {
 	return "custom"
 }
 
-func (j *partitionJob) key() (string, bool) {
+func (j *partitionJob) key() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s|fp=%016x|%s|", epPartition, j.g.Fingerprint(), canonicalOptions(j.req.Options))
 	if len(j.req.Fractions) > 0 {
@@ -644,7 +684,7 @@ func (j *partitionJob) key() (string, bool) {
 		}
 		fmt.Fprintf(&sb, "method=%s k=%d", method, j.req.K)
 	}
-	return sb.String(), true
+	return sb.String()
 }
 
 func (j *partitionJob) run(ctx context.Context, tr mlpart.Tracer, inj *mlpart.FaultInjector) (any, error) {
@@ -699,18 +739,6 @@ func newOrderJob(req mlpart.OrderRequest, g *mlpart.Graph) (job, error) {
 	return &orderJob{req: req, g: g}, nil
 }
 
-func decodeOrder(dec *json.Decoder) (job, error) {
-	var req mlpart.OrderRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("bad request body: %v", err)
-	}
-	g, err := req.Graph.ToGraph()
-	if err != nil {
-		return nil, fmt.Errorf("bad graph: %v", err)
-	}
-	return newOrderJob(req, g)
-}
-
 func decodeOrderBinary(data []byte, q url.Values) (job, error) {
 	g, err := mlpart.DecodeBinaryGraph(data)
 	if err != nil {
@@ -720,10 +748,7 @@ func decodeOrderBinary(data []byte, q url.Values) (job, error) {
 	if req.Options, err = optionsFromQuery(q); err != nil {
 		return nil, err
 	}
-	if err := queryBool(q, "analyze", &req.Analyze); err != nil {
-		return nil, err
-	}
-	if err := queryInt64(q, "timeout_ms", &req.TimeoutMS); err != nil {
+	if err := parseQuery(q, map[string]any{"analyze": &req.Analyze, "timeout_ms": &req.TimeoutMS}); err != nil {
 		return nil, err
 	}
 	return newOrderJob(req, g)
@@ -731,9 +756,9 @@ func decodeOrderBinary(data []byte, q url.Values) (job, error) {
 
 func (j *orderJob) timeoutMS() int64 { return j.req.TimeoutMS }
 
-func (j *orderJob) key() (string, bool) {
+func (j *orderJob) key() string {
 	return fmt.Sprintf("%s|fp=%016x|%s|analyze=%t",
-		epOrder, j.g.Fingerprint(), canonicalOptions(j.req.Options), j.req.Analyze), true
+		epOrder, j.g.Fingerprint(), canonicalOptions(j.req.Options), j.req.Analyze)
 }
 
 func (j *orderJob) run(ctx context.Context, tr mlpart.Tracer, inj *mlpart.FaultInjector) (any, error) {
@@ -778,18 +803,6 @@ func newRepartitionJob(req mlpart.RepartitionRequest, g *mlpart.Graph) (job, err
 	return &repartitionJob{req: req, g: g}, nil
 }
 
-func decodeRepartition(dec *json.Decoder) (job, error) {
-	var req mlpart.RepartitionRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("bad request body: %v", err)
-	}
-	g, err := req.Graph.ToGraph()
-	if err != nil {
-		return nil, fmt.Errorf("bad graph: %v", err)
-	}
-	return newRepartitionJob(req, g)
-}
-
 func decodeRepartitionBinary(data []byte, q url.Values) (job, error) {
 	g, part, err := mlpart.DecodeBinaryGraphPart(data)
 	if err != nil {
@@ -799,30 +812,23 @@ func decodeRepartitionBinary(data []byte, q url.Values) (job, error) {
 		return nil, errors.New("repartition: binary body carries no part section " +
 			"(encode the incumbent partition with WriteBinaryGraphPart)")
 	}
-	req := mlpart.RepartitionRequest{Where: part}
-	if err := queryInt(q, "k", &req.K); err != nil {
-		return nil, err
-	}
-	if err := queryInt64(q, "timeout_ms", &req.TimeoutMS); err != nil {
-		return nil, err
-	}
 	o := &mlpart.RepartitionOptions{}
-	if err := queryFloat(q, "ubfactor", &o.Ubfactor); err != nil {
+	req := mlpart.RepartitionRequest{Where: part, Options: o}
+	if err := parseQuery(q, map[string]any{
+		"k":                &req.K,
+		"timeout_ms":       &req.TimeoutMS,
+		"ubfactor":         &o.Ubfactor,
+		"migration_weight": &o.MigrationWeight,
+		"seed":             &o.Seed,
+	}); err != nil {
 		return nil, err
 	}
-	if err := queryFloat(q, "migration_weight", &o.MigrationWeight); err != nil {
-		return nil, err
-	}
-	if err := queryInt64(q, "seed", &o.Seed); err != nil {
-		return nil, err
-	}
-	req.Options = o
 	return newRepartitionJob(req, g)
 }
 
 func (j *repartitionJob) timeoutMS() int64 { return j.req.TimeoutMS }
 
-func (j *repartitionJob) key() (string, bool) {
+func (j *repartitionJob) key() string {
 	o := mlpart.RepartitionOptions{}
 	if j.req.Options != nil {
 		o = *j.req.Options
@@ -835,7 +841,7 @@ func (j *repartitionJob) key() (string, bool) {
 	}
 	return fmt.Sprintf("%s|fp=%016x|k=%d|ub=%.17g mw=%.17g s=%d|wh=%016x",
 		epRepartition, j.g.Fingerprint(), j.req.K,
-		o.Ubfactor, o.MigrationWeight, o.Seed, hashInts(j.req.Where)), true
+		o.Ubfactor, o.MigrationWeight, o.Seed, hashInts(j.req.Where))
 }
 
 func (j *repartitionJob) run(ctx context.Context, _ mlpart.Tracer, _ *mlpart.FaultInjector) (any, error) {

@@ -1,14 +1,11 @@
 package service
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
-	"io"
+	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"mlpart"
 	"mlpart/internal/faults"
@@ -40,20 +37,6 @@ import (
 
 // jobPollHintMS is the polling interval hint sent while a job is active.
 const jobPollHintMS = 100
-
-// jobCodec resolves a submission's type parameter to its canonical name
-// and request codec.
-func jobCodec(typ string) (string, codec, bool) {
-	switch typ {
-	case "", mlpart.JobTypePartition:
-		return mlpart.JobTypePartition, codec{json: decodePartition, binary: decodePartitionBinary}, true
-	case mlpart.JobTypeOrder:
-		return mlpart.JobTypeOrder, codec{json: decodeOrder, binary: decodeOrderBinary}, true
-	case mlpart.JobTypeRepartition:
-		return mlpart.JobTypeRepartition, codec{json: decodeRepartition, binary: decodeRepartitionBinary}, true
-	}
-	return "", codec{}, false
-}
 
 // jobWire renders a store snapshot as the wire JobResponse.
 func jobWire(snap jobs.Snapshot) mlpart.JobResponse {
@@ -97,36 +80,23 @@ func (s *Server) serveJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining: not accepting new jobs")
 		return
 	}
-	typ, c, ok := jobCodec(r.URL.Query().Get("type"))
+	typ := r.URL.Query().Get("type")
+	if typ == "" {
+		typ = mlpart.JobTypePartition
+	}
+	c, ok := codecs[typ]
 	if !ok {
 		s.met.badReqs.Add(1)
 		writeError(w, http.StatusBadRequest, "unknown job type %q (want %q, %q or %q)",
-			r.URL.Query().Get("type"), mlpart.JobTypePartition, mlpart.JobTypeOrder, mlpart.JobTypeRepartition)
+			typ, mlpart.JobTypePartition, mlpart.JobTypeOrder, mlpart.JobTypeRepartition)
 		return
 	}
-	isBinary, err := binaryRequest(r)
-	if err != nil {
-		s.met.unsupportedMedia.Add(1)
-		writeError(w, http.StatusUnsupportedMediaType,
-			"%v (want %q or %q)", err, mlpart.ContentTypeJSON, mlpart.ContentTypeBinaryCSR)
+	isBinary, ok := s.negotiate(w, r)
+	if !ok {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var j job
-	if isBinary {
-		data, rerr := io.ReadAll(r.Body)
-		if rerr != nil {
-			s.met.badReqs.Add(1)
-			writeError(w, http.StatusBadRequest, "read body: %v", rerr)
-			return
-		}
-		j, err = c.binary(data, r.URL.Query())
-	} else {
-		j, err = c.json(json.NewDecoder(r.Body))
-	}
-	if err != nil {
-		s.met.badReqs.Add(1)
-		writeError(w, http.StatusBadRequest, "%v", err)
+	j, ok := decodeBody(s, w, r, isBinary, c.json, c.binary)
+	if !ok {
 		return
 	}
 	resp, err := s.submitDecoded(j, typ, r.URL.Query().Get("trace") == "1")
@@ -215,66 +185,36 @@ func (s *Server) serveJobBatch(w http.ResponseWriter, r *http.Request) {
 	writeJob(w, http.StatusAccepted, resp)
 }
 
-// buildBatchJob decodes and validates one batch entry through the same
-// constructors the endpoint codecs use.
+// buildBatchJob decodes and validates one batch entry through the codec
+// table the endpoints use.
 func buildBatchJob(bj mlpart.BatchJob) (job, string, error) {
-	set := 0
-	for _, p := range []bool{bj.Partition != nil, bj.Order != nil, bj.Repartition != nil} {
-		if p {
+	typ, set := bj.Type, 0
+	for _, name := range jobTypes {
+		if codecs[name].entry(bj) != nil {
 			set++
+			if typ == "" {
+				// Infer the type from the populated field; an explicit
+				// mismatched "type" is still an error below.
+				typ = name
+			}
 		}
 	}
-	typ := bj.Type
 	if typ == "" {
-		// Infer the type from the one populated field; an explicit
-		// mismatched "type" is still an error below.
-		switch {
-		case bj.Partition != nil:
-			typ = mlpart.JobTypePartition
-		case bj.Order != nil:
-			typ = mlpart.JobTypeOrder
-		case bj.Repartition != nil:
-			typ = mlpart.JobTypeRepartition
-		default:
-			typ = mlpart.JobTypePartition
-		}
+		typ = mlpart.JobTypePartition
 	}
 	if set != 1 {
 		return nil, typ, errors.New("batch entry must set exactly one of partition, order, repartition")
 	}
-	switch typ {
-	case mlpart.JobTypePartition:
-		if bj.Partition == nil {
-			return nil, typ, errors.New(`type "partition" requires the partition field`)
-		}
-		g, err := bj.Partition.Graph.ToGraph()
-		if err != nil {
-			return nil, typ, errors.New("bad graph: " + err.Error())
-		}
-		j, err := newPartitionJob(*bj.Partition, g)
-		return j, typ, err
-	case mlpart.JobTypeOrder:
-		if bj.Order == nil {
-			return nil, typ, errors.New(`type "order" requires the order field`)
-		}
-		g, err := bj.Order.Graph.ToGraph()
-		if err != nil {
-			return nil, typ, errors.New("bad graph: " + err.Error())
-		}
-		j, err := newOrderJob(*bj.Order, g)
-		return j, typ, err
-	case mlpart.JobTypeRepartition:
-		if bj.Repartition == nil {
-			return nil, typ, errors.New(`type "repartition" requires the repartition field`)
-		}
-		g, err := bj.Repartition.Graph.ToGraph()
-		if err != nil {
-			return nil, typ, errors.New("bad graph: " + err.Error())
-		}
-		j, err := newRepartitionJob(*bj.Repartition, g)
-		return j, typ, err
+	c, ok := codecs[typ]
+	if !ok {
+		return nil, typ, errors.New("unknown job type " + strings.TrimSpace(typ))
 	}
-	return nil, typ, errors.New("unknown job type " + strings.TrimSpace(typ))
+	build := c.entry(bj)
+	if build == nil {
+		return nil, typ, fmt.Errorf("type %q requires the %s field", typ, typ)
+	}
+	j, err := build()
+	return j, typ, err
 }
 
 // submitDecoded runs the common submission flow for one decoded compute
@@ -282,15 +222,10 @@ func buildBatchJob(bj mlpart.BatchJob) (job, string, error) {
 // the result cache, shed when the store is full, otherwise record the
 // job and spawn its runner. The returned error is jobs.ErrFull or nil.
 func (s *Server) submitDecoded(j job, typ string, wantTrace bool) (mlpart.JobResponse, error) {
-	key, cacheable := j.key()
 	// Tracing makes the execution request-specific: no coalescing with
 	// (or into) untraced submissions, no cache in either direction.
-	cacheable = cacheable && !wantTrace
-	coalesceKey := ""
-	if cacheable {
-		coalesceKey = key
-	}
-	jb, fresh, err := s.jobs.Submit(typ, coalesceKey)
+	key := cacheKey(j, wantTrace)
+	jb, fresh, err := s.jobs.Submit(typ, key)
 	if err != nil {
 		s.met.jobsShed.Add(1)
 		return mlpart.JobResponse{}, err
@@ -305,21 +240,17 @@ func (s *Server) submitDecoded(j job, typ string, wantTrace bool) (mlpart.JobRes
 	if pj, ok := j.(presetJob); ok {
 		s.met.countPreset(pj.preset())
 	}
-	if cacheable {
-		// An already cached result completes the job at submission time:
-		// the client still polls, but the first GET replays the body.
-		if body, ok := s.cache.get(key); ok {
-			s.met.cacheHits.Add(1)
-			s.jobs.Start(jb)
-			s.jobs.Finish(jb, jobs.StateDone, jobs.Outcome{Code: http.StatusOK, Body: body}, "")
-			return jobWire(jb.Snapshot()), nil
-		}
-		s.met.cacheMisses.Add(1)
+	// An already cached result completes the job at submission time: the
+	// client still polls, but the first GET replays the body.
+	if body, ok := s.cached(key); ok {
+		s.jobs.Start(jb)
+		s.jobs.Finish(jb, jobs.StateDone, jobs.Outcome{Code: http.StatusOK, Body: body}, "")
+		return jobWire(jb.Snapshot()), nil
 	}
 	s.jobWG.Add(1)
 	go func() {
 		defer s.jobWG.Done()
-		s.runJob(jb, j, key, cacheable, wantTrace)
+		s.runJob(jb, j, key, wantTrace)
 	}()
 	return jobWire(jb.Snapshot()), nil
 }
@@ -376,12 +307,11 @@ func (s *Server) serveJobByID(w http.ResponseWriter, r *http.Request) {
 }
 
 // runJob is one job's runner goroutine: wait for a worker slot, execute
-// under the same deadline, panic boundary and error mapping as the
-// synchronous path, store the outcome. The job's context — canceled by
-// DELETE — gates both the wait and the computation.
-func (s *Server) runJob(jb *jobs.Job, j job, key string, cacheable, wantTrace bool) {
-	jctx := jb.Context()
-	if err := s.pool.acquire(jctx); err != nil {
+// the job exactly as the synchronous path does, store the outcome. The
+// job's context — canceled by DELETE — gates both the wait and the
+// computation.
+func (s *Server) runJob(jb *jobs.Job, j job, key string, wantTrace bool) {
+	if err := s.pool.acquire(jb.Context()); err != nil {
 		// Canceled while waiting (the job context carries no deadline, so
 		// only Cancel fires it); the store already flipped the state.
 		return
@@ -393,113 +323,28 @@ func (s *Server) runJob(jb *jobs.Job, j job, key string, cacheable, wantTrace bo
 	snap := jb.Snapshot()
 	queueWait := snap.Started.Sub(snap.Submitted)
 	s.met.jobQueueLatency.observe(queueWait)
-	s.met.inFlight.Add(1)
-	defer s.met.inFlight.Add(-1)
-	s.met.started.Add(1)
 
 	// The compute deadline starts when execution starts, not at
 	// submission: a job that waited out a long queue still gets its full
 	// budget, and the TTL — not the deadline — bounds how long the record
 	// lives.
-	timeout := s.cfg.Timeout
-	if ms := j.timeoutMS(); ms > 0 {
-		if d := time.Duration(ms) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(jctx, timeout)
+	ctx, cancel := s.deadline(jb.Context(), j)
 	defer cancel()
-	if s.hookCompute != nil {
-		s.hookCompute(ctx)
-	}
-
-	var collector *mlpart.TraceCollector
-	var tracer mlpart.Tracer
+	var col *mlpart.TraceCollector
 	if wantTrace {
-		collector = &mlpart.TraceCollector{}
-		tracer = collector
-		collector.Event(mlpart.TraceEvent{
+		col = &mlpart.TraceCollector{}
+		col.Event(mlpart.TraceEvent{
 			Kind: trace.KindJob, Phase: "started", Job: jb.ID(), ElapsedNS: queueWait.Nanoseconds(),
 		})
 	}
-
-	computeStart := time.Now()
-	resp, err := s.runJobGuarded(ctx, j, tracer)
-	computeNS := time.Since(computeStart)
-	s.met.jobRunLatency.observe(computeNS)
-	if err != nil {
-		switch {
-		case errors.Is(err, context.Canceled) && jctx.Err() != nil:
-			s.met.canceled.Add(1)
-			return // DELETE flipped the state already
-		case errors.Is(err, context.DeadlineExceeded):
-			s.met.timedOut.Add(1)
-			s.jobs.Finish(jb, jobs.StateFailed, jobs.Outcome{
-				Code: http.StatusGatewayTimeout,
-				Body: errorBody("deadline exceeded: %v", err),
-			}, "deadline exceeded")
-			return
-		}
-		status, _, ebody := s.computeFailure(err)
-		s.jobs.Finish(jb, jobs.StateFailed, jobs.Outcome{Code: status, Body: ebody}, err.Error())
-		return
+	o := s.execute(ctx, j, key, faults.SiteJobRun, col, jb.ID())
+	s.met.jobRunLatency.observe(o.compute)
+	if o.canceled {
+		return // DELETE flipped the state already
 	}
-	if degradedResponse(resp) {
-		s.met.degraded.Add(1)
-		cacheable = false
+	state := jobs.StateDone
+	if o.Code != http.StatusOK {
+		state = jobs.StateFailed
 	}
-	body, merr := json.Marshal(resp)
-	if merr != nil {
-		s.met.errors.Add(1)
-		s.jobs.Finish(jb, jobs.StateFailed, jobs.Outcome{
-			Code: http.StatusInternalServerError,
-			Body: errorBody("encode: %v", merr),
-		}, "encode failure")
-		return
-	}
-	body = append(body, '\n')
-	if cacheable {
-		s.cache.put(key, body)
-	}
-	if wantTrace {
-		collector.Event(mlpart.TraceEvent{
-			Kind: trace.KindJob, Phase: "done", Job: jb.ID(), ElapsedNS: computeNS.Nanoseconds(),
-		})
-		env := struct {
-			Result json.RawMessage     `json:"result"`
-			Trace  []mlpart.TraceEvent `json:"trace"`
-		}{
-			Result: json.RawMessage(bytes.TrimRight(body, "\n")),
-			Trace:  collector.Events(),
-		}
-		tb, terr := json.Marshal(env)
-		if terr != nil {
-			s.met.errors.Add(1)
-			s.jobs.Finish(jb, jobs.StateFailed, jobs.Outcome{
-				Code: http.StatusInternalServerError,
-				Body: errorBody("encode trace: %v", terr),
-			}, "encode failure")
-			return
-		}
-		body = append(tb, '\n')
-	}
-	s.jobs.Finish(jb, jobs.StateDone, jobs.Outcome{Code: http.StatusOK, Body: body}, "")
-}
-
-// runJobGuarded is the job-path panic boundary, the asynchronous twin of
-// runGuarded with its own injection site: plans can fail jobs without
-// touching synchronous traffic.
-func (s *Server) runJobGuarded(ctx context.Context, j job, tr mlpart.Tracer) (resp any, err error) {
-	err = faults.Boundary(faults.SiteJobRun, func() error {
-		if ierr := s.inj.Fire(faults.SiteJobRun); ierr != nil {
-			return ierr
-		}
-		var rerr error
-		resp, rerr = j.run(ctx, tr, s.inj)
-		return rerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
+	s.jobs.Finish(jb, state, o.Outcome, o.reason)
 }

@@ -26,46 +26,97 @@ func sdk(ts interface{ Client() *http.Client }, base string) *Client {
 }
 
 func TestJobSubmitPollDoneParity(t *testing.T) {
-	// Caching disabled: both paths must actually compute, and determinism
-	// alone must make the bodies byte-identical.
+	// Caching disabled: every path must actually compute, and determinism
+	// alone must make the replies byte-identical — status code included,
+	// for a failure the engine reports at compute time too.
 	_, ts := newTestServer(t, Config{CacheSize: -1})
 	c := sdk(ts, ts.URL)
 	wg := gridGraph(16, 16)
 
 	cases := []struct {
+		name    string
 		typ     string
 		syncURL string
-		req     any
+		req     any    // JSON request; nil selects the csrb body
+		csrb    []byte // binary CSR body, its other fields in query
+		query   string
+		status  int
 	}{
-		{mlpart.JobTypePartition, "/v1/partition",
-			mlpart.PartitionRequest{Graph: wg, K: 4, Options: &mlpart.Options{Seed: 7}}},
-		{mlpart.JobTypeOrder, "/v1/order",
-			mlpart.OrderRequest{Graph: wg, Options: &mlpart.Options{Seed: 7}, Analyze: true}},
-		{mlpart.JobTypeRepartition, "/v1/repartition",
-			mlpart.RepartitionRequest{Graph: wg, K: 2, Where: alternating(256, 2)}},
+		{name: mlpart.JobTypePartition, typ: mlpart.JobTypePartition, syncURL: "/v1/partition",
+			req: mlpart.PartitionRequest{Graph: wg, K: 4, Options: &mlpart.Options{Seed: 7}}, status: http.StatusOK},
+		{name: mlpart.JobTypeOrder, typ: mlpart.JobTypeOrder, syncURL: "/v1/order",
+			req: mlpart.OrderRequest{Graph: wg, Options: &mlpart.Options{Seed: 7}, Analyze: true}, status: http.StatusOK},
+		{name: mlpart.JobTypeRepartition, typ: mlpart.JobTypeRepartition, syncURL: "/v1/repartition",
+			req: mlpart.RepartitionRequest{Graph: wg, K: 2, Where: alternating(256, 2)}, status: http.StatusOK},
+		{name: "partition-csrb", typ: mlpart.JobTypePartition, syncURL: "/v1/partition",
+			csrb: binaryBody(t, wg, nil), query: "k=4&seed=7", status: http.StatusOK},
+		{name: "repartition-csrb", typ: mlpart.JobTypeRepartition, syncURL: "/v1/repartition",
+			csrb: binaryBody(t, wg, alternating(256, 2)), query: "k=2", status: http.StatusOK},
+		{name: "k-exceeds-vertices", typ: mlpart.JobTypePartition, syncURL: "/v1/partition",
+			req: mlpart.PartitionRequest{Graph: wg, K: 1000}, status: http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		t.Run(tc.typ, func(t *testing.T) {
-			resp, syncBody := postJSON(t, ts.Client(), ts.URL+tc.syncURL, tc.req)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("sync status %d: %s", resp.StatusCode, syncBody)
+		t.Run(tc.name, func(t *testing.T) {
+			var resp *http.Response
+			var syncBody []byte
+			if tc.req != nil {
+				resp, syncBody = postJSON(t, ts.Client(), ts.URL+tc.syncURL, tc.req)
+			} else {
+				resp, syncBody = postBinary(t, ts.Client(), ts.URL+tc.syncURL+"?"+tc.query, tc.csrb)
 			}
-			jr, err := c.SubmitJob(context.Background(), tc.typ, tc.req)
-			if err != nil {
-				t.Fatalf("SubmitJob: %v", err)
+			if resp.StatusCode != tc.status {
+				t.Fatalf("sync status %d, want %d: %s", resp.StatusCode, tc.status, syncBody)
 			}
-			if jr.Kind != mlpart.WireKindJob || jr.ID == "" || jr.Type != tc.typ {
-				t.Fatalf("bad job response: %+v", jr)
+
+			// The same request as a job, and as a batch entry (batches are
+			// JSON only).
+			var ids []string
+			if tc.req != nil {
+				jr, err := c.SubmitJob(context.Background(), tc.typ, tc.req)
+				if err != nil {
+					t.Fatalf("SubmitJob: %v", err)
+				}
+				if jr.Kind != mlpart.WireKindJob || jr.ID == "" || jr.Type != tc.typ {
+					t.Fatalf("bad job response: %+v", jr)
+				}
+				entry := mlpart.BatchJob{Type: tc.typ}
+				switch req := tc.req.(type) {
+				case mlpart.PartitionRequest:
+					entry.Partition = &req
+				case mlpart.OrderRequest:
+					entry.Order = &req
+				case mlpart.RepartitionRequest:
+					entry.Repartition = &req
+				}
+				br, err := c.SubmitBatch(context.Background(), []mlpart.BatchJob{entry})
+				if err != nil || len(br.Jobs) != 1 || br.Jobs[0].ID == "" {
+					t.Fatalf("SubmitBatch: %+v, %v", br, err)
+				}
+				ids = append(ids, jr.ID, br.Jobs[0].ID)
+			} else {
+				resp, data := postBinary(t, ts.Client(), ts.URL+"/v1/jobs?type="+tc.typ+"&"+tc.query, tc.csrb)
+				var jr mlpart.JobResponse
+				if err := json.Unmarshal(data, &jr); err != nil || resp.StatusCode != http.StatusAccepted || jr.ID == "" {
+					t.Fatalf("csrb job submission: %d %s", resp.StatusCode, data)
+				}
+				ids = append(ids, jr.ID)
 			}
-			res, err := c.WaitJob(context.Background(), jr.ID)
-			if err != nil {
-				t.Fatalf("WaitJob: %v", err)
+
+			wantState := mlpart.JobStateDone
+			if tc.status != http.StatusOK {
+				wantState = mlpart.JobStateFailed
 			}
-			if res.State != mlpart.JobStateDone || res.Status != http.StatusOK {
-				t.Fatalf("job finished %q (%d): %s", res.State, res.Status, res.Body)
-			}
-			if string(res.Body) != string(syncBody) {
-				t.Fatalf("async result differs from sync result:\nasync: %s\nsync:  %s", res.Body, syncBody)
+			for _, id := range ids {
+				res, err := c.WaitJob(context.Background(), id)
+				if err != nil {
+					t.Fatalf("WaitJob: %v", err)
+				}
+				if res.State != wantState || res.Status != tc.status {
+					t.Fatalf("job finished %q (%d), want %q (%d): %s", res.State, res.Status, wantState, tc.status, res.Body)
+				}
+				if string(res.Body) != string(syncBody) {
+					t.Fatalf("async result differs from sync result:\nasync: %s\nsync:  %s", res.Body, syncBody)
+				}
 			}
 		})
 	}

@@ -70,6 +70,44 @@ func TestCanonicalOptionsCycles(t *testing.T) {
 	if nilKey := canonicalOptions(nil); nilKey != fast {
 		t.Errorf("nil options key %q != default key %q", nilKey, fast)
 	}
+
+	// Spellings the engine resolves to its defaults share the default key.
+	for _, o := range []*mlpart.Options{
+		{InitPart: mlpart.InitGGGP, Refinement: mlpart.RefineBKLGR},
+		{CoarsenTo: 100},
+		{Ubfactor: 1},
+		{Ubfactor: 1.05},
+		{NCuts: 0},
+		{NCuts: 1},
+		{CoarsenWorkers: 0},
+		{CoarsenWorkers: 1},
+		{Ordering: ""},
+		{Ordering: mlpart.OrderingNone},
+		{RefineWorkers: 1},
+		{RefineWorkers: 8},
+	} {
+		if got := canonicalOptions(o); got != fast {
+			t.Errorf("options %+v: key %q != default key %q", o, got, fast)
+		}
+	}
+	// Each result-affecting option splits the key, and no two alias.
+	seen := map[string]string{fast: "default"}
+	for name, o := range map[string]*mlpart.Options{
+		"seed":               {Seed: 1},
+		"ncuts 2":            {NCuts: 2},
+		"coarsen_workers 2":  {CoarsenWorkers: 2},
+		"cycles 3":           {Cycles: 3},
+		"ordering degree":    {Ordering: mlpart.OrderingDegree},
+		"GCLP":               {Coarsening: &mlpart.CoarseningOptions{Scheme: mlpart.MatchGCLP}},
+		"max_cluster_weight": {Coarsening: &mlpart.CoarseningOptions{Scheme: mlpart.MatchGCLP, MaxClusterWeight: 8}},
+		"lp_rounds":          {Coarsening: &mlpart.CoarseningOptions{Scheme: mlpart.MatchGCLP, LPRounds: 2}},
+	} {
+		key := canonicalOptions(o)
+		if prev, dup := seen[key]; dup {
+			t.Errorf("%s shares its key with %s: %q", name, prev, key)
+		}
+		seen[key] = name
+	}
 }
 
 // TestPresetFromQuery asserts the binary-CSR query-parameter path decodes

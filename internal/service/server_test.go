@@ -220,6 +220,7 @@ func TestBadRequests(t *testing.T) {
 		{"unknown refinement policy", "/v1/partition", `{"graph":{"xadj":[0,0],"adjncy":[]},"k":1,"options":{"refinement":"FMPP"}}`},
 		{"ubfactor below one", "/v1/partition", `{"graph":{"xadj":[0,0],"adjncy":[]},"k":1,"options":{"ubfactor":0.5}}`},
 		{"negative ncuts", "/v1/partition", `{"graph":{"xadj":[0,0],"adjncy":[]},"k":1,"options":{"ncuts":-1}}`},
+		{"negative coarsen_to", "/v1/partition", `{"graph":{"xadj":[0,0],"adjncy":[]},"k":1,"options":{"coarsen_to":-5}}`},
 		{"negative refine workers", "/v1/partition", `{"graph":{"xadj":[0,0],"adjncy":[]},"k":1,"options":{"refine_workers":-2}}`},
 		{"bad order options", "/v1/order", `{"graph":{"xadj":[0,0],"adjncy":[]},"options":{"init_part":"QQQ"}}`},
 		{"negative migration weight", "/v1/repartition", `{"graph":{"xadj":[0,0],"adjncy":[]},"k":1,"where":[0],"options":{"migration_weight":-1}}`},
@@ -370,6 +371,24 @@ func TestCacheCanonicalization(t *testing.T) {
 		mlpart.PartitionRequest{Graph: wg, K: 2, Options: &mlpart.Options{Seed: 9}})
 	if got := resp.Header.Get("X-Cache"); got != "miss" {
 		t.Errorf("different seed X-Cache = %q, want miss", got)
+	}
+	// Every spelling of a default the engine resolves the same way hits
+	// the entry above: ubfactor 1 runs as 1.05, and ncuts, coarsen_workers
+	// and refine_workers of 1 or less all run serially.
+	for _, o := range []*mlpart.Options{
+		{InitPart: mlpart.InitGGGP, Refinement: mlpart.RefineBKLGR},
+		{CoarsenTo: 100},
+		{Ubfactor: 1},
+		{Ubfactor: 1.05},
+		{NCuts: 1},
+		{CoarsenWorkers: 1},
+		{Ordering: mlpart.OrderingNone},
+		{RefineWorkers: 8},
+	} {
+		resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/partition", mlpart.PartitionRequest{Graph: wg, K: 2, Options: o})
+		if got := resp.Header.Get("X-Cache"); got != "hit" {
+			t.Errorf("options %+v: X-Cache = %q, want hit (%s)", o, got, data)
+		}
 	}
 }
 

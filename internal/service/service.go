@@ -219,15 +219,9 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/jobs/", s.serveJobByID)
 	s.mux.HandleFunc("/v1/graphs", s.serveSessions)
 	s.mux.HandleFunc("/v1/graphs/", s.serveSessionByID)
-	s.mux.HandleFunc("/v1/partition", func(w http.ResponseWriter, r *http.Request) {
-		s.serveCompute(w, r, epPartition, codec{json: decodePartition, binary: decodePartitionBinary})
-	})
-	s.mux.HandleFunc("/v1/order", func(w http.ResponseWriter, r *http.Request) {
-		s.serveCompute(w, r, epOrder, codec{json: decodeOrder, binary: decodeOrderBinary})
-	})
-	s.mux.HandleFunc("/v1/repartition", func(w http.ResponseWriter, r *http.Request) {
-		s.serveCompute(w, r, epRepartition, codec{json: decodeRepartition, binary: decodeRepartitionBinary})
-	})
+	for _, typ := range jobTypes {
+		s.mux.HandleFunc("/v1/"+typ, func(w http.ResponseWriter, r *http.Request) { s.serveCompute(w, r, typ) })
+	}
 	s.mux.HandleFunc("/v1/capabilities", s.serveCapabilities)
 	s.mux.HandleFunc("/healthz", s.serveHealthz)
 	s.mux.HandleFunc("/readyz", s.serveReadyz)

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
@@ -91,11 +93,7 @@ func (s *Server) sessionFailure(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "%v", err)
 	default:
-		status, incident, body := s.computeFailure(err)
-		if incident != "" {
-			w.Header().Set("X-Incident-Id", incident)
-		}
-		writeBody(w, status, body)
+		writeOutcome(w, s.computeFailure(err), "")
 	}
 }
 
@@ -105,8 +103,8 @@ func (s *Server) sessionFailure(w http.ResponseWriter, err error) {
 func (s *Server) sessionSlot(w http.ResponseWriter, r *http.Request) func() {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	if err := s.pool.acquire(ctx); err != nil {
+		writeOutcome(w, s.aborted(ctx, err), "")
 		cancel()
-		s.finishAborted(w, r, err)
 		return nil
 	}
 	s.met.inFlight.Add(1)
@@ -116,6 +114,34 @@ func (s *Server) sessionSlot(w http.ResponseWriter, r *http.Request) func() {
 		s.pool.release()
 		cancel()
 	}
+}
+
+// sessionCreate is a decoded POST /v1/graphs body.
+type sessionCreate struct {
+	g   *mlpart.Graph
+	cfg sessions.Config
+}
+
+func decodeSessionCreate(dec *json.Decoder) (sessionCreate, error) {
+	var req mlpart.SessionCreateRequest
+	if err := dec.Decode(&req); err != nil {
+		return sessionCreate{}, fmt.Errorf("bad request body: %v", err)
+	}
+	g, err := req.Graph.ToGraph()
+	if err != nil {
+		return sessionCreate{}, fmt.Errorf("bad graph: %v", err)
+	}
+	return sessionCreate{g, sessions.Config{K: req.K, Seed: req.Seed, Ubfactor: req.Ubfactor}}, nil
+}
+
+func decodeSessionCreateBinary(data []byte, q url.Values) (sessionCreate, error) {
+	g, err := mlpart.DecodeBinaryGraph(data)
+	if err != nil {
+		return sessionCreate{}, fmt.Errorf("bad graph: %v", err)
+	}
+	sc := sessionCreate{g: g}
+	err = parseQuery(q, map[string]any{"k": &sc.cfg.K, "seed": &sc.cfg.Seed, "ubfactor": &sc.cfg.Ubfactor})
+	return sc, err
 }
 
 // serveSessions is GET (list) / POST (create) /v1/graphs.
@@ -146,53 +172,13 @@ func (s *Server) serveSessions(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusServiceUnavailable, "draining: not accepting new sessions")
 			return
 		}
-		isBinary, err := binaryRequest(r)
-		if err != nil {
-			s.met.unsupportedMedia.Add(1)
-			writeError(w, http.StatusUnsupportedMediaType,
-				"%v (want %q or %q)", err, mlpart.ContentTypeJSON, mlpart.ContentTypeBinaryCSR)
+		isBinary, ok := s.negotiate(w, r)
+		if !ok {
 			return
 		}
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		var g *mlpart.Graph
-		var cfg sessions.Config
-		if isBinary {
-			data, rerr := io.ReadAll(r.Body)
-			if rerr != nil {
-				s.met.badReqs.Add(1)
-				writeError(w, http.StatusBadRequest, "read body: %v", rerr)
-				return
-			}
-			if g, err = mlpart.DecodeBinaryGraph(data); err != nil {
-				s.met.badReqs.Add(1)
-				writeError(w, http.StatusBadRequest, "bad graph: %v", err)
-				return
-			}
-			q := r.URL.Query()
-			if err := queryInt(q, "k", &cfg.K); err == nil {
-				err = queryInt64(q, "seed", &cfg.Seed)
-			}
-			if err == nil {
-				err = queryFloat(q, "ubfactor", &cfg.Ubfactor)
-			}
-			if err != nil {
-				s.met.badReqs.Add(1)
-				writeError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-		} else {
-			var req mlpart.SessionCreateRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				s.met.badReqs.Add(1)
-				writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-				return
-			}
-			if g, err = req.Graph.ToGraph(); err != nil {
-				s.met.badReqs.Add(1)
-				writeError(w, http.StatusBadRequest, "bad graph: %v", err)
-				return
-			}
-			cfg = sessions.Config{K: req.K, Seed: req.Seed, Ubfactor: req.Ubfactor}
+		sc, ok := decodeBody(s, w, r, isBinary, decodeSessionCreate, decodeSessionCreateBinary)
+		if !ok {
+			return
 		}
 		// The initial partition is a full V-cycle: real compute, so it
 		// takes a worker slot like any synchronous request.
@@ -200,7 +186,7 @@ func (s *Server) serveSessions(w http.ResponseWriter, r *http.Request) {
 		if release == nil {
 			return
 		}
-		st, cerr := s.sessions.Create(g, cfg)
+		st, cerr := s.sessions.Create(sc.g, sc.cfg)
 		release()
 		if cerr != nil {
 			s.sessionFailure(w, cerr)

@@ -259,7 +259,9 @@ type Options struct {
 	// CoarsenTo is the coarsest-graph size (0 means 100).
 	CoarsenTo int `json:"coarsen_to,omitempty"`
 	// Ubfactor is the allowed imbalance: each part may weigh up to
-	// Ubfactor times its target (0 means 1.05).
+	// Ubfactor times its target. Values of 1 or less, 0 included, mean
+	// 1.05: exactly 1 does not request perfect balance. Values below 1
+	// other than 0 are rejected.
 	Ubfactor float64 `json:"ubfactor,omitempty"`
 	// Seed drives all randomized choices; equal seeds give identical
 	// results.
@@ -507,6 +509,31 @@ func (o *Options) EffectiveCycles() int {
 		return 1
 	}
 	return ml.CycleCount()
+}
+
+// ResultKey renders the options as the engine resolves them: defaults
+// applied by the engine itself, the preset folded into its cycle count,
+// and the knobs that are parity-tested never to change a result
+// (Parallel, ParallelDepth, ParallelMinVertices, RefineWorkers) left out.
+// Options with equal keys produce identical results, which is what the
+// service result cache keys on. It fails only for options Validate
+// rejects.
+func (o *Options) ResultKey() (string, error) {
+	ml, err := o.toML()
+	if err != nil {
+		return "", err
+	}
+	var c Options
+	if o != nil {
+		c = *o
+	}
+	ordering, err := graph.ParseOrdering(c.Ordering)
+	if err != nil {
+		return "", err
+	}
+	// %+v renders every field of the plan, so a result-affecting field
+	// added to the engine later splits the key without being listed here.
+	return fmt.Sprintf("%+v ordering=%s compress=%t", ml.Plan(), ordering, c.CompressGraph), nil
 }
 
 // Validate reports whether the options are well-formed without running

@@ -457,8 +457,8 @@ func TestRepartitionOptionValidation(t *testing.T) {
 		}
 	}
 
-	// The boundary values stay legal: Ubfactor 0 (default), exactly 1
-	// (perfect balance) and MigrationWeight 0 (default).
+	// The boundary values stay legal: Ubfactor 0 and exactly 1 (both mean
+	// the default 1.05) and MigrationWeight 0 (default).
 	for _, opts := range []*RepartitionOptions{
 		{Ubfactor: 0},
 		{Ubfactor: 1.0},

@@ -10,9 +10,9 @@ import (
 // RepartitionOptions configures Repartition. Like Options it is part of
 // the wire schema shared by the CLI and the mlserved daemon (wire.go).
 type RepartitionOptions struct {
-	// Ubfactor is the balance target per part (0 means 1.05). Values in
-	// (0, 1) are rejected: a part can never weigh less than its target
-	// times one.
+	// Ubfactor is the balance target per part. 0 and exactly 1 both mean
+	// 1.05: exactly 1 does not request perfect balance. Values in (0, 1)
+	// are rejected: a part can never weigh less than its target times one.
 	Ubfactor float64 `json:"ubfactor,omitempty"`
 	// MigrationWeight trades cut quality against data movement: higher
 	// values keep more vertices in their incumbent part (0 means 1.0).

@@ -39,6 +39,9 @@ done
 echo "== service smoke (live daemon vs CLI, async batch jobs, healthz, readyz drain, cache, SIGTERM, session kill-and-recover)"
 go run ./scripts/servicesmoke
 
+echo "== perfbench (own module, so root go test ./... never compiles it)"
+(cd perfbench && go vet . && go test .)
+
 echo "== perf report (refine + ingest + cycle + coarsening benchmarks vs committed baseline, non-fatal)"
 perf_now="$(mktemp)"
 if go test -json -run '^$' -bench 'BenchmarkRefineKWay|BenchmarkRefinePolicies' \
