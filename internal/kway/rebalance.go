@@ -12,11 +12,15 @@ type RebalanceOptions struct {
 	// penalty per unit of vertex weight that ends up away from its
 	// incumbent part. 0 means 1.0; larger values keep more vertices home.
 	MigrationWeight float64
-	// MaxPasses bounds the sweeps (0 means 8).
+	// MaxPasses bounds the sweeps (0 means 32).
 	MaxPasses int
 	// Seed orders the sweeps deterministically.
 	Seed int64
 }
+
+// Plan returns o as Rebalance runs it, every default applied. Options
+// with equal plans rebalance identically.
+func (o RebalanceOptions) Plan() RebalanceOptions { return o.withDefaults() }
 
 func (o RebalanceOptions) withDefaults() RebalanceOptions {
 	if o.Ubfactor <= 1 {

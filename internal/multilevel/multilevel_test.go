@@ -253,8 +253,12 @@ func TestNCutsStatsAccumulate(t *testing.T) {
 	g := matgen.Grid2D(20, 20)
 	_, s1 := Bisect(g, 0, Options{Seed: 1}, rng(1))
 	_, s4 := Bisect(g, 0, Options{Seed: 1, NCuts: 4}, rng(1))
-	if s4.CoarsenTime < s1.CoarsenTime {
-		t.Error("NCuts stats not accumulated")
+	// Each of the four trials coarsens the same grid, so the level and
+	// projection counts are summed four times over (deterministic counts,
+	// unlike the wall-clock phase times).
+	if s4.Levels != 4*s1.Levels || s4.Projections != 4*s1.Projections {
+		t.Errorf("NCuts stats not accumulated: Levels %d -> %d, Projections %d -> %d, want 4x",
+			s1.Levels, s4.Levels, s1.Projections, s4.Projections)
 	}
 	if s4.Bisections != 1 {
 		t.Errorf("Bisections = %d, want 1", s4.Bisections)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mlpart"
+	"mlpart/internal/matgen"
 )
 
 // The service ingest benchmarks isolate the request-path cost of the two
@@ -81,5 +82,39 @@ func BenchmarkServiceIngestBinary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		postBench(b, ts.Client(), ts.URL+"/v1/repartition?k=8", mlpart.ContentTypeBinaryCSR, body)
+	}
+}
+
+// BenchmarkDecodeJSONRequest is the daemon's JSON request decode alone on
+// the ~125k-vertex FE3D mesh body the fe3d-json daemon benchmark posts:
+// the stdlib decoder (the fallback and the fuzz reference) against the
+// scanning decoder, both ending in the same PartitionRequest.
+func BenchmarkDecodeJSONRequest(b *testing.B) {
+	g := matgen.FE3DTetra(50, 50, 50, 3)
+	body, err := json.Marshal(mlpart.PartitionRequest{Graph: *mlpart.NewWireGraph(g), K: 32, Options: &mlpart.Options{Seed: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	graphOf := func(r *mlpart.PartitionRequest) *mlpart.WireGraph { return &r.Graph }
+	for _, bc := range []struct {
+		name   string
+		decode func() (mlpart.PartitionRequest, error)
+	}{
+		{"stdlib", func() (req mlpart.PartitionRequest, err error) {
+			err = json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+			return req, err
+		}},
+		{"scan", func() (mlpart.PartitionRequest, error) { return decodeJSON(body, graphOf) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				req, err := bc.decode()
+				if err != nil || len(req.Graph.Adjncy) != len(g.Adjncy) {
+					b.Fatalf("decode: %v", err)
+				}
+			}
+		})
 	}
 }

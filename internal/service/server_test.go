@@ -390,6 +390,29 @@ func TestCacheCanonicalization(t *testing.T) {
 			t.Errorf("options %+v: X-Cache = %q, want hit (%s)", o, got, data)
 		}
 	}
+	// Repartition keys on the rebalancer's own defaults the same way:
+	// ubfactor 1 runs as 1.05 and migration_weight 0 as 1, so every
+	// spelling below hits the entry of the omitted options; a seed misses.
+	where := make([]int, len(wg.Xadj)-1)
+	for v := range where {
+		where[v] = v % 2
+	}
+	for i, tc := range []struct {
+		o    *mlpart.RepartitionOptions
+		want string
+	}{
+		{nil, "miss"},
+		{&mlpart.RepartitionOptions{}, "hit"},
+		{&mlpart.RepartitionOptions{Ubfactor: 1}, "hit"},
+		{&mlpart.RepartitionOptions{Ubfactor: 1.05, MigrationWeight: 1}, "hit"},
+		{&mlpart.RepartitionOptions{Seed: 3}, "miss"},
+	} {
+		resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/repartition",
+			mlpart.RepartitionRequest{Graph: wg, K: 2, Where: where, Options: tc.o})
+		if got := resp.Header.Get("X-Cache"); got != tc.want {
+			t.Errorf("repartition %d options %+v: X-Cache = %q, want %s (%s)", i, tc.o, got, tc.want, data)
+		}
+	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {

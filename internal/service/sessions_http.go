@@ -122,9 +122,9 @@ type sessionCreate struct {
 	cfg sessions.Config
 }
 
-func decodeSessionCreate(dec *json.Decoder) (sessionCreate, error) {
-	var req mlpart.SessionCreateRequest
-	if err := dec.Decode(&req); err != nil {
+func decodeSessionCreate(data []byte) (sessionCreate, error) {
+	req, err := decodeJSON(data, func(r *mlpart.SessionCreateRequest) *mlpart.WireGraph { return &r.Graph })
+	if err != nil {
 		return sessionCreate{}, fmt.Errorf("bad request body: %v", err)
 	}
 	g, err := req.Graph.ToGraph()

@@ -46,6 +46,25 @@ func (o *RepartitionOptions) Validate() error {
 	return nil
 }
 
+// rebalance returns the options Repartition runs with, every default
+// resolved by the rebalancer itself (a nil receiver is the default
+// configuration).
+func (o *RepartitionOptions) rebalance() kway.RebalanceOptions {
+	var c RepartitionOptions
+	if o != nil {
+		c = *o
+	}
+	return kway.RebalanceOptions{Ubfactor: c.Ubfactor, MigrationWeight: c.MigrationWeight, Seed: c.Seed}.Plan()
+}
+
+// ResultKey renders the options as Repartition runs them, defaults
+// applied by the rebalancer itself, so options with equal keys produce
+// identical results; the service result cache keys on it the way it
+// keys on (*Options).ResultKey.
+func (o *RepartitionOptions) ResultKey() string {
+	return fmt.Sprintf("%+v", o.rebalance())
+}
+
 // RepartitionResult is the outcome of adapting a partition.
 type RepartitionResult struct {
 	// Where is the adapted partition vector.
@@ -83,19 +102,13 @@ func Repartition(g *Graph, k int, oldWhere []int, opts *RepartitionOptions) (*Re
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if opts == nil {
-		opts = &RepartitionOptions{}
-	}
+	ro := opts.rebalance()
 	where := append([]int(nil), oldWhere...)
 	p := kway.NewPartition(g, k, where)
-	kway.Rebalance(p, oldWhere, kway.RebalanceOptions{
-		Ubfactor:        opts.Ubfactor,
-		MigrationWeight: opts.MigrationWeight,
-		Seed:            opts.Seed,
-	})
+	kway.Rebalance(p, oldWhere, ro)
 	// Recover cut quality lost to the diffusion moves; greedy k-way
 	// refinement respects the balance the rebalance just established.
-	kway.Refine(p, kway.Options{Ubfactor: opts.Ubfactor, Seed: opts.Seed})
+	kway.Refine(p, kway.Options{Ubfactor: ro.Ubfactor, Seed: ro.Seed})
 	migrated := 0
 	for v, w := range p.Where {
 		if w != oldWhere[v] {
