@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"mlpart/internal/experiments"
@@ -38,7 +39,7 @@ func main() {
 	ncuts := flag.Int("ncuts", 0, "best-of-N bisections for Figure 4's \"ours\" (quality for time)")
 	workers := flag.Int("workers", 0, "parallel coarsening workers for Figure 4's \"ours\" (>1 enables)")
 	parallel := flag.Bool("parallel", false, "run Figure 4's \"ours\" with concurrent subgraphs and NCuts trials")
-	preset := flag.String("preset", "", "quality preset for -levels and Figure 4's \"ours\": fast, eco, strong")
+	preset := flag.String("preset", "", "quality preset for -levels and Figure 4's \"ours\": "+strings.Join(multilevel.PresetNames(), ", "))
 	ablation := flag.Bool("ablation", false, "run the design-choice ablation sweeps of DESIGN.md")
 	levels := flag.String("levels", "", "print the per-level V-cycle breakdown for the named workload")
 	flag.Parse()

@@ -14,10 +14,10 @@
 // With -gen NAME the input file is replaced by a generated workload (see
 // mlpart.WorkloadNames), e.g. `mlpart -k 32 -gen 4ELT`.
 //
-// -match accepts any registered coarsening scheme (run -help for the live
-// list): the matching family (RM, HEM, LEM, HCM) plus the aggregation
-// scheme GCLP, whose cluster size cap and round count are tuned with
-// -max-cluster-weight and -lp-rounds.
+// -match, -init, -refine, -preset and -ordering accept any name from
+// mlpart's name tables, in any case (run -help for the live lists). The
+// aggregation scheme GCLP has a cluster size cap and round count, tuned
+// with -max-cluster-weight and -lp-rounds.
 //
 // A `.csrb` input is the binary CSR format (docs/WIRE.md), memory-mapped
 // and decoded zero-copy. With -convert OUT the loaded graph is written to
@@ -57,7 +57,8 @@ import (
 const exitTimeout = 3
 
 // schemeSummary renders the registered coarsening schemes for -match's help
-// text, so new schemes show up in -help without touching this file.
+// text. Every name list in -help comes from mlpart's name tables, so it
+// always matches what the parsers accept.
 func schemeSummary() string {
 	var b strings.Builder
 	for i, s := range mlpart.CoarseningSchemes() {
@@ -70,13 +71,14 @@ func schemeSummary() string {
 }
 
 func main() {
+	caps := mlpart.NewCapabilitiesResponse()
 	k := flag.Int("k", 2, "number of parts")
-	match := flag.String("match", "HEM", "coarsening scheme: "+schemeSummary())
+	match := flag.String("match", mlpart.MatchHEM, "coarsening scheme: "+schemeSummary())
 	maxClusterWeight := flag.Int("max-cluster-weight", 0, "GCLP only: cluster weight cap (0 = derived from the coarsening target)")
 	lpRounds := flag.Int("lp-rounds", 0, "GCLP only: label-propagation rounds per level (0 = default)")
-	init := flag.String("init", "GGGP", "initial partitioner: GGGP, GGP, SBP")
-	ref := flag.String("refine", "BKLGR", "refinement: NONE, GR, KLR, BGR, BKLR, BKLGR, BKWAY")
-	preset := flag.String("preset", "", "quality preset: fast (1 cycle), eco (2), strong (4); empty = fast")
+	init := flag.String("init", mlpart.InitGGGP, "initial partitioner: "+strings.Join(caps.InitMethods, ", "))
+	ref := flag.String("refine", mlpart.RefineBKLGR, "refinement: "+strings.Join(caps.Refinements, ", "))
+	preset := flag.String("preset", "", "quality preset, each running more cycles than the last: "+strings.Join(caps.Presets, ", ")+"; empty = "+mlpart.PresetFast)
 	cycles := flag.Int("cycles", 0, "explicit multilevel cycle count (overrides -preset)")
 	seed := flag.Int64("seed", 0, "random seed (fixed seed => fixed result)")
 	parallel := flag.Bool("parallel", false, "partition independent subgraphs (and NCuts trials) concurrently")
@@ -89,7 +91,7 @@ func main() {
 	stats := flag.Bool("stats", false, "print extended quality metrics (comm volume, connectivity, ...)")
 	direct := flag.Bool("direct", false, "use direct multilevel k-way instead of recursive bisection")
 	weighted := flag.String("weighted", "", "comma-separated target fractions (overrides -k), e.g. 4,2,1,1")
-	ordering := flag.String("ordering", "", "relabel vertices at ingest for locality: none, degree, bfs-block")
+	ordering := flag.String("ordering", "", "relabel vertices at ingest for locality: "+strings.Join(caps.Orderings, ", "))
 	convert := flag.String("convert", "", "write the loaded graph to this file (format by extension: .graph, .mtx, .csrb) and exit")
 	gen := flag.String("gen", "", "generate the named synthetic workload instead of reading a file")
 	scale := flag.Float64("scale", 0.25, "workload scale when -gen is used")

@@ -2,6 +2,7 @@ package mlpart_test
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -138,6 +139,32 @@ func TestCapabilitiesResponseWire(t *testing.T) {
 	}
 	if len(back.CoarseningSchemes) != len(mlpart.CoarseningSchemes()) {
 		t.Errorf("round-trip lost schemes: %d", len(back.CoarseningSchemes))
+	}
+
+	// The lists are the parsers' name tables, in table order, and the
+	// public name constants are their canonical spellings. RAND has no
+	// constant: it is the control method, accepted and advertised but not
+	// recommended.
+	var schemes []string
+	for _, s := range cr.CoarseningSchemes {
+		schemes = append(schemes, s.Name)
+	}
+	for _, tc := range []struct {
+		name      string
+		got, want []string
+	}{
+		{"coarsening_schemes", schemes, []string{mlpart.MatchRM, mlpart.MatchHEM, mlpart.MatchLEM, mlpart.MatchHCM, mlpart.MatchGCLP}},
+		{"init_methods", cr.InitMethods, []string{mlpart.InitGGGP, mlpart.InitGGP, mlpart.InitSBP, "RAND"}},
+		{"refinements", cr.Refinements, []string{
+			mlpart.RefineNone, mlpart.RefineGR, mlpart.RefineKLR, mlpart.RefineBGR,
+			mlpart.RefineBKLR, mlpart.RefineBKLGR, mlpart.RefineBKWAY,
+		}},
+		{"presets", cr.Presets, []string{mlpart.PresetFast, mlpart.PresetEco, mlpart.PresetStrong}},
+		{"orderings", cr.Orderings, []string{mlpart.OrderingNone, mlpart.OrderingDegree, mlpart.OrderingBFSBlock}},
+	} {
+		if !reflect.DeepEqual(tc.got, tc.want) {
+			t.Errorf("%s = %v, want %v", tc.name, tc.got, tc.want)
+		}
 	}
 }
 

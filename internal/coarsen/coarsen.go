@@ -17,9 +17,9 @@ package coarsen
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
+	"mlpart/internal/enum"
 	"mlpart/internal/faults"
 	"mlpart/internal/graph"
 	"mlpart/internal/trace"
@@ -64,23 +64,22 @@ const (
 	FamilyAggregation = "aggregation"
 )
 
-// String returns the scheme's abbreviation as used in the paper (GCLP is
-// this package's extension).
-func (s Scheme) String() string {
-	switch s {
-	case RM:
-		return "RM"
-	case HEM:
-		return "HEM"
-	case LEM:
-		return "LEM"
-	case HCM:
-		return "HCM"
-	case GCLP:
-		return "GCLP"
-	}
-	return fmt.Sprintf("Scheme(%d)", int(s))
+// schemeNames is the schemes' name table: their abbreviations as used in
+// the paper (GCLP is this package's extension).
+var schemeNames = enum.Names[Scheme]{RM: "RM", HEM: "HEM", LEM: "LEM", HCM: "HCM", GCLP: "GCLP"}
+
+// schemeDescriptions holds each scheme's one-line description for
+// discovery surfaces.
+var schemeDescriptions = [...]string{
+	RM:   "random matching: match each vertex with a random unmatched neighbor",
+	HEM:  "heavy-edge matching: match across the heaviest incident edge (the paper's choice)",
+	LEM:  "light-edge matching: match across the lightest incident edge (the paper's control)",
+	HCM:  "heavy-clique matching: match the pair with the densest merged multinode",
+	GCLP: "size-constrained label-propagation clustering: contract arbitrary-size clusters, built for power-law graphs where matchings stall",
 }
+
+// String returns the scheme's abbreviation.
+func (s Scheme) String() string { return schemeNames.Name(s) }
 
 // Family returns the scheme's family: FamilyMatching for the pairwise
 // matchings, FamilyAggregation for GCLP.
@@ -93,32 +92,20 @@ func (s Scheme) Family() string {
 
 // Valid reports whether s is one of the defined schemes; Match panics on
 // anything else, so user-reachable entry points must gate on this.
-func (s Scheme) Valid() bool { return s >= RM && s <= GCLP }
+func (s Scheme) Valid() bool { return schemeNames.Valid(s) }
 
-// ParseScheme converts an abbreviation ("RM", "HEM", "LEM", "HCM", "GCLP")
-// to a Scheme. Parsing is the single normalization point for every surface
-// that accepts a scheme name — CLI flags, JSON options, query parameters —
-// so case and surrounding whitespace are forgiven here once ("hem" and
-// " HEM " both parse) instead of inconsistently per caller.
+// ParseScheme converts an abbreviation (any case, surrounding whitespace
+// ignored: "hem" and " HEM " both parse) to a Scheme.
 func ParseScheme(s string) (Scheme, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "RM":
-		return RM, nil
-	case "HEM":
-		return HEM, nil
-	case "LEM":
-		return LEM, nil
-	case "HCM":
-		return HCM, nil
-	case "GCLP":
-		return GCLP, nil
+	if sc, ok := schemeNames.Parse(s); ok {
+		return sc, nil
 	}
-	return 0, fmt.Errorf("coarsen: unknown coarsening scheme %q (want RM, HEM, LEM, HCM or GCLP)", s)
+	return 0, fmt.Errorf("coarsen: unknown coarsening scheme %q (want %v)", s, schemeNames)
 }
 
 // SchemeInfo describes one coarsening scheme for discovery surfaces: the
 // CLI help text, mlbench tables and the service's /v1/capabilities endpoint
-// all render the same registry instead of hardcoding scheme lists.
+// all render the same table instead of hardcoding scheme lists.
 type SchemeInfo struct {
 	Scheme      Scheme
 	Name        string
@@ -126,20 +113,14 @@ type SchemeInfo struct {
 	Family      string
 }
 
-// schemeRegistry is the registry behind AllSchemes, in Scheme order.
-var schemeRegistry = [...]SchemeInfo{
-	{RM, "RM", "random matching: match each vertex with a random unmatched neighbor", FamilyMatching},
-	{HEM, "HEM", "heavy-edge matching: match across the heaviest incident edge (the paper's choice)", FamilyMatching},
-	{LEM, "LEM", "light-edge matching: match across the lightest incident edge (the paper's control)", FamilyMatching},
-	{HCM, "HCM", "heavy-clique matching: match the pair with the densest merged multinode", FamilyMatching},
-	{GCLP, "GCLP", "size-constrained label-propagation clustering: contract arbitrary-size clusters, built for power-law graphs where matchings stall", FamilyAggregation},
-}
-
 // AllSchemes lists every supported coarsening scheme with its name,
-// description and family, in Scheme order. The returned slice is a copy.
+// description and family, in Scheme order.
 func AllSchemes() []SchemeInfo {
-	out := make([]SchemeInfo, len(schemeRegistry))
-	copy(out, schemeRegistry[:])
+	out := make([]SchemeInfo, len(schemeNames))
+	for i := range out {
+		s := Scheme(i)
+		out[i] = SchemeInfo{s, s.String(), schemeDescriptions[s], s.Family()}
+	}
 	return out
 }
 

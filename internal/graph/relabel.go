@@ -8,7 +8,11 @@ package graph
 // inverse-maps its outputs, so relabeling never changes what a caller
 // sees beyond the cut a different traversal order produces.
 
-import "fmt"
+import (
+	"fmt"
+
+	"mlpart/internal/enum"
+)
 
 // Ordering scheme names accepted by RelabelPerm (and, one layer up, by
 // mlpart.Options.Ordering).
@@ -26,17 +30,22 @@ const (
 	OrderBFSBlock = "bfs-block"
 )
 
-// ParseOrdering normalizes and validates an ordering name; "" means
-// OrderNone.
+// orderingNames is the orderings' name table.
+var orderingNames = enum.Names[int]{OrderNone, OrderDegree, OrderBFSBlock}
+
+// OrderingNames lists the ordering names.
+func OrderingNames() []string { return orderingNames.List() }
+
+// ParseOrdering normalizes (any case) and validates an ordering name; ""
+// means OrderNone.
 func ParseOrdering(s string) (string, error) {
-	switch s {
-	case "", OrderNone:
+	if s == "" {
 		return OrderNone, nil
-	case OrderDegree, OrderBFSBlock:
-		return s, nil
 	}
-	return "", fmt.Errorf("graph: unknown ordering %q (want %q, %q or %q)",
-		s, OrderNone, OrderDegree, OrderBFSBlock)
+	if i, ok := orderingNames.Parse(s); ok {
+		return orderingNames[i], nil
+	}
+	return "", fmt.Errorf("graph: unknown ordering %q (want %v)", s, orderingNames)
 }
 
 // RelabelPerm computes the relabeling permutation for the scheme:

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"time"
 
+	"mlpart/internal/enum"
 	"mlpart/internal/faults"
 	"mlpart/internal/graph"
 	"mlpart/internal/refine"
@@ -38,39 +39,27 @@ const (
 	RandomPart
 )
 
+// methodNames is the methods' name table: their abbreviations as used in
+// the paper, plus RAND for the control.
+var methodNames = enum.Names[Method]{GGGP: "GGGP", GGP: "GGP", SBP: "SBP", RandomPart: "RAND"}
+
 // String returns the method's abbreviation as used in the paper.
-func (m Method) String() string {
-	switch m {
-	case GGGP:
-		return "GGGP"
-	case GGP:
-		return "GGP"
-	case SBP:
-		return "SBP"
-	case RandomPart:
-		return "RAND"
-	}
-	return fmt.Sprintf("Method(%d)", int(m))
-}
+func (m Method) String() string { return methodNames.Name(m) }
 
 // Valid reports whether m is one of the defined methods; Partition panics
 // on anything else, so user-reachable entry points must gate on this.
-func (m Method) Valid() bool { return m >= GGGP && m <= RandomPart }
+func (m Method) Valid() bool { return methodNames.Valid(m) }
 
-// ParseMethod converts an abbreviation to a Method.
+// ParseMethod converts an abbreviation (any case) to a Method.
 func ParseMethod(s string) (Method, error) {
-	switch s {
-	case "GGGP":
-		return GGGP, nil
-	case "GGP":
-		return GGP, nil
-	case "SBP":
-		return SBP, nil
-	case "RAND":
-		return RandomPart, nil
+	if m, ok := methodNames.Parse(s); ok {
+		return m, nil
 	}
-	return 0, fmt.Errorf("initpart: unknown method %q", s)
+	return 0, fmt.Errorf("initpart: unknown method %q (want %v)", s, methodNames)
 }
+
+// MethodNames lists the methods' names in Method order.
+func MethodNames() []string { return methodNames.List() }
 
 // Options configures the initial partitioning.
 type Options struct {

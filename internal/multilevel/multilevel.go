@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"mlpart/internal/coarsen"
+	"mlpart/internal/enum"
 	"mlpart/internal/faults"
 	"mlpart/internal/graph"
 	"mlpart/internal/initpart"
@@ -54,35 +55,30 @@ const (
 	strongCycles = 4
 )
 
+// presetNames is the presets' name table, as used in options, flags and
+// wire.
+var presetNames = enum.Names[Preset]{PresetFast: "fast", PresetEco: "eco", PresetStrong: "strong"}
+
 // String returns the preset's name as used in options, flags and wire.
-func (p Preset) String() string {
-	switch p {
-	case PresetFast:
-		return "fast"
-	case PresetEco:
-		return "eco"
-	case PresetStrong:
-		return "strong"
-	}
-	return fmt.Sprintf("Preset(%d)", int(p))
-}
+func (p Preset) String() string { return presetNames.Name(p) }
 
 // Valid reports whether p is one of the defined presets.
-func (p Preset) Valid() bool { return p >= PresetFast && p <= PresetStrong }
+func (p Preset) Valid() bool { return presetNames.Valid(p) }
 
-// ParsePreset converts a preset name ("fast", "eco", "strong") to a
-// Preset; the empty string is fast (the default).
+// ParsePreset converts a preset name (any case) to a Preset; the empty
+// string is fast (the default).
 func ParsePreset(s string) (Preset, error) {
-	switch s {
-	case "", "fast":
+	if s == "" {
 		return PresetFast, nil
-	case "eco":
-		return PresetEco, nil
-	case "strong":
-		return PresetStrong, nil
 	}
-	return 0, fmt.Errorf("multilevel: unknown preset %q (want fast, eco or strong)", s)
+	if p, ok := presetNames.Parse(s); ok {
+		return p, nil
+	}
+	return 0, fmt.Errorf("multilevel: unknown preset %q (want %v)", s, presetNames)
 }
+
+// PresetNames lists the presets' names in Preset order.
+func PresetNames() []string { return presetNames.List() }
 
 // Options selects the algorithm for each phase plus the shared knobs. The
 // zero value is the paper's recommended configuration: HEM coarsening to

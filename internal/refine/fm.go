@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"mlpart/internal/enum"
 	"mlpart/internal/trace"
 	"mlpart/internal/workspace"
 )
@@ -40,51 +41,29 @@ const (
 	BKWAY
 )
 
-// String returns the policy's abbreviation as used in the paper.
-func (p Policy) String() string {
-	switch p {
-	case NoRefine:
-		return "NONE"
-	case GR:
-		return "GR"
-	case KLR:
-		return "KLR"
-	case BGR:
-		return "BGR"
-	case BKLR:
-		return "BKLR"
-	case BKLGR:
-		return "BKLGR"
-	case BKWAY:
-		return "BKWAY"
-	}
-	return fmt.Sprintf("Policy(%d)", int(p))
+// policyNames is the policies' name table: their abbreviations as used
+// in the paper.
+var policyNames = enum.Names[Policy]{
+	NoRefine: "NONE", GR: "GR", KLR: "KLR", BGR: "BGR", BKLR: "BKLR", BKLGR: "BKLGR", BKWAY: "BKWAY",
 }
+
+// String returns the policy's abbreviation as used in the paper.
+func (p Policy) String() string { return policyNames.Name(p) }
 
 // Valid reports whether p is one of the defined policies; Refine panics
 // on anything else, so user-reachable entry points must gate on this.
-func (p Policy) Valid() bool { return p >= NoRefine && p <= BKWAY }
+func (p Policy) Valid() bool { return policyNames.Valid(p) }
 
-// ParsePolicy converts an abbreviation to a Policy.
+// ParsePolicy converts an abbreviation (any case) to a Policy.
 func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "NONE":
-		return NoRefine, nil
-	case "GR":
-		return GR, nil
-	case "KLR":
-		return KLR, nil
-	case "BGR":
-		return BGR, nil
-	case "BKLR":
-		return BKLR, nil
-	case "BKLGR":
-		return BKLGR, nil
-	case "BKWAY":
-		return BKWAY, nil
+	if p, ok := policyNames.Parse(s); ok {
+		return p, nil
 	}
-	return 0, fmt.Errorf("refine: unknown refinement policy %q", s)
+	return 0, fmt.Errorf("refine: unknown refinement policy %q (want %v)", s, policyNames)
 }
+
+// PolicyNames lists the policies' names in Policy order.
+func PolicyNames() []string { return policyNames.List() }
 
 // Options configures refinement.
 type Options struct {

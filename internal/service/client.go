@@ -215,26 +215,43 @@ func (c *Client) url(path string) string {
 	return strings.TrimRight(c.Base, "/") + path
 }
 
-// decodeJobResponse parses a JobResponse reply, turning a wire error
-// into a Go error.
-func decodeJobResponse(resp *http.Response, want int) (*mlpart.JobResponse, error) {
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+// maxReplyBytes caps how much of a daemon reply the SDK reads.
+const maxReplyBytes = 64 << 20
+
+// readReply reads and closes resp's body, then decodes it into a new T
+// with decodeReply.
+func readReply[T any](resp *http.Response, want int) (*T, error) {
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxReplyBytes))
+	resp.Body.Close()
 	if err != nil {
 		return nil, err
 	}
+	out := new(T)
+	if err := decodeReply(resp, body, want, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// decodeReply checks a daemon reply's status and unmarshals its body into
+// out; a 204 No Content reply has no body to decode. Any status but want
+// becomes an error that carries the wire ErrorResponse text when there is
+// one.
+func decodeReply(resp *http.Response, body []byte, want int, out any) error {
 	if resp.StatusCode != want {
 		var we mlpart.ErrorResponse
 		if json.Unmarshal(body, &we) == nil && we.Error != "" {
-			return nil, fmt.Errorf("%s: %s", resp.Status, we.Error)
+			return fmt.Errorf("%s: %s", resp.Status, we.Error)
 		}
-		return nil, fmt.Errorf("unexpected status %s", resp.Status)
+		return fmt.Errorf("unexpected status %s", resp.Status)
 	}
-	var jr mlpart.JobResponse
-	if err := json.Unmarshal(body, &jr); err != nil {
-		return nil, fmt.Errorf("bad job response: %v", err)
+	if resp.StatusCode == http.StatusNoContent {
+		return nil
 	}
-	return &jr, nil
+	if err := json.Unmarshal(body, out); err != nil {
+		return fmt.Errorf("bad reply: %v", err)
+	}
+	return nil
 }
 
 // postJSON marshals v and POSTs it through the retry loop with a
@@ -266,7 +283,7 @@ func (c *Client) SubmitJob(ctx context.Context, typ string, req any) (*mlpart.Jo
 	if err != nil {
 		return nil, err
 	}
-	return decodeJobResponse(resp, http.StatusAccepted)
+	return readReply[mlpart.JobResponse](resp, http.StatusAccepted)
 }
 
 // SubmitBatch submits many jobs in one call. The returned
@@ -277,23 +294,7 @@ func (c *Client) SubmitBatch(ctx context.Context, entries []mlpart.BatchJob) (*m
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		var we mlpart.ErrorResponse
-		if json.Unmarshal(body, &we) == nil && we.Error != "" {
-			return nil, fmt.Errorf("%s: %s", resp.Status, we.Error)
-		}
-		return nil, fmt.Errorf("unexpected status %s", resp.Status)
-	}
-	var br mlpart.BatchResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		return nil, fmt.Errorf("bad batch response: %v", err)
-	}
-	return &br, nil
+	return readReply[mlpart.BatchResponse](resp, http.StatusAccepted)
 }
 
 // CancelJob cancels the job (DELETE). The returned JobResponse reports
@@ -308,7 +309,7 @@ func (c *Client) CancelJob(ctx context.Context, id string) (*mlpart.JobResponse,
 	if err != nil {
 		return nil, err
 	}
-	return decodeJobResponse(resp, http.StatusOK)
+	return readReply[mlpart.JobResponse](resp, http.StatusOK)
 }
 
 // WaitJob polls the job until it reaches a terminal state, honoring the
@@ -334,7 +335,7 @@ func (c *Client) WaitJob(ctx context.Context, id string) (*JobResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+		body, err := io.ReadAll(io.LimitReader(resp.Body, maxReplyBytes))
 		resp.Body.Close()
 		if err != nil {
 			return nil, err
@@ -349,25 +350,18 @@ func (c *Client) WaitJob(ctx context.Context, id string) (*JobResult, error) {
 		if hint <= 0 {
 			hint = 100 * time.Millisecond
 		}
-		switch {
-		case resp.StatusCode == http.StatusOK:
+		if retryableStatus(resp.StatusCode) {
+			if ra := retryAfter(resp.Header.Get("Retry-After")); ra > hint {
+				hint = ra
+			}
+		} else {
 			var jr mlpart.JobResponse
-			if err := json.Unmarshal(body, &jr); err != nil {
-				return nil, fmt.Errorf("bad job response: %v", err)
+			if err := decodeReply(resp, body, http.StatusOK, &jr); err != nil {
+				return nil, err
 			}
 			if jr.RetryAfterMS > 0 {
 				hint = time.Duration(jr.RetryAfterMS) * time.Millisecond
 			}
-		case retryableStatus(resp.StatusCode):
-			if ra := retryAfter(resp.Header.Get("Retry-After")); ra > hint {
-				hint = ra
-			}
-		default:
-			var we mlpart.ErrorResponse
-			if json.Unmarshal(body, &we) == nil && we.Error != "" {
-				return nil, fmt.Errorf("%s: %s", resp.Status, we.Error)
-			}
-			return nil, fmt.Errorf("unexpected status %s", resp.Status)
 		}
 		if err := c.sleepJittered(ctx, hint); err != nil {
 			return nil, err
@@ -434,48 +428,10 @@ func (c *Client) Capabilities(ctx context.Context) (*mlpart.CapabilitiesResponse
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		var we mlpart.ErrorResponse
-		if json.Unmarshal(body, &we) == nil && we.Error != "" {
-			return nil, fmt.Errorf("%s: %s", resp.Status, we.Error)
-		}
-		return nil, fmt.Errorf("unexpected status %s", resp.Status)
-	}
-	var cr mlpart.CapabilitiesResponse
-	if err := json.Unmarshal(body, &cr); err != nil {
-		return nil, fmt.Errorf("bad capabilities response: %v", err)
-	}
-	return &cr, nil
+	return readReply[mlpart.CapabilitiesResponse](resp, http.StatusOK)
 }
 
 // --- resident graph sessions ---
-
-// decodeSessionResponse parses a SessionResponse reply, turning a wire
-// error into a Go error.
-func decodeSessionResponse(resp *http.Response, want int) (*mlpart.SessionResponse, error) {
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != want {
-		var we mlpart.ErrorResponse
-		if json.Unmarshal(body, &we) == nil && we.Error != "" {
-			return nil, fmt.Errorf("%s: %s", resp.Status, we.Error)
-		}
-		return nil, fmt.Errorf("unexpected status %s", resp.Status)
-	}
-	var sr mlpart.SessionResponse
-	if err := json.Unmarshal(body, &sr); err != nil {
-		return nil, fmt.Errorf("bad session response: %v", err)
-	}
-	return &sr, nil
-}
 
 // CreateSession registers a resident graph session and returns its
 // state; the session id is the graph's content fingerprint, so creating
@@ -485,7 +441,7 @@ func (c *Client) CreateSession(ctx context.Context, req *mlpart.SessionCreateReq
 	if err != nil {
 		return nil, err
 	}
-	return decodeSessionResponse(resp, http.StatusCreated)
+	return readReply[mlpart.SessionResponse](resp, http.StatusCreated)
 }
 
 // ApplyDeltas applies one atomic batch of graph mutations to a session.
@@ -496,7 +452,7 @@ func (c *Client) ApplyDeltas(ctx context.Context, id string, ops []mlpart.DeltaO
 	if err != nil {
 		return nil, err
 	}
-	return decodeSessionResponse(resp, http.StatusOK)
+	return readReply[mlpart.SessionResponse](resp, http.StatusOK)
 }
 
 // RepairSession runs an explicit repartition of a session. Mode is
@@ -508,7 +464,7 @@ func (c *Client) RepairSession(ctx context.Context, id, mode string) (*mlpart.Se
 	if err != nil {
 		return nil, err
 	}
-	return decodeSessionResponse(resp, http.StatusOK)
+	return readReply[mlpart.SessionResponse](resp, http.StatusOK)
 }
 
 // GetSession fetches a session's state; withWhere includes the
@@ -526,7 +482,7 @@ func (c *Client) GetSession(ctx context.Context, id string, withWhere bool) (*ml
 	if err != nil {
 		return nil, err
 	}
-	return decodeSessionResponse(resp, http.StatusOK)
+	return readReply[mlpart.SessionResponse](resp, http.StatusOK)
 }
 
 // DeleteSession drops a session from memory and disk.
@@ -539,14 +495,6 @@ func (c *Client) DeleteSession(ctx context.Context, id string) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		var we mlpart.ErrorResponse
-		if json.Unmarshal(body, &we) == nil && we.Error != "" {
-			return fmt.Errorf("%s: %s", resp.Status, we.Error)
-		}
-		return fmt.Errorf("unexpected status %s", resp.Status)
-	}
-	return nil
+	_, err = readReply[struct{}](resp, http.StatusNoContent)
+	return err
 }

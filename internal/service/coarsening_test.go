@@ -6,10 +6,31 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
+	"strings"
 	"testing"
+	"unicode"
 
 	"mlpart"
+	"mlpart/internal/coarsen"
+	"mlpart/internal/graph"
+	"mlpart/internal/initpart"
+	"mlpart/internal/multilevel"
+	"mlpart/internal/refine"
 )
+
+// mixedCase alternates s's letters between upper and lower case.
+func mixedCase(s string) string {
+	rs := []rune(s)
+	for i, r := range rs {
+		if i%2 == 0 {
+			rs[i] = unicode.ToUpper(r)
+		} else {
+			rs[i] = unicode.ToLower(r)
+		}
+	}
+	return string(rs)
+}
 
 // TestCapabilitiesEndpoint checks GET /v1/capabilities returns the live
 // registry document: every coarsening scheme with its family, plus the
@@ -55,6 +76,54 @@ func TestCapabilitiesEndpoint(t *testing.T) {
 	if len(cr.InitMethods) == 0 || len(cr.Refinements) == 0 || len(cr.Presets) == 0 ||
 		len(cr.Orderings) == 0 || len(cr.Workloads) == 0 || len(cr.FaultSites) == 0 {
 		t.Errorf("capability lists incomplete: %+v", cr)
+	}
+
+	// Capabilities list exactly what the parsers accept: every valid value
+	// of each enum is advertised, and every advertised name passes
+	// Validate in any case.
+	var schemes []string
+	for _, s := range cr.CoarseningSchemes {
+		schemes = append(schemes, s.Name)
+	}
+	var wantSchemes, wantInits, wantRefines, wantPresets []string
+	for s := coarsen.Scheme(0); s.Valid(); s++ {
+		wantSchemes = append(wantSchemes, s.String())
+	}
+	for m := initpart.Method(0); m.Valid(); m++ {
+		wantInits = append(wantInits, m.String())
+	}
+	for p := refine.Policy(0); p.Valid(); p++ {
+		wantRefines = append(wantRefines, p.String())
+	}
+	for p := multilevel.Preset(0); p.Valid(); p++ {
+		wantPresets = append(wantPresets, p.String())
+	}
+	for _, list := range []struct {
+		name      string
+		got, want []string
+		opts      func(string) *mlpart.Options
+	}{
+		{"coarsening_schemes", schemes, wantSchemes, func(n string) *mlpart.Options {
+			return &mlpart.Options{Coarsening: &mlpart.CoarseningOptions{Scheme: n}}
+		}},
+		{"init_methods", cr.InitMethods, wantInits, func(n string) *mlpart.Options { return &mlpart.Options{InitPart: n} }},
+		{"refinements", cr.Refinements, wantRefines, func(n string) *mlpart.Options { return &mlpart.Options{Refinement: n} }},
+		{"presets", cr.Presets, wantPresets, func(n string) *mlpart.Options { return &mlpart.Options{Preset: n} }},
+		{"orderings", cr.Orderings, []string{graph.OrderNone, graph.OrderDegree, graph.OrderBFSBlock},
+			func(n string) *mlpart.Options { return &mlpart.Options{Ordering: n} }},
+	} {
+		for _, w := range list.want {
+			if !slices.Contains(list.got, w) {
+				t.Errorf("%s %v does not advertise %s", list.name, list.got, w)
+			}
+		}
+		for _, n := range list.got {
+			for _, spelling := range []string{strings.ToUpper(n), strings.ToLower(n), mixedCase(n)} {
+				if err := list.opts(spelling).Validate(); err != nil {
+					t.Errorf("%s: advertised %q rejected as %q: %v", list.name, n, spelling, err)
+				}
+			}
+		}
 	}
 
 	// The SDK client wraps the same endpoint.

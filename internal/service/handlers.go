@@ -8,12 +8,15 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"mime"
 	"net/http"
 	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"mlpart"
 	"mlpart/internal/faults"
@@ -47,8 +50,8 @@ type job interface {
 type presetJob interface{ preset() string }
 
 // codec is one job type's request decoders: a JSON body, a binary CSR
-// body whose non-graph fields arrive as URL query parameters, and a
-// batch entry.
+// body whose other fields arrive as URL query parameters, and a batch
+// entry.
 type codec struct {
 	json   func(data []byte) (job, error)
 	binary func(data []byte, q url.Values) (job, error)
@@ -59,9 +62,10 @@ type codec struct {
 
 // requestCodec builds the codec of request type R. JSON bodies and batch
 // entries share one path: the request's wire graph (graphOf) is
-// converted and the type's constructor (build) validates the rest.
+// converted and the type's constructor (build) validates the rest. A
+// binary request decodes through decodeBinary with body.
 func requestCodec[R any](field func(mlpart.BatchJob) *R, graphOf func(*R) *mlpart.WireGraph,
-	build func(R, *mlpart.Graph) (job, error), binary func([]byte, url.Values) (job, error)) codec {
+	build func(R, *mlpart.Graph) (job, error), body func(data []byte, req *R) (*mlpart.Graph, error)) codec {
 	fromRequest := func(req *R) (job, error) {
 		g, err := graphOf(req).ToGraph()
 		if err != nil {
@@ -77,7 +81,13 @@ func requestCodec[R any](field func(mlpart.BatchJob) *R, graphOf func(*R) *mlpar
 			}
 			return fromRequest(&req)
 		},
-		binary: binary,
+		binary: func(data []byte, q url.Values) (job, error) {
+			req, g, err := decodeBinary(data, q, body)
+			if err != nil {
+				return nil, err
+			}
+			return build(req, g)
+		},
 		entry: func(bj mlpart.BatchJob) func() (job, error) {
 			req := field(bj)
 			if req == nil {
@@ -98,15 +108,15 @@ var codecs = map[string]codec{
 	mlpart.JobTypePartition: requestCodec(
 		func(bj mlpart.BatchJob) *mlpart.PartitionRequest { return bj.Partition },
 		func(r *mlpart.PartitionRequest) *mlpart.WireGraph { return &r.Graph },
-		newPartitionJob, decodePartitionBinary),
+		newPartitionJob, graphBody[mlpart.PartitionRequest]),
 	mlpart.JobTypeOrder: requestCodec(
 		func(bj mlpart.BatchJob) *mlpart.OrderRequest { return bj.Order },
 		func(r *mlpart.OrderRequest) *mlpart.WireGraph { return &r.Graph },
-		newOrderJob, decodeOrderBinary),
+		newOrderJob, graphBody[mlpart.OrderRequest]),
 	mlpart.JobTypeRepartition: requestCodec(
 		func(bj mlpart.BatchJob) *mlpart.RepartitionRequest { return bj.Repartition },
 		func(r *mlpart.RepartitionRequest) *mlpart.WireGraph { return &r.Graph },
-		newRepartitionJob, decodeRepartitionBinary),
+		newRepartitionJob, repartitionBody),
 }
 
 // serveCompute is the shared request path of the three compute
@@ -496,79 +506,116 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 	return buf.Bytes(), nil
 }
 
-// parseQuery sets each destination — *int, *int64, *float64 or *bool —
-// from the URL query parameter of its name. An absent parameter leaves
-// its destination untouched, so zero values keep meaning "server
-// default" exactly as an omitted JSON field does.
-func parseQuery(q url.Values, dsts map[string]any) error {
-	for name, dst := range dsts {
-		s := q.Get(name)
-		if s == "" {
-			continue
-		}
-		var err error
-		want := "an integer"
-		switch d := dst.(type) {
-		case *int:
-			*d, err = strconv.Atoi(s)
-		case *int64:
-			*d, err = strconv.ParseInt(s, 10, 64)
-		case *float64:
-			*d, err = strconv.ParseFloat(s, 64)
-			want = "a number"
-		case *bool:
-			*d, err = strconv.ParseBool(s)
-			want = "a boolean"
-		}
-		if err != nil {
-			return fmt.Errorf("query %s=%q: not %s", name, s, want)
-		}
+// queryInto sets the fields of the request *req from a binary request's
+// URL query: each field under its JSON tag (or its query tag, where it
+// has one), recursing into the option structs behind pointer fields. A
+// nested struct is allocated only when one of its parameters is present,
+// and an absent or empty parameter leaves its field untouched, so both
+// mean exactly what an omitted JSON field does. Fields a query cannot
+// carry are skipped: the graph and the incumbent where vector travel in
+// the csrb body, and json:"-" fields never cross the wire. Every
+// malformed parameter is reported, in field order.
+func queryInto(q url.Values, req any) error {
+	var errs []string
+	queryFields(q, reflect.ValueOf(req).Elem(), &errs)
+	if len(errs) > 0 {
+		return errors.New(strings.Join(errs, "; "))
 	}
 	return nil
 }
 
-// optionsFromQuery builds the mlpart.Options of a binary request from URL
-// query parameters, one parameter per JSON option tag. Unknown parameters
-// are ignored (they may belong to the endpoint, like k or method).
-func optionsFromQuery(q url.Values) (*mlpart.Options, error) {
-	o := &mlpart.Options{
-		Matching:   q.Get("matching"),
-		InitPart:   q.Get("init_part"),
-		Refinement: q.Get("refinement"),
-		Preset:     q.Get("preset"),
-		Ordering:   q.Get("ordering"),
-	}
-	// The structured coarsening options travel as flat parameters; any of
-	// the three present materializes the object (Validate then enforces the
-	// same rules as the JSON form, e.g. GCLP-only knobs).
-	if q.Get("coarsening") != "" || q.Get("max_cluster_weight") != "" || q.Get("lp_rounds") != "" {
-		co := &mlpart.CoarseningOptions{Scheme: q.Get("coarsening")}
-		if err := parseQuery(q, map[string]any{
-			"max_cluster_weight": &co.MaxClusterWeight,
-			"lp_rounds":          &co.LPRounds,
-		}); err != nil {
-			return nil, err
+// queryFields sets the fields of struct v from q, appending a message per
+// malformed parameter to errs, and reports whether any parameter was
+// present.
+func queryFields(q url.Values, v reflect.Value, errs *[]string) (present bool) {
+	for i := 0; i < v.NumField(); i++ {
+		f, fv := v.Type().Field(i), v.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if qn := f.Tag.Get("query"); qn != "" {
+			name = qn
 		}
-		o.Coarsening = co
+		switch s := q.Get(name); {
+		case name == "-":
+		case f.Type.Kind() == reflect.Pointer && f.Type.Elem().Kind() == reflect.Struct:
+			nested := reflect.New(f.Type.Elem())
+			if queryFields(q, nested.Elem(), errs) {
+				fv.Set(nested)
+				present = true
+			}
+		case s != "":
+			present = true
+			if problem := setQueryValue(fv, s); problem != "" {
+				*errs = append(*errs, fmt.Sprintf("query %s=%q: %s", name, s, problem))
+			}
+		}
 	}
-	err := parseQuery(q, map[string]any{
-		"coarsen_to":            &o.CoarsenTo,
-		"parallel_depth":        &o.ParallelDepth,
-		"parallel_min_vertices": &o.ParallelMinVertices,
-		"ncuts":                 &o.NCuts,
-		"coarsen_workers":       &o.CoarsenWorkers,
-		"refine_workers":        &o.RefineWorkers,
-		"cycles":                &o.Cycles,
-		"ubfactor":              &o.Ubfactor,
-		"seed":                  &o.Seed,
-		"parallel":              &o.Parallel,
-		"kway_refine":           &o.KWayRefine,
-		"compress_graph":        &o.CompressGraph,
-	})
+	return present
+}
+
+// setQueryValue parses s into fv and describes a malformed value; a
+// field of a type no query carries (the graph, where) is left alone.
+// Values a JSON body cannot carry either — invalid UTF-8, a NaN or
+// infinite number — are malformed, so a query sets nothing the JSON form
+// could not.
+func setQueryValue(fv reflect.Value, s string) (problem string) {
+	switch fv.Kind() {
+	case reflect.String:
+		if !utf8.ValidString(s) {
+			return "not valid UTF-8"
+		}
+		fv.SetString(s)
+	case reflect.Int, reflect.Int64:
+		n, err := strconv.ParseInt(s, 10, fv.Type().Bits())
+		if err != nil {
+			return "not an integer"
+		}
+		fv.SetInt(n)
+	case reflect.Float64:
+		f, err := strconv.ParseFloat(s, 64)
+		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+			return "not a number"
+		}
+		fv.SetFloat(f)
+	case reflect.Bool:
+		b, err := strconv.ParseBool(s)
+		if err != nil {
+			return "not a boolean"
+		}
+		fv.SetBool(b)
+	case reflect.Slice:
+		if fv.Type().Elem().Kind() != reflect.Float64 {
+			return ""
+		}
+		// A comma-separated list, e.g. fractions=2,1,1.
+		parts := strings.Split(s, ",")
+		list := reflect.MakeSlice(fv.Type(), len(parts), len(parts))
+		for i, part := range parts {
+			if setQueryValue(list.Index(i), strings.TrimSpace(part)) != "" {
+				return fmt.Sprintf("bad number %q", part)
+			}
+		}
+		fv.Set(list)
+	}
+	return ""
+}
+
+// decodeBinary decodes a binary request of type R: body decodes the csrb
+// body into the graph and may fill in req; queryInto sets every other
+// field.
+func decodeBinary[R any](data []byte, q url.Values, body func([]byte, *R) (*mlpart.Graph, error)) (req R, g *mlpart.Graph, err error) {
+	if g, err = body(data, &req); err == nil {
+		err = queryInto(q, &req)
+	}
+	return req, g, err
+}
+
+// graphBody decodes a csrb body that carries the graph alone.
+func graphBody[R any](data []byte, _ *R) (*mlpart.Graph, error) {
+	g, err := mlpart.DecodeBinaryGraph(data)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bad graph: %v", err)
 	}
-	return o, nil
+	return g, nil
 }
 
 // cloneOptions returns a private copy of o (nil means defaults) so the
@@ -640,31 +687,6 @@ func newPartitionJob(req mlpart.PartitionRequest, g *mlpart.Graph) (job, error) 
 		return nil, fmt.Errorf("k = %d, want >= 1 (or non-empty fractions)", req.K)
 	}
 	return &partitionJob{req: req, g: g}, nil
-}
-
-func decodePartitionBinary(data []byte, q url.Values) (job, error) {
-	g, err := mlpart.DecodeBinaryGraph(data)
-	if err != nil {
-		return nil, fmt.Errorf("bad graph: %v", err)
-	}
-	var req mlpart.PartitionRequest
-	if req.Options, err = optionsFromQuery(q); err != nil {
-		return nil, err
-	}
-	if err := parseQuery(q, map[string]any{"k": &req.K, "timeout_ms": &req.TimeoutMS}); err != nil {
-		return nil, err
-	}
-	req.Method = q.Get("method")
-	if fr := q.Get("fractions"); fr != "" {
-		for _, part := range strings.Split(fr, ",") {
-			f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil {
-				return nil, fmt.Errorf("query fractions=%q: bad fraction %q", fr, part)
-			}
-			req.Fractions = append(req.Fractions, f)
-		}
-	}
-	return newPartitionJob(req, g)
 }
 
 func (j *partitionJob) timeoutMS() int64 { return j.req.TimeoutMS }
@@ -760,21 +782,6 @@ func newOrderJob(req mlpart.OrderRequest, g *mlpart.Graph) (job, error) {
 	return &orderJob{req: req, g: g}, nil
 }
 
-func decodeOrderBinary(data []byte, q url.Values) (job, error) {
-	g, err := mlpart.DecodeBinaryGraph(data)
-	if err != nil {
-		return nil, fmt.Errorf("bad graph: %v", err)
-	}
-	var req mlpart.OrderRequest
-	if req.Options, err = optionsFromQuery(q); err != nil {
-		return nil, err
-	}
-	if err := parseQuery(q, map[string]any{"analyze": &req.Analyze, "timeout_ms": &req.TimeoutMS}); err != nil {
-		return nil, err
-	}
-	return newOrderJob(req, g)
-}
-
 func (j *orderJob) timeoutMS() int64 { return j.req.TimeoutMS }
 
 func (j *orderJob) key() string {
@@ -824,7 +831,9 @@ func newRepartitionJob(req mlpart.RepartitionRequest, g *mlpart.Graph) (job, err
 	return &repartitionJob{req: req, g: g}, nil
 }
 
-func decodeRepartitionBinary(data []byte, q url.Values) (job, error) {
+// repartitionBody decodes a repartition request's csrb body: the graph
+// plus the incumbent partition, which becomes req.Where.
+func repartitionBody(data []byte, req *mlpart.RepartitionRequest) (*mlpart.Graph, error) {
 	g, part, err := mlpart.DecodeBinaryGraphPart(data)
 	if err != nil {
 		return nil, fmt.Errorf("bad graph: %v", err)
@@ -833,18 +842,8 @@ func decodeRepartitionBinary(data []byte, q url.Values) (job, error) {
 		return nil, errors.New("repartition: binary body carries no part section " +
 			"(encode the incumbent partition with WriteBinaryGraphPart)")
 	}
-	o := &mlpart.RepartitionOptions{}
-	req := mlpart.RepartitionRequest{Where: part, Options: o}
-	if err := parseQuery(q, map[string]any{
-		"k":                &req.K,
-		"timeout_ms":       &req.TimeoutMS,
-		"ubfactor":         &o.Ubfactor,
-		"migration_weight": &o.MigrationWeight,
-		"seed":             &o.Seed,
-	}); err != nil {
-		return nil, err
-	}
-	return newRepartitionJob(req, g)
+	req.Where = part
+	return g, nil
 }
 
 func (j *repartitionJob) timeoutMS() int64 { return j.req.TimeoutMS }

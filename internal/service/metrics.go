@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"time"
+
+	"mlpart"
 )
 
 // histBuckets is the number of power-of-two latency buckets; bucket i
@@ -128,9 +130,9 @@ type metrics struct {
 // countPreset bumps the counter for one accepted request's quality preset.
 func (m *metrics) countPreset(p string) {
 	switch p {
-	case "eco":
+	case mlpart.PresetEco:
 		m.presetEco.Add(1)
-	case "strong":
+	case mlpart.PresetStrong:
 		m.presetStrong.Add(1)
 	case "custom":
 		m.presetCustom.Add(1)

@@ -117,10 +117,11 @@ func TestPresetFromQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := optionsFromQuery(q)
-	if err != nil {
+	var req mlpart.PartitionRequest
+	if err := queryInto(q, &req); err != nil {
 		t.Fatal(err)
 	}
+	o := req.Options
 	if o.Preset != mlpart.PresetEco || o.Cycles != 3 || o.Seed != 7 {
 		t.Errorf("decoded %+v, want preset=eco cycles=3 seed=7", o)
 	}

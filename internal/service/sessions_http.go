@@ -119,7 +119,7 @@ func (s *Server) sessionSlot(w http.ResponseWriter, r *http.Request) func() {
 // sessionCreate is a decoded POST /v1/graphs body.
 type sessionCreate struct {
 	g   *mlpart.Graph
-	cfg sessions.Config
+	req mlpart.SessionCreateRequest
 }
 
 func decodeSessionCreate(data []byte) (sessionCreate, error) {
@@ -131,17 +131,12 @@ func decodeSessionCreate(data []byte) (sessionCreate, error) {
 	if err != nil {
 		return sessionCreate{}, fmt.Errorf("bad graph: %v", err)
 	}
-	return sessionCreate{g, sessions.Config{K: req.K, Seed: req.Seed, Ubfactor: req.Ubfactor}}, nil
+	return sessionCreate{g, req}, nil
 }
 
 func decodeSessionCreateBinary(data []byte, q url.Values) (sessionCreate, error) {
-	g, err := mlpart.DecodeBinaryGraph(data)
-	if err != nil {
-		return sessionCreate{}, fmt.Errorf("bad graph: %v", err)
-	}
-	sc := sessionCreate{g: g}
-	err = parseQuery(q, map[string]any{"k": &sc.cfg.K, "seed": &sc.cfg.Seed, "ubfactor": &sc.cfg.Ubfactor})
-	return sc, err
+	req, g, err := decodeBinary(data, q, graphBody[mlpart.SessionCreateRequest])
+	return sessionCreate{g, req}, err
 }
 
 // serveSessions is GET (list) / POST (create) /v1/graphs.
@@ -186,7 +181,7 @@ func (s *Server) serveSessions(w http.ResponseWriter, r *http.Request) {
 		if release == nil {
 			return
 		}
-		st, cerr := s.sessions.Create(sc.g, sc.cfg)
+		st, cerr := s.sessions.Create(sc.g, sessions.Config{K: sc.req.K, Seed: sc.req.Seed, Ubfactor: sc.req.Ubfactor})
 		release()
 		if cerr != nil {
 			s.sessionFailure(w, cerr)

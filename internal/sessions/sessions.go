@@ -37,10 +37,12 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"mlpart/internal/enum"
 	"mlpart/internal/faults"
 	"mlpart/internal/graph"
 	"mlpart/internal/kway"
@@ -83,18 +85,31 @@ const (
 	TierVCycle Tier = 2
 )
 
+// tierNames is the repair tiers' name table, as they appear on the wire
+// and in traces and as explicit repair modes.
+var tierNames = enum.Names[Tier]{TierBoundary: "boundary", TierFull: "full", TierVCycle: "vcycle"}
+
+// modeAuto is the repair mode that lets the drift ladder pick the tier.
+const modeAuto = "auto"
+
 // String names the tier as it appears on the wire and in traces.
 func (t Tier) String() string {
-	switch t {
-	case TierBoundary:
-		return "boundary"
-	case TierFull:
-		return "full"
-	case TierVCycle:
-		return "vcycle"
-	default:
+	if !tierNames.Valid(t) {
 		return "none"
 	}
+	return tierNames[t]
+}
+
+// parseMode resolves an explicit repair mode: "auto" (or empty) is
+// TierNone, the ladder's choice; a tier name (any case) forces that tier.
+func parseMode(mode string) (Tier, error) {
+	if m := strings.TrimSpace(mode); m == "" || strings.EqualFold(m, modeAuto) {
+		return TierNone, nil
+	}
+	if t, ok := tierNames.Parse(mode); ok {
+		return t, nil
+	}
+	return TierNone, &OpError{Reason: fmt.Sprintf("unknown repair mode %q (want %s or a tier: %v)", mode, modeAuto, tierNames)}
 }
 
 // Typed failures the service maps to HTTP statuses.
@@ -732,22 +747,12 @@ func (m *Manager) Apply(id string, ops []Op) (*State, error) {
 }
 
 // Repair runs an explicit repartition of a session. Mode is "auto" (or
-// empty) for the ladder's choice, or "boundary", "full", "vcycle" to
-// force a tier.
+// empty) for the ladder's choice, or "boundary", "full", "vcycle" (any
+// case) to force a tier.
 func (m *Manager) Repair(id, mode string) (*State, error) {
-	var tier Tier
-	auto := false
-	switch mode {
-	case "", "auto":
-		auto = true
-	case "boundary":
-		tier = TierBoundary
-	case "full":
-		tier = TierFull
-	case "vcycle":
-		tier = TierVCycle
-	default:
-		return nil, &OpError{Reason: fmt.Sprintf("unknown repair mode %q", mode)}
+	tier, err := parseMode(mode)
+	if err != nil {
+		return nil, err
 	}
 	s, err := m.acquire(id)
 	if err != nil {
@@ -755,7 +760,7 @@ func (m *Manager) Repair(id, mode string) (*State, error) {
 	}
 	defer s.mu.Unlock()
 	s.lastUsed = m.now()
-	if auto {
+	if tier == TierNone {
 		tier = s.autoTier(m.opts)
 	}
 	start := time.Now()

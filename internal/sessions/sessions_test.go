@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -195,13 +196,18 @@ func TestExplicitRepairModes(t *testing.T) {
 	m := mustManager(t, Options{})
 	g := matgen.Grid2D(12, 12)
 	st := mustCreate(t, m, g, Config{K: 4, Seed: 3})
-	for _, mode := range []string{"auto", "", "boundary", "full", "vcycle"} {
+	// Modes, like every algorithm name, ignore case and surrounding
+	// whitespace.
+	for _, mode := range []string{"auto", "", "boundary", "full", "vcycle", "AUTO", " Full ", "vCycle"} {
 		got, err := m.Repair(st.ID, mode)
 		if err != nil {
 			t.Fatalf("Repair(%q): %v", mode, err)
 		}
 		if got.Where == nil {
 			t.Fatalf("Repair(%q) returned no partition vector", mode)
+		}
+		if tier := strings.ToLower(strings.TrimSpace(mode)); tier != "" && tier != "auto" && got.LastRepair != tier {
+			t.Fatalf("Repair(%q) ran tier %q", mode, got.LastRepair)
 		}
 	}
 	if _, err := m.Repair(st.ID, "nonsense"); err == nil {

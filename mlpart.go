@@ -132,9 +132,9 @@ func WorkloadNames() []string { return matgen.AllNames() }
 
 // Coarsening scheme names accepted by CoarseningOptions.Scheme (and the
 // deprecated Options.Matching alias). RM/HEM/LEM/HCM are the paper's
-// pairwise matchings; GCLP is the aggregation-family extension. Names are
-// case-insensitive on every input surface; these consts are the canonical
-// spellings.
+// pairwise matchings; GCLP is the aggregation-family extension. Like every
+// algorithm name, they are case-insensitive on every input surface; these
+// consts are the canonical spellings.
 const (
 	MatchRM   = "RM"   // random matching
 	MatchHEM  = "HEM"  // heavy-edge matching (default; the paper's choice)
@@ -212,7 +212,8 @@ const (
 type CoarseningOptions struct {
 	// Scheme is the coarsening scheme: MatchRM, MatchHEM, MatchLEM,
 	// MatchHCM or MatchGCLP (case-insensitive). Empty means MatchHEM.
-	Scheme string `json:"scheme,omitempty"`
+	// Its csrb query parameter is "coarsening", not its JSON tag.
+	Scheme string `json:"scheme,omitempty" query:"coarsening"`
 	// MaxClusterWeight caps one GCLP cluster's total vertex weight. 0
 	// derives the cap from the graph — total vertex weight divided by
 	// CoarsenTo — which guarantees the coarsest graph keeps roughly
@@ -233,7 +234,10 @@ type CoarseningOptions struct {
 //
 // Options is part of the wire schema shared by `mlpart -json` and the
 // mlserved HTTP daemon (see wire.go and docs/SERVICE.md): every field
-// except Tracer round-trips through JSON under the tags below.
+// except Tracer, FaultPlan and FaultInjector round-trips through JSON
+// under the tags below. Algorithm names (coarsening scheme, InitPart,
+// Refinement, Preset, Ordering) are case-insensitive, with surrounding
+// whitespace ignored; the name constants are the canonical spellings.
 type Options struct {
 	// Matching is the coarsening scheme: MatchRM, MatchHEM, MatchLEM,
 	// MatchHCM or MatchGCLP. Empty means MatchHEM.
@@ -248,7 +252,9 @@ type Options struct {
 	// the deprecated Matching field, or MatchHEM when that is empty too.
 	Coarsening *CoarseningOptions `json:"coarsening,omitempty"`
 	// InitPart is the coarsest-graph partitioner: InitGGGP, InitGGP or
-	// InitSBP. Empty means InitGGGP.
+	// InitSBP. Empty means InitGGGP. "RAND" is also accepted: a random
+	// balanced split, a control for experiments rather than a method to
+	// deploy.
 	InitPart string `json:"init_part,omitempty"`
 	// Refinement is the uncoarsening policy: RefineNone, RefineGR,
 	// RefineKLR, RefineBGR, RefineBKLR, RefineBKLGR or RefineBKWAY. Empty

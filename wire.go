@@ -6,6 +6,13 @@ package mlpart
 // the other without remapping fields. Options and RepartitionOptions
 // complete the schema; see their declarations for the option tags.
 
+import (
+	"mlpart/internal/graph"
+	"mlpart/internal/initpart"
+	"mlpart/internal/multilevel"
+	"mlpart/internal/refine"
+)
+
 // SchemaVersion is the version of the /v1 wire schema. Every response
 // object — results and errors, from the daemon and from `mlpart -json`
 // alike — carries it in its "schema_version" field so clients can detect
@@ -309,7 +316,7 @@ type SessionDeltaRequest struct {
 // SessionRepairRequest asks for an explicit repartition of a session
 // via POST /v1/graphs/{id}/repartition. Mode is "auto" (or empty) for
 // the drift ladder's choice, or "boundary", "full", "vcycle" to force a
-// tier.
+// tier; like every algorithm name, modes are case-insensitive.
 type SessionRepairRequest struct {
 	Mode string `json:"mode,omitempty"`
 }
@@ -390,9 +397,9 @@ type CapabilitiesResponse struct {
 	FaultSites []string `json:"fault_sites"`
 }
 
-// NewCapabilitiesResponse builds the capabilities document from the same
-// registries the engine itself resolves names against, so the endpoint can
-// never drift from what the server actually accepts.
+// NewCapabilitiesResponse builds the capabilities document from the name
+// tables the engine itself parses names against, so the endpoint lists
+// exactly what the server accepts.
 func NewCapabilitiesResponse() *CapabilitiesResponse {
 	infos := CoarseningSchemes()
 	schemes := make([]SchemeCapability, len(infos))
@@ -407,14 +414,11 @@ func NewCapabilitiesResponse() *CapabilitiesResponse {
 		Kind:              WireKindCapabilities,
 		SchemaVersion:     SchemaVersion,
 		CoarseningSchemes: schemes,
-		InitMethods:       []string{InitGGGP, InitGGP, InitSBP},
-		Refinements: []string{
-			RefineNone, RefineGR, RefineKLR, RefineBGR,
-			RefineBKLR, RefineBKLGR, RefineBKWAY,
-		},
-		Presets:    []string{PresetFast, PresetEco, PresetStrong},
-		Orderings:  []string{OrderingNone, OrderingDegree, OrderingBFSBlock},
-		Workloads:  WorkloadNames(),
-		FaultSites: FaultSites(),
+		InitMethods:       initpart.MethodNames(),
+		Refinements:       refine.PolicyNames(),
+		Presets:           multilevel.PresetNames(),
+		Orderings:         graph.OrderingNames(),
+		Workloads:         WorkloadNames(),
+		FaultSites:        FaultSites(),
 	}
 }
