@@ -239,7 +239,8 @@ func Contract(g *graph.Graph, match []int, cew []int) (*graph.Graph, []int, []in
 // ContractWS is Contract drawing its scratch and the coarse graph's arrays
 // from ws. The returned graph, cmap and cew arrays are pooled buffers owned
 // by the caller (Coarsen releases them through Hierarchy.Release); with a
-// nil ws the coarse arrays are freshly allocated at their exact sizes.
+// nil ws they are freshly allocated. Either way the arrays have their exact
+// sizes.
 func ContractWS(g *graph.Graph, match []int, cew []int, ws *workspace.Workspace) (*graph.Graph, []int, []int) {
 	n := g.NumVertices()
 	cmap := ws.Int(n)
@@ -321,23 +322,28 @@ func ContractWS(g *graph.Graph, match []int, cew []int, ws *workspace.Workspace)
 	}
 	ws.PutInt(htable)
 
-	if ws == nil {
-		// Trim: the staging arrays were sized to the upper bound; copy the
-		// used prefix so the coarse graph does not pin ~2x its needed
-		// memory for the lifetime of the hierarchy.
-		trimmedNcy := make([]int, pos)
-		copy(trimmedNcy, cadjncy)
-		trimmedWgt := make([]int, pos)
-		copy(trimmedWgt, cadjwgt)
-		cadjncy, cadjwgt = trimmedNcy, trimmedWgt
-	}
+	cadjncy, cadjwgt = trimAdjacency(cadjncy, cadjwgt, pos, ws)
 	cg := &graph.Graph{
 		Xadj:   cxadj,
-		Adjncy: cadjncy[:pos],
-		Adjwgt: cadjwgt[:pos],
+		Adjncy: cadjncy,
+		Adjwgt: cadjwgt,
 		Vwgt:   cvwgt,
 	}
 	return cg, cmap, ccew
+}
+
+// trimAdjacency copies the used prefix pos of an upper-bound staging pair
+// into exact-size arrays from ws and returns the staging pair to ws, so a
+// coarse graph does not pin ~2x its needed memory for the lifetime of the
+// hierarchy (or of the engine call's arena).
+func trimAdjacency(cadjncy, cadjwgt []int, pos int, ws *workspace.Workspace) ([]int, []int) {
+	ncy := ws.Int(pos)
+	copy(ncy, cadjncy[:pos])
+	wgt := ws.Int(pos)
+	copy(wgt, cadjwgt[:pos])
+	ws.PutInt(cadjncy)
+	ws.PutInt(cadjwgt)
+	return ncy, wgt
 }
 
 // Level is one rung of the coarsening hierarchy: the graph at this level
@@ -376,18 +382,10 @@ func (h *Hierarchy) Release(ws *workspace.Workspace) {
 			ws.PutInt(h.Levels[i].Cmap)
 		}
 		if i > 0 {
-			releaseGraph(ws, h.Levels[i].Graph)
+			h.Levels[i].Graph.Release(ws)
 		}
 	}
 	h.Levels = nil
-}
-
-// releaseGraph returns a coarse graph's four CSR arrays to ws.
-func releaseGraph(ws *workspace.Workspace, g *graph.Graph) {
-	ws.PutInt(g.Xadj)
-	ws.PutInt(g.Adjncy)
-	ws.PutInt(g.Adjwgt)
-	ws.PutInt(g.Vwgt)
 }
 
 // Options configures Coarsen.
@@ -558,7 +556,7 @@ func buildHierarchy(g *graph.Graph, opts Options, rng *rand.Rand, workers int, m
 			// all deeper levels rather than abandoning the hierarchy at a
 			// coarse size the initial partitioner handles poorly.
 			if ws != nil {
-				releaseGraph(ws, next)
+				next.Release(ws)
 				ws.PutInt(cmap)
 			}
 			ws.PutInt(ccew)
@@ -584,7 +582,7 @@ func buildHierarchy(g *graph.Graph, opts Options, rng *rand.Rand, workers int, m
 		if stalled {
 			// Coarsening stalled; further levels would waste time.
 			if ws != nil {
-				releaseGraph(ws, next)
+				next.Release(ws)
 				ws.PutInt(cmap)
 			}
 			ws.PutInt(ccew)

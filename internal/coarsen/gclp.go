@@ -242,8 +242,8 @@ func ContractClusters(g *graph.Graph, cmap []int, cn int, cew []int) (*graph.Gra
 
 // ContractClustersWS is ContractClusters drawing its scratch and the coarse
 // graph's arrays from ws, mirroring ContractWS: the returned arrays are
-// pooled buffers owned by the caller, and a nil ws allocates fresh arrays
-// at their exact sizes.
+// pooled buffers owned by the caller, a nil ws allocates fresh ones, and
+// both are exact-size.
 func ContractClustersWS(g *graph.Graph, cmap []int, cn int, cew []int, ws *workspace.Workspace) (*graph.Graph, []int) {
 	n := g.NumVertices()
 	// Bucket members by cluster (counting sort) so each coarse vertex's
@@ -318,20 +318,11 @@ func ContractClustersWS(g *graph.Graph, cmap []int, cn int, cew []int, ws *works
 	ws.PutInt(members)
 	ws.PutInt(coff)
 
-	if ws == nil {
-		// Trim: the staging arrays were sized to the upper bound; copy the
-		// used prefix so the coarse graph does not pin ~2x its needed
-		// memory for the lifetime of the hierarchy.
-		trimmedNcy := make([]int, pos)
-		copy(trimmedNcy, cadjncy)
-		trimmedWgt := make([]int, pos)
-		copy(trimmedWgt, cadjwgt)
-		cadjncy, cadjwgt = trimmedNcy, trimmedWgt
-	}
+	cadjncy, cadjwgt = trimAdjacency(cadjncy, cadjwgt, pos, ws)
 	cg := &graph.Graph{
 		Xadj:   cxadj,
-		Adjncy: cadjncy[:pos],
-		Adjwgt: cadjwgt[:pos],
+		Adjncy: cadjncy,
+		Adjwgt: cadjwgt,
 		Vwgt:   cvwgt,
 	}
 	return cg, ccew

@@ -3,9 +3,12 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"mlpart/internal/workspace"
 )
 
 // path returns the path graph 0-1-2-...-(n-1).
@@ -284,6 +287,40 @@ func TestPartSubgraph(t *testing.T) {
 	}
 	if l2g0[0] != 0 || l2g0[2] != 2 {
 		t.Fatalf("l2g0 = %v", l2g0)
+	}
+}
+
+// TestPartSubgraphWSMatchesSubgraph checks the workspace extraction against
+// the keep-mask Subgraph, drawing from a workspace full of dirty buffers.
+func TestPartSubgraphWSMatchesSubgraph(t *testing.T) {
+	g := randomGraph(200, 900, 5, 11)
+	rng := rand.New(rand.NewSource(3))
+	where := make([]int, g.NumVertices())
+	for v := range where {
+		where[v] = rng.Intn(2)
+	}
+	ws := &workspace.Workspace{}
+	var dirty [][]int
+	for i := 0; i < 8; i++ {
+		dirty = append(dirty, ws.IntFilled(2000, -7))
+	}
+	for _, s := range dirty {
+		ws.PutInt(s)
+	}
+	for part := 0; part < 2; part++ {
+		keep := make([]bool, len(where))
+		for v, p := range where {
+			keep[v] = p == part
+		}
+		want, wantL2G := g.Subgraph(keep)
+		got, gotL2G := g.PartSubgraphWS(where, part, ws)
+		if !slices.Equal(got.Xadj, want.Xadj) || !slices.Equal(got.Adjncy, want.Adjncy) ||
+			!slices.Equal(got.Adjwgt, want.Adjwgt) || !slices.Equal(got.Vwgt, want.Vwgt) ||
+			!slices.Equal(gotL2G, wantL2G) {
+			t.Fatalf("part %d: PartSubgraphWS differs from Subgraph", part)
+		}
+		got.Release(ws)
+		ws.PutInt(gotL2G)
 	}
 }
 

@@ -1,5 +1,7 @@
 package graph
 
+import "mlpart/internal/workspace"
+
 // Subgraph extracts the induced subgraph over the vertices v with
 // keep[v] == true. It returns the subgraph and the mapping local2global,
 // where local2global[i] is the original id of subgraph vertex i. Edges
@@ -49,10 +51,68 @@ func (g *Graph) Subgraph(keep []bool) (*Graph, []int) {
 // PartSubgraph extracts the induced subgraph over vertices with
 // where[v] == part. See Subgraph for the return values.
 func (g *Graph) PartSubgraph(where []int, part int) (*Graph, []int) {
+	return g.PartSubgraphWS(where, part, nil)
+}
+
+// PartSubgraphWS is PartSubgraph drawing the subgraph's four arrays, the
+// returned local2global map and its scratch from ws. The arrays are pooled
+// buffers owned by the caller, who returns the graph with Release; a nil
+// ws allocates fresh ones.
+func (g *Graph) PartSubgraphWS(where []int, part int, ws *workspace.Workspace) (*Graph, []int) {
 	n := g.NumVertices()
-	keep := make([]bool, n)
-	for v := 0; v < n; v++ {
-		keep[v] = where[v] == part
+	sn := 0
+	for _, p := range where[:n] {
+		if p == part {
+			sn++
+		}
 	}
-	return g.Subgraph(keep)
+	local2global := ws.Int(sn)
+	// global2local is read only at vertices of the part.
+	global2local := ws.Int(n)
+	xadj := ws.Int(sn + 1)
+	xadj[0] = 0
+	i := 0
+	for v := 0; v < n; v++ {
+		if where[v] != part {
+			continue
+		}
+		global2local[v] = i
+		local2global[i] = v
+		d := 0
+		for _, u := range g.Neighbors(v) {
+			if where[u] == part {
+				d++
+			}
+		}
+		xadj[i+1] = xadj[i] + d
+		i++
+	}
+	adjncy := ws.Int(xadj[sn])
+	adjwgt := ws.Int(xadj[sn])
+	vwgt := ws.Int(sn)
+	for i, v := range local2global {
+		vwgt[i] = g.Vwgt[v]
+		p := xadj[i]
+		adj := g.Neighbors(v)
+		wgt := g.EdgeWeights(v)
+		for j, u := range adj {
+			if where[u] == part {
+				adjncy[p] = global2local[u]
+				adjwgt[p] = wgt[j]
+				p++
+			}
+		}
+	}
+	ws.PutInt(global2local)
+	return &Graph{Xadj: xadj, Adjncy: adjncy, Adjwgt: adjwgt, Vwgt: vwgt}, local2global
+}
+
+// Release returns the four CSR arrays of a graph whose arrays came from ws
+// (PartSubgraphWS, a coarsening contraction) to ws. g must not be used
+// afterwards.
+func (g *Graph) Release(ws *workspace.Workspace) {
+	ws.PutInt(g.Xadj)
+	ws.PutInt(g.Adjncy)
+	ws.PutInt(g.Adjwgt)
+	ws.PutInt(g.Vwgt)
 }

@@ -154,11 +154,11 @@ func (e *engine) phaseUncoarsenKWay(h *coarsen.Hierarchy, k int, where []int, se
 
 // vCycle runs one extra multilevel cycle seeded from seedWhere: coarsen
 // respecting the partition, project it to the coarsest graph, refine with
-// BKWAY at every level on the way up. It returns a fresh where-vector and
-// its cut. Failures (injected via the "cycle" site or organic panics)
-// surface as errors for the caller's degradation ladder; they never
-// propagate a panic.
-func (e *engine) vCycle(g *graph.Graph, k int, seedWhere []int, seed int64) (where []int, cut int, stats *Stats, err error) {
+// BKWAY at every level on the way up. It returns a where-vector drawn from
+// ws, which the caller releases, and its cut. Failures (injected via the
+// "cycle" site or organic panics) surface as errors for the caller's
+// degradation ladder; they never propagate a panic.
+func (e *engine) vCycle(g *graph.Graph, k int, seedWhere []int, seed int64, ws *workspace.Workspace) (where []int, cut int, stats *Stats, err error) {
 	stats = &Stats{}
 	defer func() {
 		if r := recover(); r != nil {
@@ -170,9 +170,6 @@ func (e *engine) vCycle(g *graph.Graph, k int, seedWhere []int, seed int64) (whe
 	}
 	tr := trace.WithSeed(e.tracer, seed)
 	rng := rand.New(rand.NewSource(seed))
-	ws := workspace.Get()
-	defer workspace.Put(ws)
-
 	h := e.phaseCoarsen(g, k, seedWhere, rng, ws, tr, stats)
 	emitDegraded(tr, stats.Degradations, 0)
 	if cerr := e.ctx.Err(); cerr != nil {
@@ -191,11 +188,8 @@ func (e *engine) vCycle(g *graph.Graph, k int, seedWhere []int, seed int64) (whe
 		e.mu.Unlock()
 		return nil, 0, stats, ferr
 	}
-	where = make([]int, g.NumVertices())
-	copy(where, fw)
-	ws.PutInt(fw)
 	h.Release(ws)
-	return where, refine.ComputeCut(g, where), stats, nil
+	return fw, refine.ComputeCut(g, fw), stats, nil
 }
 
 // iterate is the cycle driver behind the eco/strong presets: after the
@@ -204,8 +198,9 @@ func (e *engine) vCycle(g *graph.Graph, k int, seedWhere []int, seed int64) (whe
 // and keeps the best cut. Cancellation at a cycle boundary (or mid-cycle)
 // returns the best completed partition silently — a full, valid result.
 // Any other cycle failure degrades to the best completed partition,
-// recorded in Stats.Degradations, never a hard error.
-func (e *engine) iterate(g *graph.Graph, k int, res *Result) {
+// recorded in Stats.Degradations, never a hard error. Every cycle draws
+// from ws, so an extra cycle reuses the buffers of the one before.
+func (e *engine) iterate(g *graph.Graph, k int, res *Result, ws *workspace.Workspace) {
 	res.Stats.Cycles = 1
 	cycles := e.opts.CycleCount()
 	if cycles <= 1 || k < 2 || g.NumVertices() == 0 {
@@ -221,7 +216,7 @@ func (e *engine) iterate(g *graph.Graph, k int, res *Result) {
 			break
 		}
 		t0 := time.Now()
-		where, cut, cstats, err := e.vCycle(g, k, res.Where, deriveSeed(e.opts.Seed, cycleBranch+int64(c)))
+		where, cut, cstats, err := e.vCycle(g, k, res.Where, deriveSeed(e.opts.Seed, cycleBranch+int64(c)), ws)
 		if err != nil {
 			if e.ctx.Err() != nil {
 				break
@@ -251,5 +246,6 @@ func (e *engine) iterate(g *graph.Graph, k int, res *Result) {
 			bestCut = cut
 			copy(res.Where, where)
 		}
+		ws.PutInt(where)
 	}
 }

@@ -76,8 +76,9 @@ func (s weightedSplit) halves() (splitSpec, splitSpec) {
 
 // engine is the single V-cycle driver behind Bisect, Partition,
 // PartitionKWay and PartitionWeighted. It owns the recursion, the NCuts
-// trial selection, derived seeds, workspace pooling, trace emission and
-// context cancellation, so every entry point behaves identically.
+// trial selection, derived seeds, the call's workspace arena, trace
+// emission and context cancellation, so every entry point behaves
+// identically.
 type engine struct {
 	opts   Options // defaults already applied
 	ctx    context.Context
@@ -143,16 +144,18 @@ func (e *engine) run(g *graph.Graph, sp splitSpec, kwayRefine bool) (res *Result
 		Where:       make([]int, g.NumVertices()),
 		PartWeights: make([]int, k),
 	}
-	ids := make([]int, g.NumVertices())
+	// The call's arena: every bisection, the k-way pass and the extra
+	// cycles draw from it, and it is dropped when run returns.
+	ws := new(workspace.Workspace)
+	ids := ws.Int(g.NumVertices())
 	for i := range ids {
 		ids[i] = i
 	}
-	e.recurse(g, ids, sp, 0, e.opts.Seed, 0, res)
+	e.recurse(g, ids, sp, 0, e.opts.Seed, 0, res, ws)
 	if e.err != nil {
 		return nil, fmt.Errorf("multilevel: %w", e.err)
 	}
 	if kwayRefine && k >= 2 {
-		ws := workspace.Get()
 		t0 := time.Now()
 		p := kway.NewPartition(g, k, res.Where)
 		e.guardedKWayRefine(p, kway.Options{
@@ -163,12 +166,11 @@ func (e *engine) run(g *graph.Graph, sp splitSpec, kwayRefine bool) (res *Result
 			Counters:  &res.Stats.Counters,
 		}, &res.Stats, trace.WithSeed(e.tracer, e.opts.Seed), e.opts.Refinement == refine.BKWAY)
 		res.Stats.RefineTime += time.Since(t0)
-		workspace.Put(ws)
 	}
 	if _, uniform := sp.(uniformSplit); uniform {
 		// Extra cycles of the eco/strong presets. Weighted targets are
 		// excluded: the k-way refinement kernels assume equal part targets.
-		e.iterate(g, k, res)
+		e.iterate(g, k, res, ws)
 	} else {
 		res.Stats.Cycles = 1
 	}
@@ -180,8 +182,17 @@ func (e *engine) run(g *graph.Graph, sp splitSpec, kwayRefine bool) (res *Result
 }
 
 // recurse bisects g into sp.parts() leaf parts. ids maps local vertices to
-// original ids; depth tracks the recursion level for parallel fan-out.
-func (e *engine) recurse(g *graph.Graph, ids []int, sp splitSpec, base int, seed int64, depth int, res *Result) {
+// original ids; depth tracks the recursion level for parallel fan-out. ids,
+// and below the root (depth > 0) g itself, were drawn from ws: recurse
+// returns them to ws as soon as g is split, before it recurses, so the
+// halves' hierarchies reuse their memory.
+func (e *engine) recurse(g *graph.Graph, ids []int, sp splitSpec, base int, seed int64, depth int, res *Result, ws *workspace.Workspace) {
+	release := func() {
+		if depth > 0 {
+			g.Release(ws)
+		}
+		ws.PutInt(ids)
+	}
 	if e.cancelled() || e.failed() {
 		return
 	}
@@ -191,6 +202,7 @@ func (e *engine) recurse(g *graph.Graph, ids []int, sp splitSpec, base int, seed
 			res.Where[id] = base
 		}
 		e.mu.Unlock()
+		release()
 		return
 	}
 	target0 := sp.target0(g.TotalVertexWeight())
@@ -200,7 +212,7 @@ func (e *engine) recurse(g *graph.Graph, ids []int, sp splitSpec, base int, seed
 		target0 = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
-	b, stats := e.bisect(g, target0, rng, seed)
+	b, stats := e.bisect(g, target0, rng, seed, ws)
 	e.mu.Lock()
 	res.Stats.add(stats)
 	e.mu.Unlock()
@@ -209,59 +221,69 @@ func (e *engine) recurse(g *graph.Graph, ids []int, sp splitSpec, base int, seed
 		return
 	}
 
-	left, l2gL := g.PartSubgraph(b.Where, 0)
-	right, l2gR := g.PartSubgraph(b.Where, 1)
-	idsL := make([]int, left.NumVertices())
-	for i, lv := range l2gL {
-		idsL[i] = ids[lv]
-	}
-	idsR := make([]int, right.NumVertices())
-	for i, rv := range l2gR {
-		idsR[i] = ids[rv]
-	}
+	left, idsL := splitHalf(g, b.Where, 0, ids, ws)
+	right, idsR := splitHalf(g, b.Where, 1, ids, ws)
+	// Fan out the top few levels of the recursion tree; deeper subproblems
+	// are small enough that goroutine overhead dominates.
+	fanOut := e.opts.Parallel && depth < e.opts.ParallelDepth && g.NumVertices() > e.opts.ParallelMinVertices
+	b.Release(ws)
+	release()
 	kl := sp.parts() / 2
 	spL, spR := sp.halves()
 	seedL := deriveSeed(seed, 2)
 	seedR := deriveSeed(seed, 3)
-	// Fan out the top few levels of the recursion tree; deeper subproblems
-	// are small enough that goroutine overhead dominates.
-	if e.opts.Parallel && depth < e.opts.ParallelDepth && g.NumVertices() > e.opts.ParallelMinVertices {
+	if fanOut {
 		// Both branches run guarded: a panic on either one is captured
 		// into e.err rather than unwinding past wg.Wait, which would
 		// leak the sibling goroutine (and, on the spawned side, kill the
 		// process — recover never runs on a foreign goroutine's stack).
+		// The spawned branch gets its own arena; the left half's arrays
+		// move into it with the goroutine start.
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.recurseGuarded(left, idsL, spL, base, seedL, depth+1, res)
+			e.recurseGuarded(left, idsL, spL, base, seedL, depth+1, res, new(workspace.Workspace))
 		}()
-		e.recurseGuarded(right, idsR, spR, base+kl, seedR, depth+1, res)
+		e.recurseGuarded(right, idsR, spR, base+kl, seedR, depth+1, res, ws)
 		wg.Wait()
 	} else {
-		e.recurse(left, idsL, spL, base, seedL, depth+1, res)
-		e.recurse(right, idsR, spR, base+kl, seedR, depth+1, res)
+		e.recurse(left, idsL, spL, base, seedL, depth+1, res, ws)
+		e.recurse(right, idsR, spR, base+kl, seedR, depth+1, res, ws)
 	}
+}
+
+// splitHalf extracts the subgraph of g induced by where == part, drawing
+// its arrays from ws, and maps its vertices to original ids in place of the
+// local-to-parent map.
+func splitHalf(g *graph.Graph, where []int, part int, ids []int, ws *workspace.Workspace) (*graph.Graph, []int) {
+	sub, childIDs := g.PartSubgraphWS(where, part, ws)
+	for i, v := range childIDs {
+		childIDs[i] = ids[v]
+	}
+	return sub, childIDs
 }
 
 // recurseGuarded is recurse with a panic boundary: any panic in the
 // branch is recorded as the engine's failure and the branch abandoned.
-func (e *engine) recurseGuarded(g *graph.Graph, ids []int, sp splitSpec, base int, seed int64, depth int, res *Result) {
+func (e *engine) recurseGuarded(g *graph.Graph, ids []int, sp splitSpec, base int, seed int64, depth int, res *Result, ws *workspace.Workspace) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.fail(faults.AsPanic(faults.SiteEngineBisect, r))
 		}
 	}()
-	e.recurse(g, ids, sp, base, seed, depth, res)
+	e.recurse(g, ids, sp, base, seed, depth, res, ws)
 }
 
 // bisect dispatches between the single V-cycle and the NCuts best-of-N
-// selection. seed identifies this bisection in trace events.
-func (e *engine) bisect(g *graph.Graph, target0 int, rng *rand.Rand, seed int64) (*refine.Bisection, *Stats) {
+// selection. seed identifies this bisection in trace events. The returned
+// bisection's arrays belong to ws: the caller releases it there, or
+// detaches it if it outlives the call.
+func (e *engine) bisect(g *graph.Graph, target0 int, rng *rand.Rand, seed int64, ws *workspace.Workspace) (*refine.Bisection, *Stats) {
 	if e.opts.NCuts > 1 {
-		return e.bisectNCuts(g, target0, rng)
+		return e.bisectNCuts(g, target0, rng, ws)
 	}
-	return e.bisectOnce(g, target0, rng, seed)
+	return e.bisectOnce(g, target0, rng, seed, ws)
 }
 
 // bisectNCuts repeats the full bisection opts.NCuts times with seeds derived
@@ -269,15 +291,37 @@ func (e *engine) bisect(g *graph.Graph, target0 int, rng *rand.Rand, seed int64)
 // trial). Because each trial owns a derived-seed RNG rather than sharing
 // rng's stream, the trials are order-independent: with opts.Parallel they run
 // concurrently and still pick the exact bisection the sequential loop picks.
-func (e *engine) bisectNCuts(g *graph.Graph, target0 int, rng *rand.Rand) (*refine.Bisection, *Stats) {
+// Sequential trials share ws, and each losing bisection is released there
+// before the next trial starts; parallel trials each get their own arena,
+// and the losers are released into ws once all have finished.
+func (e *engine) bisectNCuts(g *graph.Graph, target0 int, rng *rand.Rand, ws *workspace.Workspace) (*refine.Bisection, *Stats) {
 	n := e.opts.NCuts
 	base := rng.Int63()
 	bs := make([]*refine.Bisection, n)
 	ss := make([]*Stats, n)
-	trial := func(i int) {
+	trial := func(i int, tws *workspace.Workspace) {
 		seed := deriveSeed(base, int64(i))
 		trng := rand.New(rand.NewSource(seed))
-		bs[i], ss[i] = e.bisectOnce(g, target0, trng, seed)
+		bs[i], ss[i] = e.bisectOnce(g, target0, trng, seed, tws)
+	}
+	best := -1
+	total := &Stats{}
+	// pick folds trial i into the selection in index order, so ties go to
+	// the earliest trial whichever way the trials ran.
+	pick := func(i int) {
+		if ss[i] != nil {
+			total.add(ss[i])
+		}
+		switch b := bs[i]; {
+		case b == nil:
+		case best < 0 || b.Cut < bs[best].Cut:
+			if best >= 0 {
+				bs[best].Release(ws)
+			}
+			best = i
+		default:
+			b.Release(ws)
+		}
 	}
 	if e.opts.Parallel {
 		var wg sync.WaitGroup
@@ -292,39 +336,34 @@ func (e *engine) bisectNCuts(g *graph.Graph, target0 int, rng *rand.Rand) (*refi
 						e.fail(faults.AsPanic(faults.SiteEngineBisect, r))
 					}
 				}()
-				trial(i)
+				trial(i, new(workspace.Workspace))
 			}(i)
 		}
 		wg.Wait()
+		for i := 0; i < n; i++ {
+			pick(i)
+		}
 	} else {
 		for i := 0; i < n; i++ {
-			trial(i)
-		}
-	}
-	var best *refine.Bisection
-	total := &Stats{}
-	for i := 0; i < n; i++ {
-		if ss[i] != nil {
-			total.add(ss[i])
-		}
-		if bs[i] != nil && (best == nil || bs[i].Cut < best.Cut) {
-			best = bs[i]
+			trial(i, ws)
+			pick(i)
 		}
 	}
 	total.Bisections = 1
-	if e.failed() {
-		// A trial panicked (or hit an injected fault). Sibling trials may
-		// have finished, but a poisoned bisection must fail as a whole:
-		// the panic marks an invariant violation, not a quality trade.
+	if e.failed() || best < 0 {
+		// A trial panicked (or hit an injected fault), or every trial was
+		// cancelled. Sibling trials may have finished, but a poisoned
+		// bisection must fail as a whole: the panic marks an invariant
+		// violation, not a quality trade.
 		return nil, total
 	}
-	return best, total
+	return bs[best], total
 }
 
 // bisectOnce is the multilevel V-cycle: coarsen, partition the coarsest
 // graph, then project and refine level by level. It returns a nil bisection
 // (with the stats gathered so far) when the engine's context is cancelled.
-func (e *engine) bisectOnce(g *graph.Graph, target0 int, rng *rand.Rand, seed int64) (*refine.Bisection, *Stats) {
+func (e *engine) bisectOnce(g *graph.Graph, target0 int, rng *rand.Rand, seed int64, ws *workspace.Workspace) (*refine.Bisection, *Stats) {
 	opts := e.opts
 	if target0 <= 0 {
 		target0 = g.TotalVertexWeight() / 2
@@ -335,13 +374,9 @@ func (e *engine) bisectOnce(g *graph.Graph, target0 int, rng *rand.Rand, seed in
 		return nil, stats
 	}
 	// All scratch for this bisection — hierarchy arrays, trial bisections,
-	// gain buckets — comes from one pooled workspace. Nothing backed by it
-	// may escape: the returned Bisection is detached into fresh memory below.
-	// On a panic anywhere below, the deferred Put runs during unwinding;
-	// buffers still checked out of ws at that moment are simply not
-	// re-pooled, which is safe (the pool reallocates on demand).
-	ws := workspace.Get()
-	defer workspace.Put(ws)
+	// gain buckets — comes from the caller's ws, and so does the returned
+	// Bisection. On a panic anywhere below, buffers still checked out of ws
+	// are simply never returned, which is safe (ws allocates on demand).
 	if ierr := e.inj.Fire(faults.SiteEngineBisect); ierr != nil {
 		e.fail(ierr)
 		return nil, stats
@@ -423,7 +458,6 @@ func (e *engine) bisectOnce(g *graph.Graph, target0 int, rng *rand.Rand, seed in
 		h.Release(ws)
 		return nil, stats
 	}
-	b = b.Detach(ws)
 	h.Release(ws)
 	emitPhases(tr, stats)
 	return b, stats

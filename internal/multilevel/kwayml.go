@@ -56,8 +56,9 @@ func (e *engine) runKWay(g *graph.Graph, k int) (res *Result, err error) {
 
 	tr := trace.WithSeed(e.tracer, opts.Seed)
 	rng := rand.New(rand.NewSource(opts.Seed))
-	ws := workspace.Get()
-	defer workspace.Put(ws)
+	// The call's arena, shared by the first cycle and the extra cycles and
+	// dropped when runKWay returns.
+	ws := new(workspace.Workspace)
 	h := e.phaseCoarsen(g, k, nil, rng, ws, tr, &res.Stats)
 	emitDegraded(tr, res.Stats.Degradations, 0)
 	if e.cancelled() {
@@ -83,7 +84,7 @@ func (e *engine) runKWay(g *graph.Graph, k int) (res *Result, err error) {
 	copy(res.Where, where)
 	ws.PutInt(where)
 	h.Release(ws)
-	e.iterate(g, k, res)
+	e.iterate(g, k, res, ws)
 	for v, part := range res.Where {
 		res.PartWeights[part] += g.Vwgt[v]
 	}

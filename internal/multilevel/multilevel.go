@@ -25,6 +25,7 @@ import (
 	"mlpart/internal/initpart"
 	"mlpart/internal/refine"
 	"mlpart/internal/trace"
+	"mlpart/internal/workspace"
 )
 
 // Preset selects how many multilevel cycles a partition runs. The first
@@ -394,7 +395,14 @@ func (s *Stats) add(o *Stats) {
 // mid-run, the returned bisection is nil.
 func Bisect(g *graph.Graph, target0 int, opts Options, rng *rand.Rand) (*refine.Bisection, *Stats) {
 	e := newEngine(opts)
-	b, stats := e.bisect(g, target0, rng, opts.Seed)
+	// Bisect runs outside any engine call's arena, so it borrows a pooled
+	// workspace and detaches the bisection it returns from it.
+	ws := workspace.Get()
+	defer workspace.Put(ws)
+	b, stats := e.bisect(g, target0, rng, opts.Seed, ws)
+	if b != nil {
+		b = b.Detach(ws)
+	}
 	if b == nil && e.err != nil && e.ctx.Err() == nil {
 		// Bisect's contract is "nil means cancelled" (nested dissection
 		// stops recursing on nil and leaves a valid partial ordering). A

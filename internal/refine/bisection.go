@@ -43,8 +43,8 @@ func NewBisection(g *graph.Graph, where []int) *Bisection {
 
 // NewBisectionWS is NewBisection drawing the state arrays from ws (a nil ws
 // allocates). A pooled bisection is returned to ws with Release, or turned
-// into an ordinary heap-owned one with Detach before it escapes the call
-// tree that owns ws.
+// into an ordinary heap-owned one with Detach before it outlives the call
+// that owns ws.
 func NewBisectionWS(g *graph.Graph, where []int, ws *workspace.Workspace) *Bisection {
 	n := g.NumVertices()
 	b := &Bisection{

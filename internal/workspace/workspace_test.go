@@ -121,3 +121,103 @@ func TestGetPut(t *testing.T) {
 	Put(ws)
 	Put(nil) // must not panic
 }
+
+func TestSplitPiecesDisjoint(t *testing.T) {
+	ws := &Workspace{}
+	ws.PutInt(make([]int, 64*minSplit))
+	sizes := []int{minSplit, 3 * minSplit, 5000, 2 * minSplit, 7, 10 * minSplit}
+	pieces := make([][]int, len(sizes))
+	for i, n := range sizes {
+		pieces[i] = ws.Int(n)
+		if len(pieces[i]) != n {
+			t.Fatalf("piece %d: len %d, want %d", i, len(pieces[i]), n)
+		}
+		for j := range pieces[i] {
+			pieces[i][j] = i*1_000_000 + j
+		}
+	}
+	if len(ws.ints) != 1 {
+		t.Fatalf("free list holds %d buffers, want the one remainder", len(ws.ints))
+	}
+	for i, p := range pieces {
+		if cap(p) != len(p) {
+			t.Errorf("piece %d: cap %d, want exact size %d", i, cap(p), len(p))
+		}
+		for j, v := range p {
+			if v != i*1_000_000+j {
+				t.Fatalf("piece %d[%d] = %d: overwritten by another piece", i, j, v)
+			}
+		}
+	}
+}
+
+func TestSplitRemainderReused(t *testing.T) {
+	ws := &Workspace{}
+	big := make([]int, 5*minSplit)
+	ws.PutInt(big)
+	a := ws.Int(minSplit)
+	if &a[0] != &big[0] || cap(a) != minSplit {
+		t.Fatalf("first request not split off the front (cap %d)", cap(a))
+	}
+	b := ws.Int(3 * minSplit)
+	if &b[0] != &big[minSplit] {
+		t.Fatal("remainder not reused by the next request")
+	}
+	if len(ws.ints) != 0 {
+		t.Fatalf("free list holds %d buffers, want 0: a 4k remainder of a 16k buffer lends whole", len(ws.ints))
+	}
+}
+
+func TestNoSplitBelowThresholds(t *testing.T) {
+	for _, tc := range []struct{ capacity, n int }{
+		{2*minSplit - 2, minSplit - 1}, // remainder below minSplit
+		{3 * minSplit, 2 * minSplit},   // request above half the buffer
+	} {
+		ws := &Workspace{}
+		ws.PutInt(make([]int, tc.capacity))
+		got := ws.Int(tc.n)
+		if cap(got) != tc.capacity || len(ws.ints) != 0 {
+			t.Errorf("cap %d, n %d: got cap %d with %d free, want the buffer lent whole",
+				tc.capacity, tc.n, cap(got), len(ws.ints))
+		}
+	}
+}
+
+func TestSplitPiecesInitialized(t *testing.T) {
+	ws := &Workspace{}
+	dirtyInts := make([]int, 8*minSplit)
+	for i := range dirtyInts {
+		dirtyInts[i] = 7
+	}
+	ws.PutInt(dirtyInts)
+	dirtyBools := make([]bool, 8*minSplit)
+	for i := range dirtyBools {
+		dirtyBools[i] = true
+	}
+	ws.PutBool(dirtyBools)
+	for r := 0; r < 3; r++ {
+		for i, v := range ws.IntFilled(minSplit, -1) {
+			if v != -1 {
+				t.Fatalf("round %d: IntFilled piece [%d] = %d, want -1", r, i, v)
+			}
+		}
+		for i, v := range ws.Bool(minSplit) {
+			if v {
+				t.Fatalf("round %d: Bool piece [%d] = true, want false", r, i)
+			}
+		}
+	}
+}
+
+func TestExactSizeAllocation(t *testing.T) {
+	ws := &Workspace{}
+	if s := ws.Int(1000); cap(s) != 1000 {
+		t.Errorf("Int(1000) cap %d, want 1000", cap(s))
+	}
+	if s := ws.Int64(1000); cap(s) != 1000 {
+		t.Errorf("Int64(1000) cap %d, want 1000", cap(s))
+	}
+	if s := ws.Bool(1000); cap(s) != 1000 {
+		t.Errorf("Bool(1000) cap %d, want 1000", cap(s))
+	}
+}

@@ -27,7 +27,7 @@ go test ./...
 echo "== go test -race (concurrent packages, parity + fuzz seeds)"
 go test -race ./internal/coarsen/ ./internal/multilevel/ ./internal/kway/ \
     ./internal/trace/ ./internal/graph/ ./internal/service/ ./internal/jobs/ \
-    ./internal/sessions/
+    ./internal/sessions/ ./internal/workspace/ ./internal/refine/
 
 echo "== chaos (fault-injection suite under -race, multiple seeds)"
 for seed in 1 7 42; do
