@@ -369,6 +369,23 @@ func (h *Hierarchy) Coarsest() *graph.Graph {
 	return h.Levels[len(h.Levels)-1].Graph
 }
 
+// Pop drops the coarsest level once uncoarsening has projected past it,
+// returning its graph and the cmap leading to it to ws when the hierarchy
+// is pooled; the next-coarser level becomes the coarsest. The finest graph
+// is never popped.
+func (h *Hierarchy) Pop(ws *workspace.Workspace) {
+	last := len(h.Levels) - 1
+	if last < 1 {
+		return
+	}
+	if ws != nil && h.pooled {
+		h.Levels[last].Graph.Release(ws)
+		ws.PutInt(h.Levels[last-1].Cmap)
+	}
+	h.Levels[last-1].Cmap = nil
+	h.Levels = h.Levels[:last]
+}
+
 // Release returns every pooled array of the hierarchy — the coarse graphs
 // and all cmaps, but never the caller-owned finest graph — to ws, leaving h
 // empty. It is a no-op for hierarchies built without a workspace. The

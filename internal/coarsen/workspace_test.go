@@ -41,7 +41,9 @@ func TestParallelCoarsenIdenticalAcrossWorkers(t *testing.T) {
 
 // TestCoarsenWorkspaceParity checks the pooling invariant end to end: a
 // workspace-backed hierarchy is identical to the allocating one, including
-// on a second run that reuses the (now dirty) pooled buffers.
+// on later runs that reuse the (now dirty) pooled buffers. The second run
+// is taken apart level by level with Pop, as uncoarsening does, and must
+// keep the untouched finer levels and leave the finest graph in place.
 func TestCoarsenWorkspaceParity(t *testing.T) {
 	g := matgen.FE3DTetra(8, 8, 8, 3)
 	opts := Options{Scheme: HEM, CoarsenTo: 80}
@@ -51,9 +53,21 @@ func TestCoarsenWorkspaceParity(t *testing.T) {
 	defer workspace.Put(ws)
 	wopts := opts
 	wopts.Workspace = ws
-	for run := 0; run < 2; run++ {
+	for run := 0; run < 3; run++ {
 		got := Coarsen(g, wopts, rng(11))
 		sameHierarchy(t, "pooled", ref, got)
+		if run == 1 {
+			for n := len(got.Levels) - 1; n >= 1; n-- {
+				got.Pop(ws)
+				prefix := &Hierarchy{Levels: slices.Clone(ref.Levels[:n])}
+				prefix.Levels[n-1].Cmap = nil
+				sameHierarchy(t, "popped", prefix, got)
+			}
+			got.Pop(ws)
+			if len(got.Levels) != 1 || got.Coarsest() != g {
+				t.Fatalf("popping a one-level hierarchy left %d levels", len(got.Levels))
+			}
+		}
 		got.Release(ws)
 	}
 }

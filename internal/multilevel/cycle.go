@@ -130,7 +130,7 @@ func (e *engine) phaseUncoarsenKWay(h *coarsen.Hierarchy, k int, where []int, se
 	kopts.Level = len(h.Levels) - 1
 	e.guardedKWayRefine(p, kopts, stats, tr, useBKWAY)
 	stats.RefineTime += time.Since(t0)
-	ok := e.uncoarsen(h, stats, tr, func(li int) int {
+	ok := e.uncoarsen(h, ws, stats, tr, func(li int) int {
 		fine := h.Levels[li].Graph
 		cmap := h.Levels[li].Cmap
 		fineWhere := ws.Int(fine.NumVertices())

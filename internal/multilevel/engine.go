@@ -444,7 +444,7 @@ func (e *engine) bisectOnce(g *graph.Graph, target0 int, rng *rand.Rand, seed in
 	refine.ForceBalance(b, ropts)
 	e.guardedRefine(b, opts.Refinement, ropts, stats, tr)
 	stats.RefineTime += time.Since(t0)
-	ok := e.uncoarsen(h, stats, tr, func(li int) int {
+	ok := e.uncoarsen(h, ws, stats, tr, func(li int) int {
 		nb := refine.ProjectWS(h.Levels[li].Graph, h.Levels[li].Cmap, b, ws)
 		b.Release(ws)
 		b = nb
@@ -467,14 +467,17 @@ func (e *engine) bisectOnce(g *graph.Graph, target0 int, rng *rand.Rand, seed in
 // finest, projecting then refining at each level. It is shared by the
 // bisection V-cycle and the direct k-way V-cycle, which supply the
 // projection (returning the projected cut) and the per-level refinement.
-// It returns false as soon as the engine's context is cancelled.
-func (e *engine) uncoarsen(h *coarsen.Hierarchy, stats *Stats, tr trace.Tracer, project func(li int) int, refineLevel func(li int)) bool {
+// Each coarse level is popped, its buffers back in ws, as soon as the
+// projection has left it, so the refinement of the finer levels can reuse
+// them. It returns false as soon as the engine's context is cancelled.
+func (e *engine) uncoarsen(h *coarsen.Hierarchy, ws *workspace.Workspace, stats *Stats, tr trace.Tracer, project func(li int) int, refineLevel func(li int)) bool {
 	for li := len(h.Levels) - 2; li >= 0; li-- {
 		if e.cancelled() {
 			return false
 		}
 		t0 := time.Now()
 		cut := project(li)
+		h.Pop(ws)
 		stats.ProjectTime += time.Since(t0)
 		stats.Projections++
 		if tr != nil {

@@ -1,13 +1,10 @@
 package refine
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
-	"mlpart/internal/kway"
 	"mlpart/internal/matgen"
-	"mlpart/internal/workspace"
 )
 
 func benchBisection(b *testing.B, seed int64) (*Bisection, []int) {
@@ -56,46 +53,6 @@ func BenchmarkRefinePolicies(b *testing.B) {
 				bis, _ := benchBisection(b, 4)
 				b.StartTimer()
 				Refine(bis, p, Options{})
-			}
-		})
-	}
-}
-
-// BenchmarkRefineKWay measures full boundary k-way refinement of a random
-// 16-way partition of a 3D FE mesh. The partition is restored in place
-// between iterations and all scratch comes from one pooled workspace, so
-// the serial engine must report 0 allocs/op: the move loop allocates
-// nothing in steady state. The parallel variants pay only the per-pass
-// goroutine fan-out.
-func BenchmarkRefineKWay(b *testing.B) {
-	g := matgen.FE3DTetra(16, 16, 16, 6)
-	const k = 16
-	n := g.NumVertices()
-	rng := rand.New(rand.NewSource(7))
-	baseWhere := make([]int, n)
-	for i := range baseWhere {
-		baseWhere[i] = rng.Intn(k)
-	}
-	for _, workers := range []int{0, 2, 4} {
-		name := "serial"
-		if workers > 0 {
-			name = fmt.Sprintf("workers=%d", workers)
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			p := kway.NewPartition(g, k, append([]int(nil), baseWhere...))
-			basePwgt := append([]int(nil), p.Pwgt...)
-			baseCut := p.Cut
-			ws := workspace.Get()
-			defer workspace.Put(ws)
-			opts := KWayOptions{Seed: 9, Workers: workers, Workspace: ws}
-			RefineKWay(p, opts) // warm the pooled buffers to full size
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(p.Where, baseWhere)
-				copy(p.Pwgt, basePwgt)
-				p.Cut = baseCut
-				RefineKWay(p, opts)
 			}
 		})
 	}

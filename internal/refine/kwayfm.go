@@ -2,27 +2,49 @@
 // only boundary vertices ever move, so restricting the search to the
 // boundary buys KL-quality cuts at a fraction of the cost — applied to the
 // direct k-way path. Where kway.Refine sweeps every vertex of the graph on
-// every pass, this engine maintains an explicit boundary set plus a
-// per-vertex best-move structure (best target partition and gain) and only
-// ever touches boundary vertices.
+// every pass, this engine keeps the connectivity of the boundary current
+// across moves, as METIS's k-way refinement does, and a pass never reads
+// an adjacency list except to update the neighbours of a vertex it moves.
+//
+// Connectivity: every vertex v has id[v], the weight of its edges inside
+// its own part, and every boundary vertex a list of (adjacent part,
+// degree) pairs — one per other part it has an edge into, with the total
+// weight of those edges. The lists live in one pool, v's in a slot at
+// off[v] holding cnt[v] pairs; v is on the boundary exactly when
+// cnt[v] > 0. A slot is first sized to the parts its vertex touches when
+// the lists are built — a mesh boundary vertex touches one or two parts
+// of its dozen neighbours' — and the pool holds those slots plus an
+// eighth. When a vertex first touches one part more (or, interior at the
+// build, joins the boundary), its pairs move to a fresh slot of
+// min(deg(v), k-1) pairs, all it can ever need, at the end of the pool,
+// which grows by half when full. A move of v from part a to part b turns
+// v's pair for b into (a, id[v]) — or drops it when id[v] was 0 — and
+// shifts each neighbour's id and its pairs for a and b in place.
 //
 // Each pass is a propose/commit protocol:
 //
 //  1. Snapshot: the current boundary is captured and permuted with a
 //     pass-derived seed.
 //  2. Propose (parallelizable): for every snapshot vertex, the best
-//     admissible target partition and its gain are computed against the
-//     start-of-pass state and recorded in the best-move arrays. Proposals
-//     read shared state but write only their own vertex's slot, so the
+//     admissible target part is read off its pair list, in O(adjacent
+//     parts), against the start-of-pass state. Proposals read shared
+//     state but write only their own vertex's slot of bestTo, so the
 //     phase splits across a worker pool without locks.
 //  3. Commit (serial, in snapshot order): every proposal is re-validated
-//     against the live state — the gain is recomputed, the balance
-//     constraint re-checked — and applied only if still profitable.
+//     against the live state — the target must still be in the vertex's
+//     list, its gain is read from it, the balance constraint re-checked —
+//     and applied only if still profitable.
 //
-// Because proposals are independent of how the snapshot is chunked across
-// workers and commits happen in one fixed order, the result is
-// bit-identical for every worker count: Workers=0 is the deterministic
-// golden reference and Workers=N is the same partition, faster.
+// The order of a pair list is arbitrary (removal swaps in the last pair),
+// and it does not matter: the proposed target is the maximum, over the
+// eligible parts, by (gain, lighter part, lower part id) — a total order —
+// and eligibility (positive gain, or zero gain that strictly improves the
+// weight spread) is closed upward in that order, so any scan order finds
+// the same part. Because proposals are also independent of how the
+// snapshot is chunked across workers, and commits happen in one fixed
+// order, the result is bit-identical for every worker count: Workers=0 is
+// the deterministic golden reference and Workers=N is the same partition,
+// faster.
 package refine
 
 import (
@@ -30,6 +52,7 @@ import (
 	"time"
 
 	"mlpart/internal/faults"
+	"mlpart/internal/graph"
 	"mlpart/internal/kway"
 	"mlpart/internal/trace"
 	"mlpart/internal/workspace"
@@ -92,28 +115,53 @@ func (s *splitmix64) next() uint64 {
 	return z ^ (z >> 31)
 }
 
+// passRNG returns the permutation generator of a refinement seeded with
+// seed.
+func passRNG(seed int64) splitmix64 {
+	return splitmix64{x: uint64(seed)*0x9E3779B97F4A7C15 + 0x94D049BB133111EB}
+}
+
 // intn returns a value in [0, n). The modulo bias is negligible at any
 // boundary size this engine sees and keeps the draw branch-free.
 func (s *splitmix64) intn(n int) int {
 	return int(s.next() % uint64(n))
 }
 
-// kwayRefiner is the engine state: the boundary hash over the k-way
-// partition plus the per-vertex best-move structure. Every array is pooled.
+// kwayRefiner is the engine state: the boundary set over the k-way
+// partition, the connectivity lists that define it, and the proposed move
+// of every snapshot vertex. Every array is drawn from ws.
 type kwayRefiner struct {
-	p *kway.Partition
-	// ext[v] is the total weight of v's edges that cross parts; v is a
-	// boundary vertex iff ext[v] > 0.
-	ext []int
+	p  *kway.Partition
+	ws *workspace.Workspace
+	kwayLists
+	// room[v] is the pair capacity of v's slot, 0 before v has one.
+	room []int
+	// used is the number of pool pairs handed out as slots.
+	used int
 	// Boundary set with O(1) insert/remove/membership.
 	bndList  []int
 	bndIndex []int
-	// Best-move structure: bestTo[v] is the proposed target partition of
-	// boundary vertex v (-1 when no admissible move exists) and
-	// bestGain[v] the cut improvement of that move under the state it was
-	// proposed against.
-	bestTo   []int
-	bestGain []int
+	// bestTo[v] is the proposed target part of snapshot vertex v, -1 when
+	// no admissible move exists.
+	bestTo []int
+}
+
+// kwayLists is the connectivity the refiner keeps current across moves:
+// id[v] is the weight of v's edges inside its own part, and v's cnt[v]
+// (part, degree) pairs are pairs off[v] .. off[v]+cnt[v]-1 of the pool,
+// pair i being pairPart[i] (an adjacent part other than v's own) and
+// pairDeg[i] (the weight of v's edges into it). off[v] is meaningful only
+// once v has a slot. The pool is two arrays rather than one of
+// interleaved pairs so that each is no longer than a graph's adjacency
+// array: the workspace then backs them with the arrays of coarse levels
+// already released. The propose workers receive kwayLists by value: they
+// only read it.
+type kwayLists struct {
+	id       []int
+	off      []int
+	cnt      []int
+	pairPart []int
+	pairDeg  []int
 }
 
 func (r *kwayRefiner) bndInsert(v int) {
@@ -136,19 +184,165 @@ func (r *kwayRefiner) bndRemove(v int) {
 	r.bndIndex[v] = -1
 }
 
-// bndFix re-derives v's boundary membership from ext[v].
+// bndFix re-derives v's boundary membership from its pair count.
 func (r *kwayRefiner) bndFix(v int) {
-	if r.ext[v] > 0 {
+	if r.cnt[v] > 0 {
 		r.bndInsert(v)
 	} else {
 		r.bndRemove(v)
 	}
 }
 
+// build computes id for every vertex and the pair lists of the initial
+// boundary. The first sweep counts the parts each vertex touches besides
+// its own (mark[q] == v once v's edges reached part q), inserts boundary
+// vertices in ascending order and sizes each slot to its count; the pool
+// holds those slots plus an eighth. The second sweep fills the lists,
+// using mark again as pos, the pool index of each part's pair for the
+// vertex at hand.
+func (r *kwayRefiner) build() {
+	g := r.p.G
+	where := r.p.Where
+	mark := r.ws.IntFilled(r.p.K, -1)
+	size := 0
+	for v := range where {
+		pv := where[v]
+		in, c := 0, 0
+		wgt := g.EdgeWeights(v)
+		for i, u := range g.Neighbors(v) {
+			if q := where[u]; q == pv {
+				in += wgt[i]
+			} else if mark[q] != v {
+				mark[q] = v
+				c++
+			}
+		}
+		r.id[v] = in
+		r.cnt[v] = 0
+		r.room[v] = c
+		if c > 0 {
+			r.bndInsert(v)
+			size += c
+		}
+	}
+	r.pairPart = r.ws.Int(size + size/8)
+	r.pairDeg = r.ws.Int(size + size/8)
+
+	pos := mark
+	for i := range pos {
+		pos[i] = -1
+	}
+	for _, v := range r.bndList {
+		o := r.used
+		r.off[v] = o
+		r.used += r.room[v]
+		pv := where[v]
+		c := 0
+		wgt := g.EdgeWeights(v)
+		for i, u := range g.Neighbors(v) {
+			pu := where[u]
+			if pu == pv {
+				continue
+			}
+			j := pos[pu]
+			if j < 0 {
+				j = o + c
+				pos[pu] = j
+				r.pairPart[j] = pu
+				r.pairDeg[j] = 0
+				c++
+			}
+			r.pairDeg[j] += wgt[i]
+		}
+		r.cnt[v] = c
+		for _, q := range r.pairPart[o : o+c] {
+			pos[q] = -1
+		}
+	}
+	r.ws.PutInt(pos)
+}
+
+// relocate moves v's pairs to a fresh slot at the end of the pool, grown
+// by half when full, of min(deg(v), k-1) pairs: as many parts as v can
+// ever touch, so a vertex moves at most once. It runs when v first
+// touches a part beyond those its slot was sized for — including the
+// first one, for a vertex that was interior when the lists were built.
+// The old slot is abandoned.
+func (r *kwayRefiner) relocate(v int) {
+	c := min(r.p.G.Degree(v), r.p.K-1)
+	if r.used+c > len(r.pairPart) {
+		size := max(len(r.pairPart)*3/2, r.used+c)
+		r.pairPart = r.grow(r.pairPart, size)
+		r.pairDeg = r.grow(r.pairDeg, size)
+	}
+	if n := r.cnt[v]; n > 0 {
+		o := r.off[v]
+		copy(r.pairPart[r.used:], r.pairPart[o:o+n])
+		copy(r.pairDeg[r.used:], r.pairDeg[o:o+n])
+	}
+	r.off[v] = r.used
+	r.room[v] = c
+	r.used += c
+}
+
+// grow moves the used part of a pool array into a new one of the given
+// size, releasing the old.
+func (r *kwayRefiner) grow(s []int, size int) []int {
+	grown := r.ws.Int(size)
+	copy(grown, s[:r.used])
+	r.ws.PutInt(s)
+	return grown
+}
+
+// find returns the pool index of v's pair for part q, or -1 (always when
+// v has no pairs, even before it has a slot).
+func (r *kwayRefiner) find(v, q int) int {
+	o := r.off[v]
+	for j := o; j < o+r.cnt[v]; j++ {
+		if r.pairPart[j] == q {
+			return j
+		}
+	}
+	return -1
+}
+
+// drop removes v's pair at pool index j, moving v's last pair into its
+// place.
+func (r *kwayRefiner) drop(v, j int) {
+	r.cnt[v]--
+	last := r.off[v] + r.cnt[v]
+	r.pairPart[j], r.pairDeg[j] = r.pairPart[last], r.pairDeg[last]
+}
+
+// addDeg adds w to v's degree into part q, appending a pair when q is new.
+func (r *kwayRefiner) addDeg(v, q, w int) {
+	if j := r.find(v, q); j >= 0 {
+		r.pairDeg[j] += w
+		return
+	}
+	if r.cnt[v] == r.room[v] {
+		r.relocate(v)
+	}
+	j := r.off[v] + r.cnt[v]
+	r.pairPart[j] = q
+	r.pairDeg[j] = w
+	r.cnt[v]++
+}
+
+// subDeg takes w off v's degree into part q, dropping the pair when the
+// degree reaches zero. v must have a pair for q.
+func (r *kwayRefiner) subDeg(v, q, w int) {
+	j := r.find(v, q)
+	r.pairDeg[j] -= w
+	if r.pairDeg[j] == 0 {
+		r.drop(v, j)
+	}
+}
+
 // RefineKWay runs boundary k-way refinement on p in place and returns the
-// final cut. See the package comment of this file for the propose/commit
-// protocol; the result is deterministic for a fixed seed and identical for
-// every Workers value.
+// final cut. See the package comment of this file for the connectivity
+// lists and the propose/commit protocol; the result is deterministic for a
+// fixed seed and identical for every Workers value.
 func RefineKWay(p *kway.Partition, opts KWayOptions) int {
 	opts = opts.withDefaults()
 	g := p.G
@@ -157,21 +351,7 @@ func RefineKWay(p *kway.Partition, opts KWayOptions) int {
 	if n == 0 || k < 2 {
 		return p.Cut
 	}
-	tot := g.TotalVertexWeight()
-	target := tot / k
-	maxVwgt := 0
-	for _, w := range g.Vwgt {
-		if w > maxVwgt {
-			maxVwgt = w
-		}
-	}
-	// Same slackened tolerance as kway.Refine: the imbalance factor, never
-	// tighter than one maximum vertex above target (heavy multinodes on
-	// coarse levels must stay movable).
-	limit := int(opts.Ubfactor * float64(target))
-	if lim2 := target + maxVwgt; lim2 > limit {
-		limit = lim2
-	}
+	limit := kwayLimit(g, k, opts.Ubfactor)
 
 	ws := opts.Workspace
 	if ws == nil {
@@ -181,40 +361,10 @@ func RefineKWay(p *kway.Partition, opts KWayOptions) int {
 	// r stays a stack value: the propose workers are named functions taking
 	// explicit arguments, never closures over r, so the serial move loop
 	// runs without a single heap allocation in steady state.
-	r := kwayRefiner{
-		p:        p,
-		ext:      ws.Int(n),
-		bndIndex: ws.IntFilled(n, -1),
-		bndList:  ws.Int(n)[:0],
-		bestTo:   ws.Int(n),
-		bestGain: ws.Int(n),
-	}
-	// Initial boundary build: one sweep over the edges.
-	for v := 0; v < n; v++ {
-		adj := g.Neighbors(v)
-		wgt := g.EdgeWeights(v)
-		e := 0
-		pv := p.Where[v]
-		for i, u := range adj {
-			if p.Where[u] != pv {
-				e += wgt[i]
-			}
-		}
-		r.ext[v] = e
-		if e > 0 {
-			r.bndInsert(v)
-		}
-	}
-
-	// order holds the permuted boundary snapshot of the current pass; the
-	// per-worker degree scratch lives in two W*k slabs with monotonically
-	// increasing stamps so it never needs clearing between passes.
+	r := newKWayRefiner(p, ws)
+	// order holds the permuted boundary snapshot of the current pass.
 	order := ws.Int(n)
-	workers := opts.Workers
-	edSlab := ws.Int(workers * k)
-	seenSlab := ws.IntFilled(workers*k, 0)
-	stamps := ws.IntFilled(workers, 0)
-	rng := splitmix64{x: uint64(opts.Seed)*0x9E3779B97F4A7C15 + 0x94D049BB133111EB}
+	rng := passRNG(opts.Seed)
 
 	for pass := 0; pass < opts.MaxPasses; pass++ {
 		if ierr := opts.Injector.Fire(faults.SiteKWayPass); ierr != nil {
@@ -231,30 +381,11 @@ func RefineKWay(p *kway.Partition, opts KWayOptions) int {
 			t0 = time.Now()
 		}
 
-		// Snapshot and permute the boundary (Fisher-Yates on a copy, so
-		// mid-pass boundary churn cannot perturb the visit order).
-		snap := order[:bsize]
-		copy(snap, r.bndList)
-		for i := bsize - 1; i > 0; i-- {
-			j := rng.intn(i + 1)
-			snap[i], snap[j] = snap[j], snap[i]
-		}
-
-		// Propose: each worker fills the best-move slots of its chunk. The
-		// phase only reads shared state, so chunking never changes results.
-		w := workers
-		if maxW := bsize/512 + 1; w > maxW {
-			w = maxW
-		}
-		if w <= 1 {
-			kwayPropose(p, r.bestTo, r.bestGain, snap, edSlab[:k], seenSlab[:k], &stamps[0], limit)
-		} else {
-			r.proposeParallel(snap, w, k, edSlab, seenSlab, stamps, limit)
-		}
-
+		snap := r.snapshot(order, &rng)
+		r.propose(opts.Workers, limit)
 		// Commit serially in snapshot order, re-validating every proposal
 		// against the live state.
-		moves, posGain := r.commit(snap, edSlab[:k], seenSlab[:k], &stamps[0], limit)
+		moves, posGain := r.commit(snap, limit)
 
 		if opts.Counters != nil {
 			opts.Counters.RefinePasses++
@@ -279,44 +410,103 @@ func RefineKWay(p *kway.Partition, opts KWayOptions) int {
 		}
 	}
 
-	ws.PutInt(r.ext)
-	ws.PutInt(r.bndIndex)
-	ws.PutInt(r.bndList)
-	ws.PutInt(r.bestTo)
-	ws.PutInt(r.bestGain)
 	ws.PutInt(order)
-	ws.PutInt(edSlab)
-	ws.PutInt(seenSlab)
-	ws.PutInt(stamps)
+	r.release()
 	return p.Cut
 }
 
-// proposeParallel fans the propose phase out over w workers, the calling
-// goroutine taking the first chunk. Workers are named functions with
-// explicit arguments (no closures), so the parallel machinery costs the
-// serial path nothing; worker panics are captured on the worker's own
-// stack and re-raised here after the join, because recover never runs
-// across goroutines and an unhandled worker panic would kill the process.
-func (r *kwayRefiner) proposeParallel(snap []int, w, k int, edSlab, seenSlab, stamps []int, limit int) {
-	bsize := len(snap)
+// kwayLimit is the part-weight bound of a move's destination: the same
+// slackened tolerance as kway.Refine, the imbalance factor but never
+// tighter than one maximum vertex above target (heavy multinodes on coarse
+// levels must stay movable).
+func kwayLimit(g *graph.Graph, k int, ubfactor float64) int {
+	target := g.TotalVertexWeight() / k
+	maxVwgt := 0
+	for _, w := range g.Vwgt {
+		if w > maxVwgt {
+			maxVwgt = w
+		}
+	}
+	limit := int(ubfactor * float64(target))
+	if lim2 := target + maxVwgt; lim2 > limit {
+		limit = lim2
+	}
+	return limit
+}
+
+// newKWayRefiner draws the engine state from ws and builds the
+// connectivity of p's current partition.
+func newKWayRefiner(p *kway.Partition, ws *workspace.Workspace) kwayRefiner {
+	n := p.G.NumVertices()
+	r := kwayRefiner{
+		p:  p,
+		ws: ws,
+		kwayLists: kwayLists{
+			id:  ws.Int(n),
+			off: ws.Int(n),
+			cnt: ws.Int(n),
+		},
+		room:     ws.Int(n),
+		bndIndex: ws.IntFilled(n, -1),
+		bndList:  ws.Int(n)[:0],
+		bestTo:   ws.Int(n),
+	}
+	r.build()
+	return r
+}
+
+// release returns every array of the engine state to its workspace.
+func (r *kwayRefiner) release() {
+	for _, s := range [...][]int{r.id, r.off, r.cnt, r.room, r.pairPart, r.pairDeg, r.bndIndex, r.bndList, r.bestTo} {
+		r.ws.PutInt(s)
+	}
+}
+
+// snapshot copies the boundary into order and permutes it (Fisher-Yates on
+// a copy, so mid-pass boundary churn cannot perturb the visit order).
+func (r *kwayRefiner) snapshot(order []int, rng *splitmix64) []int {
+	snap := order[:len(r.bndList)]
+	copy(snap, r.bndList)
+	for i := len(snap) - 1; i > 0; i-- {
+		j := rng.intn(i + 1)
+		snap[i], snap[j] = snap[j], snap[i]
+	}
+	return snap
+}
+
+// propose fills bestTo for the boundary, serially or fanned out over up to
+// workers goroutines (one per 512 vertices at most). A proposal depends on
+// nothing but its vertex and the start-of-pass state, so it walks the
+// boundary list — the snapshot's vertex set, in an order that keeps
+// neighbouring vertices' lists close in memory — rather than the
+// permuted snapshot, and chunking never changes results. Workers are named
+// functions with explicit arguments (no closures), so the parallel
+// machinery costs the serial path nothing; worker panics are captured on
+// the worker's own stack and re-raised here after the join, because
+// recover never runs across goroutines and an unhandled worker panic would
+// kill the process.
+func (r *kwayRefiner) propose(workers, limit int) {
+	bnd := r.bndList
+	bsize := len(bnd)
+	w := min(workers, bsize/512+1)
+	if w <= 1 {
+		kwayPropose(r.p, r.kwayLists, r.bestTo, bnd, limit)
+		return
+	}
 	chunk := (bsize + w - 1) / w
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var panicked any
 	for wi := 1; wi < w; wi++ {
 		lo := wi * chunk
-		hi := lo + chunk
-		if hi > bsize {
-			hi = bsize
-		}
+		hi := min(lo+chunk, bsize)
 		if lo >= hi {
 			continue
 		}
 		wg.Add(1)
-		go kwayProposeWorker(&wg, &mu, &panicked, r.p, r.bestTo, r.bestGain,
-			snap[lo:hi], edSlab[wi*k:(wi+1)*k], seenSlab[wi*k:(wi+1)*k], &stamps[wi], limit)
+		go kwayProposeWorker(&wg, &mu, &panicked, r.p, r.kwayLists, r.bestTo, bnd[lo:hi], limit)
 	}
-	kwayPropose(r.p, r.bestTo, r.bestGain, snap[:chunk], edSlab[:k], seenSlab[:k], &stamps[0], limit)
+	kwayPropose(r.p, r.kwayLists, r.bestTo, bnd[:chunk], limit)
 	wg.Wait()
 	if panicked != nil {
 		panic(panicked)
@@ -324,7 +514,7 @@ func (r *kwayRefiner) proposeParallel(snap []int, w, k int, edSlab, seenSlab, st
 }
 
 func kwayProposeWorker(wg *sync.WaitGroup, mu *sync.Mutex, panicked *any,
-	p *kway.Partition, bestTo, bestGain, snap, ed, seen []int, stamp *int, limit int) {
+	p *kway.Partition, l kwayLists, bestTo, snap []int, limit int) {
 	defer wg.Done()
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -335,16 +525,16 @@ func kwayProposeWorker(wg *sync.WaitGroup, mu *sync.Mutex, panicked *any,
 			mu.Unlock()
 		}
 	}()
-	kwayPropose(p, bestTo, bestGain, snap, ed, seen, stamp, limit)
+	kwayPropose(p, l, bestTo, snap, limit)
 }
 
-// kwayPropose fills the best-move slots for the given snapshot vertices:
-// the admissible adjacent part with the highest gain (ties broken toward
-// the lighter part, then the lower part id), or -1 when no move is worth
-// committing. ed/seen/stamp are the caller's private degree scratch; the
-// function only reads shared partition state and writes its own vertices'
-// best-move slots, which is what makes chunking result-neutral.
-func kwayPropose(p *kway.Partition, bestTo, bestGain, snap, ed, seen []int, stamp *int, limit int) {
+// kwayPropose sets bestTo[v] for the given boundary vertices: the
+// admissible adjacent part with the highest gain (ties broken toward the
+// lighter part, then the lower part id), or -1 when no move is worth
+// committing. It reads v's pair list, never its adjacency, and writes only
+// its own vertices' bestTo slots, which is what makes chunking
+// result-neutral.
+func kwayPropose(p *kway.Partition, l kwayLists, bestTo, snap []int, limit int) {
 	g := p.G
 	for _, v := range snap {
 		bestTo[v] = -1
@@ -354,32 +544,15 @@ func kwayPropose(p *kway.Partition, bestTo, bestGain, snap, ed, seen []int, stam
 			// Never propose emptying a part.
 			continue
 		}
-		adj := g.Neighbors(v)
-		wgt := g.EdgeWeights(v)
-		*stamp++
-		s := *stamp
-		for i, u := range adj {
-			pu := p.Where[u]
-			if seen[pu] != s {
-				seen[pu] = s
-				ed[pu] = 0
-			}
-			ed[pu] += wgt[i]
-		}
-		id := 0
-		if seen[from] == s {
-			id = ed[from]
-		}
+		id := l.id[v]
+		o := l.off[v]
 		best, bestG := -1, 0
-		for i := range adj {
-			to := p.Where[adj[i]]
-			if to == from {
-				continue
-			}
+		for j := o; j < o+l.cnt[v]; j++ {
+			to := l.pairPart[j]
 			if p.Pwgt[to]+vw > limit {
 				continue
 			}
-			gain := ed[to] - id
+			gain := l.pairDeg[j] - id
 			var better bool
 			if best < 0 {
 				// First candidate: positive gain, or zero gain that
@@ -394,83 +567,89 @@ func kwayPropose(p *kway.Partition, bestTo, bestGain, snap, ed, seen []int, stam
 				best, bestG = to, gain
 			}
 		}
-		if best >= 0 {
-			bestTo[v] = best
-			bestGain[v] = bestG
-		}
+		bestTo[v] = best
 	}
 }
 
-// commit applies the proposals in snapshot order. Each proposal's gain is
-// recomputed against the live state (earlier commits of this pass may have
-// changed it) and the balance constraints re-checked; a move is applied
-// only if it still reduces the cut, or keeps it while strictly improving
-// the weight spread. Returns the moves made and how many had positive gain.
-func (r *kwayRefiner) commit(snap []int, ed, seen []int, stamp *int, limit int) (moves, posGain int) {
-	p := r.p
-	g := p.G
+// commit applies the proposals in snapshot order and returns the moves
+// made and how many had positive gain.
+func (r *kwayRefiner) commit(snap []int, limit int) (moves, posGain int) {
 	for _, v := range snap {
-		to := r.bestTo[v]
-		if to < 0 {
-			continue
-		}
-		from := p.Where[v]
-		if from == to {
-			continue
-		}
-		vw := g.Vwgt[v]
-		if p.Pwgt[to]+vw > limit || p.Pwgt[from]-vw <= 0 {
-			continue
-		}
-		adj := g.Neighbors(v)
-		wgt := g.EdgeWeights(v)
-		*stamp++
-		s := *stamp
-		totW := 0
-		for i, u := range adj {
-			pu := p.Where[u]
-			if seen[pu] != s {
-				seen[pu] = s
-				ed[pu] = 0
+		if gain, ok := r.commitOne(v, limit); ok {
+			moves++
+			if gain > 0 {
+				posGain++
 			}
-			ed[pu] += wgt[i]
-			totW += wgt[i]
-		}
-		if seen[to] != s {
-			// The proposed target is no longer adjacent; a commit would
-			// only grow the cut.
-			continue
-		}
-		id := 0
-		if seen[from] == s {
-			id = ed[from]
-		}
-		gain := ed[to] - id
-		if gain < 0 || (gain == 0 && p.Pwgt[to]+vw >= p.Pwgt[from]) {
-			continue
-		}
-		// Apply: partition vector, weights, cut, then the incremental
-		// external degrees and boundary set of v and its neighbors.
-		p.Where[v] = to
-		p.Pwgt[from] -= vw
-		p.Pwgt[to] += vw
-		p.Cut -= gain
-		r.ext[v] = totW - ed[to]
-		r.bndFix(v)
-		for i, u := range adj {
-			switch p.Where[u] {
-			case from:
-				r.ext[u] += wgt[i]
-				r.bndFix(u)
-			case to:
-				r.ext[u] -= wgt[i]
-				r.bndFix(u)
-			}
-		}
-		moves++
-		if gain > 0 {
-			posGain++
 		}
 	}
 	return moves, posGain
+}
+
+// commitOne applies v's proposal if it still pays. Earlier commits of the
+// pass may have changed its gain or removed its target from v's list, so
+// it is re-validated against the live list and balance: the move is made
+// only if it still reduces the cut, or keeps it while strictly improving
+// the weight spread. Returns the gain and whether v moved.
+func (r *kwayRefiner) commitOne(v, limit int) (gain int, ok bool) {
+	p := r.p
+	to := r.bestTo[v]
+	if to < 0 {
+		return 0, false
+	}
+	from := p.Where[v]
+	vw := p.G.Vwgt[v]
+	if p.Pwgt[to]+vw > limit || p.Pwgt[from]-vw <= 0 {
+		return 0, false
+	}
+	j := r.find(v, to)
+	if j < 0 {
+		// The proposed target is no longer adjacent; a commit would only
+		// grow the cut.
+		return 0, false
+	}
+	gain = r.pairDeg[j] - r.id[v]
+	if gain < 0 || (gain == 0 && p.Pwgt[to]+vw >= p.Pwgt[from]) {
+		return 0, false
+	}
+	r.move(v, from, to, j)
+	return gain, true
+}
+
+// move applies v's move from part from to part to, j being the index of
+// v's pair for to: the partition vector, weights and cut, then the
+// connectivity and boundary membership of v and its neighbours. Boundary
+// updates follow the adjacency order, which fixes the next snapshot.
+func (r *kwayRefiner) move(v, from, to, j int) {
+	p := r.p
+	g := p.G
+	vw := g.Vwgt[v]
+	id := r.id[v]
+	p.Where[v] = to
+	p.Pwgt[from] -= vw
+	p.Pwgt[to] += vw
+	p.Cut -= r.pairDeg[j] - id
+	r.id[v] = r.pairDeg[j]
+	if id > 0 {
+		r.pairPart[j], r.pairDeg[j] = from, id
+	} else {
+		r.drop(v, j)
+	}
+	r.bndFix(v)
+	wgt := g.EdgeWeights(v)
+	for i, u := range g.Neighbors(v) {
+		w := wgt[i]
+		switch p.Where[u] {
+		case from:
+			r.id[u] -= w
+			r.addDeg(u, to, w)
+			r.bndInsert(u)
+		case to:
+			r.id[u] += w
+			r.subDeg(u, from, w)
+			r.bndFix(u)
+		default:
+			r.subDeg(u, from, w)
+			r.addDeg(u, to, w)
+		}
+	}
 }

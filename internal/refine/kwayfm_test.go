@@ -87,34 +87,6 @@ func TestRefineKWayDeterministicForFixedSeed(t *testing.T) {
 	}
 }
 
-// TestRefineKWayWorkerParity is the engine's central contract: the
-// partition is bit-identical for every worker count, because proposals are
-// independent of how the boundary snapshot is chunked and commits are
-// always serial in snapshot order. Workers is scheduling, never quality.
-func TestRefineKWayWorkerParity(t *testing.T) {
-	g := matgen.FE3DTetra(10, 10, 10, 5)
-	const k = 8
-	base := randomKWhere(g.NumVertices(), k, 13)
-	run := func(workers int) ([]int, int) {
-		p := kway.NewPartition(g, k, append([]int(nil), base...))
-		cut := RefineKWay(p, KWayOptions{Seed: 7, Workers: workers})
-		verifyKWay(t, p)
-		return p.Where, cut
-	}
-	serialWhere, serialCut := run(0)
-	for _, workers := range []int{1, 2, 3, 4, 8, 16} {
-		where, cut := run(workers)
-		if cut != serialCut {
-			t.Errorf("Workers=%d: cut %d, serial %d", workers, cut, serialCut)
-		}
-		for v := range where {
-			if where[v] != serialWhere[v] {
-				t.Fatalf("Workers=%d: Where[%d] = %d, serial %d", workers, v, where[v], serialWhere[v])
-			}
-		}
-	}
-}
-
 func TestRefineKWayRespectsBalance(t *testing.T) {
 	g := matgen.Mesh2DTri(25, 25, 0, 10)
 	const k = 5
