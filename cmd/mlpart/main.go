@@ -84,7 +84,7 @@ func main() {
 	parallel := flag.Bool("parallel", false, "partition independent subgraphs (and NCuts trials) concurrently")
 	ncuts := flag.Int("ncuts", 0, "run each bisection this many times with independent seeds, keep the best cut")
 	coarsenWorkers := flag.Int("coarsen-workers", 0, "compute matchings with this many parallel workers (>1 enables)")
-	refineWorkers := flag.Int("refine-workers", 0, "parallel propose workers for -refine BKWAY (result is identical for any count)")
+	refineWorkers := flag.Int("refine-workers", 0, "parallel propose workers for k-way refinement: -direct, eco/strong presets (result is identical for any count)")
 	parallelDepth := flag.Int("parallel-depth", 0, "recursion levels that fan out when -parallel (0 = default 4)")
 	parallelMinVerts := flag.Int("parallel-minverts", 0, "smallest subgraph that fans out when -parallel (0 = default 2000)")
 	out := flag.String("o", "", "write the partition vector to this file")

@@ -121,14 +121,13 @@ func (e *engine) phaseSeed(h *coarsen.Hierarchy, where []int, ws *workspace.Work
 // and refines level by level up to the finest graph. It takes ownership
 // of where (pooled or fresh) and returns the finest-level where (pooled);
 // on cancellation it releases where and returns nil, false. The hierarchy
-// itself is not released. useBKWAY selects the boundary k-way kernel over
-// the classic full-sweep greedy refinement.
-func (e *engine) phaseUncoarsenKWay(h *coarsen.Hierarchy, k int, where []int, seed int64, ws *workspace.Workspace, stats *Stats, tr trace.Tracer, useBKWAY bool) ([]int, bool) {
-	kopts := kway.Options{Ubfactor: e.opts.Ubfactor, Seed: seed, Workspace: ws, Tracer: tr, Counters: &stats.Counters}
+// itself is not released.
+func (e *engine) phaseUncoarsenKWay(h *coarsen.Hierarchy, k int, where []int, seed int64, ws *workspace.Workspace, stats *Stats, tr trace.Tracer) ([]int, bool) {
+	kopts := refine.KWayOptions{Ubfactor: e.opts.Ubfactor, Seed: seed, Workspace: ws, Tracer: tr, Counters: &stats.Counters}
 	t0 := time.Now()
 	p := kway.NewPartition(h.Coarsest(), k, where)
 	kopts.Level = len(h.Levels) - 1
-	e.guardedKWayRefine(p, kopts, stats, tr, useBKWAY)
+	e.guardedKWayRefine(p, kopts, stats, tr)
 	stats.RefineTime += time.Since(t0)
 	ok := e.uncoarsen(h, ws, stats, tr, func(li int) int {
 		fine := h.Levels[li].Graph
@@ -143,7 +142,7 @@ func (e *engine) phaseUncoarsenKWay(h *coarsen.Hierarchy, k int, where []int, se
 		return p.Cut
 	}, func(li int) {
 		kopts.Level = li
-		e.guardedKWayRefine(p, kopts, stats, tr, useBKWAY)
+		e.guardedKWayRefine(p, kopts, stats, tr)
 	})
 	if !ok {
 		ws.PutInt(where)
@@ -177,7 +176,7 @@ func (e *engine) vCycle(g *graph.Graph, k int, seedWhere []int, seed int64, ws *
 		return nil, 0, stats, cerr
 	}
 	cw := e.phaseSeed(h, seedWhere, ws)
-	fw, ok := e.phaseUncoarsenKWay(h, k, cw, seed, ws, stats, tr, true)
+	fw, ok := e.phaseUncoarsenKWay(h, k, cw, seed, ws, stats, tr)
 	if !ok {
 		h.Release(ws)
 		if cerr := e.ctx.Err(); cerr != nil {

@@ -88,8 +88,8 @@ func TestPresetWorkerParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kwSerial.EdgeCut != 671 {
-		t.Errorf("direct k-way strong: cut=%d, want 671", kwSerial.EdgeCut)
+	if kwSerial.EdgeCut != 668 {
+		t.Errorf("direct k-way strong: cut=%d, want 668", kwSerial.EdgeCut)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		rec, err := Partition(w.Graph, 8,

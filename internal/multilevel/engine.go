@@ -128,8 +128,8 @@ func (e *engine) cancelled() bool {
 
 // run builds a k-way partition of g by recursive bisection according to
 // sp, optionally finishing with a direct k-way refinement pass (uniform
-// targets only; weighted targets would violate kway.Refine's equal-target
-// balance model).
+// targets only; weighted targets would violate refine.RefineKWay's
+// equal-target balance model).
 func (e *engine) run(g *graph.Graph, sp splitSpec, kwayRefine bool) (res *Result, err error) {
 	// A panic escaping the sequential recursion (the parallel branches
 	// recover on their own goroutines) surfaces as an error, never as a
@@ -158,13 +158,14 @@ func (e *engine) run(g *graph.Graph, sp splitSpec, kwayRefine bool) (res *Result
 	if kwayRefine && k >= 2 {
 		t0 := time.Now()
 		p := kway.NewPartition(g, k, res.Where)
-		e.guardedKWayRefine(p, kway.Options{
+		tr := trace.WithSeed(e.tracer, e.opts.Seed)
+		e.guardedKWayRefine(p, refine.KWayOptions{
 			Ubfactor:  e.opts.Ubfactor,
 			Seed:      e.opts.Seed,
 			Workspace: ws,
-			Tracer:    trace.WithSeed(e.tracer, e.opts.Seed),
+			Tracer:    tr,
 			Counters:  &res.Stats.Counters,
-		}, &res.Stats, trace.WithSeed(e.tracer, e.opts.Seed), e.opts.Refinement == refine.BKWAY)
+		}, &res.Stats, tr)
 		res.Stats.RefineTime += time.Since(t0)
 	}
 	if _, uniform := sp.(uniformSplit); uniform {
@@ -586,18 +587,12 @@ func rebalance(b *refine.Bisection, ropts refine.Options) {
 
 // guardedKWayRefine is guardedRefine's direct k-way counterpart: a faulted
 // or panicking k-way pass leaves the level's projected partition in place.
-// useBKWAY selects the kernel — the boundary engine of refine.RefineKWay
-// (with RefineWorkers propose-phase fan-out) versus the classic full-sweep
-// kway.Refine. First cycles pass the Refinement policy's choice; the extra
-// cycles of the eco/strong presets always use BKWAY.
-func (e *engine) guardedKWayRefine(p *kway.Partition, kopts kway.Options, stats *Stats, tr trace.Tracer, useBKWAY bool) {
-	algo := "KWAY"
-	if useBKWAY {
-		algo = "BKWAY"
-	}
+// It runs the boundary k-way kernel, refine.RefineKWay, with the engine's
+// RefineWorkers propose fan-out and fault injector.
+func (e *engine) guardedKWayRefine(p *kway.Partition, kopts refine.KWayOptions, stats *Stats, tr trace.Tracer) {
 	if ierr := e.inj.Fire(faults.SiteKWayLevel); ierr != nil {
 		e.noteDegradation(stats, tr, trace.Degradation{
-			Phase: "kway", From: algo, To: "projected",
+			Phase: "kway", From: "BKWAY", To: "projected",
 			Level: kopts.Level, Reason: ierr.Error(),
 		})
 		return
@@ -606,23 +601,12 @@ func (e *engine) guardedKWayRefine(p *kway.Partition, kopts kway.Options, stats 
 		if r := recover(); r != nil {
 			pe := faults.AsPanic(faults.SiteKWayLevel, r)
 			e.noteDegradation(stats, tr, trace.Degradation{
-				Phase: "kway", From: algo, To: "projected",
+				Phase: "kway", From: "BKWAY", To: "projected",
 				Level: kopts.Level, Reason: pe.Error(),
 			})
 		}
 	}()
-	if useBKWAY {
-		refine.RefineKWay(p, refine.KWayOptions{
-			Ubfactor:  kopts.Ubfactor,
-			Seed:      kopts.Seed,
-			Workers:   e.opts.RefineWorkers,
-			Workspace: kopts.Workspace,
-			Level:     kopts.Level,
-			Tracer:    kopts.Tracer,
-			Counters:  kopts.Counters,
-			Injector:  e.inj,
-		})
-		return
-	}
-	kway.Refine(p, kopts)
+	kopts.Workers = e.opts.RefineWorkers
+	kopts.Injector = e.inj
+	refine.RefineKWay(p, kopts)
 }

@@ -14,7 +14,7 @@ import (
 // PartitionKWay computes a k-way partition with the *direct multilevel
 // k-way* scheme: the graph is coarsened once, the coarsest graph is split
 // into k parts by recursive bisection, and the k-way partition is then
-// projected and refined (greedy k-way refinement) at every uncoarsening
+// projected and refined (boundary k-way refinement) at every uncoarsening
 // level. Compared with plain recursive bisection — which rebuilds a
 // hierarchy for each of the k-1 bisections — this coarsens once, so it is
 // substantially faster for large k at comparable quality. This is the
@@ -75,7 +75,7 @@ func (e *engine) runKWay(g *graph.Graph, k int) (res *Result, err error) {
 	// Uncoarsen: project the k-way partition and refine at every level.
 	// Intermediate where-vectors are pooled; only the finest one is copied
 	// into the escaping result.
-	where, ok := e.phaseUncoarsenKWay(h, k, where, opts.Seed, ws, &res.Stats, tr, opts.Refinement == refine.BKWAY)
+	where, ok := e.phaseUncoarsenKWay(h, k, where, opts.Seed, ws, &res.Stats, tr)
 	if !ok {
 		h.Release(ws)
 		return nil, fmt.Errorf("multilevel: %w", e.err)

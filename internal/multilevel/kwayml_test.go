@@ -1,8 +1,10 @@
 package multilevel
 
 import (
+	"slices"
 	"testing"
 
+	"mlpart/internal/graph"
 	"mlpart/internal/matgen"
 	"mlpart/internal/refine"
 )
@@ -101,6 +103,50 @@ func TestPartitionKWayDeterministic(t *testing.T) {
 	for v := range a.Where {
 		if a.Where[v] != b.Where[v] {
 			t.Fatal("PartitionKWay not deterministic")
+		}
+	}
+}
+
+// TestDirectKWayDefaultIsBKWAY pins that every k-way refinement runs the
+// one boundary kernel: the default refinement and an explicit BKWAY give
+// bit-identical partitions on the direct k-way path and on the KWayRefine
+// pass after recursive bisection, for every preset, on a mesh and on a
+// power-law graph.
+func TestDirectKWayDefaultIsBKWAY(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"mesh", matgen.FE3DTetra(10, 10, 10, 3)},
+		{"soc", matgen.SocialNetwork(4096, 4, 1)},
+	}
+	paths := []struct {
+		name string
+		run  func(*graph.Graph, Options) (*Result, error)
+	}{
+		{"PartitionKWay", func(g *graph.Graph, o Options) (*Result, error) { return PartitionKWay(g, 16, o) }},
+		{"Partition+KWayRefine", func(g *graph.Graph, o Options) (*Result, error) {
+			o.KWayRefine = true
+			return Partition(g, 16, o)
+		}},
+	}
+	for _, gc := range graphs {
+		for _, pc := range paths {
+			for _, preset := range []Preset{PresetFast, PresetEco, PresetStrong} {
+				opts := Options{Seed: 4, Preset: preset}
+				def, err := pc.run(gc.g, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bk, err := pc.run(gc.g, opts.WithRefinement(refine.BKWAY))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(def.Where, bk.Where) {
+					t.Errorf("%s/%s/%s: default cut %d, BKWAY cut %d: partitions differ",
+						gc.name, pc.name, preset, def.EdgeCut, bk.EdgeCut)
+				}
+			}
 		}
 	}
 }

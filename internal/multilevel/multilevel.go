@@ -93,9 +93,11 @@ type Options struct {
 	matchingSet bool
 	// InitMethod is the coarsest-graph partitioner (zero value: GGGP).
 	InitMethod initpart.Method
-	// Refinement is the uncoarsening policy; the zero value selects BKLGR
-	// (the paper's choice), not refine.NoRefine. Use WithRefinement to
-	// disable refinement explicitly.
+	// Refinement is the bisection uncoarsening policy; the zero value
+	// selects BKLGR (the paper's choice), not refine.NoRefine. Use
+	// WithRefinement to disable refinement explicitly. k-way refinement
+	// always runs the boundary k-way kernel, so BKWAY and BKLGR are one
+	// configuration.
 	Refinement refine.Policy
 	// refinementSet distinguishes an explicit NoRefine from the zero value.
 	refinementSet bool
@@ -127,9 +129,9 @@ type Options struct {
 	// when Parallel is set; smaller subproblems run sequentially.
 	// 0 means 2000.
 	ParallelMinVertices int
-	// KWayRefine runs a direct k-way greedy refinement pass over the
-	// assembled partition after recursive bisection, the natural extension
-	// of the paper's scheme (it never worsens the cut).
+	// KWayRefine runs boundary k-way refinement (refine.RefineKWay) over
+	// the assembled partition after recursive bisection, the natural
+	// extension of the paper's scheme (it never worsens the cut).
 	KWayRefine bool
 	// NCuts runs each full multilevel bisection this many times with
 	// independent seeds and keeps the smallest cut (quality for time, the
@@ -159,10 +161,11 @@ type Options struct {
 	// Cycles, when > 0, overrides the preset's cycle count directly
 	// (1 = fast). 0 defers to Preset.
 	Cycles int
-	// RefineWorkers > 1 fans the propose phase of boundary k-way refinement
-	// (the BKWAY policy on the direct k-way path) out over that many
-	// workers. Unlike CoarsenWorkers it never changes the result: proposals
-	// are chunk-independent and commits are serial, so the partition is
+	// RefineWorkers > 1 fans the propose phase of boundary k-way
+	// refinement — every k-way refinement of PartitionKWay, the KWayRefine
+	// pass and the extra cycles — out over that many workers. Unlike
+	// CoarsenWorkers it never changes the result: proposals are
+	// chunk-independent and commits are serial, so the partition is
 	// bit-identical for every worker count. <= 1 refines serially.
 	RefineWorkers int
 
@@ -293,7 +296,8 @@ func (o Options) Validate() error {
 }
 
 // Plan returns o as the engine runs it, reduced to what can change a
-// result: every default applied, the preset folded into Cycles, and the
+// result: every default applied, the preset folded into Cycles, BKWAY
+// folded into BKLGR (the two refine identically on every path), and the
 // knobs that are parity-tested never to change a result (Parallel,
 // ParallelDepth, ParallelMinVertices, RefineWorkers) cleared along with
 // the per-run Context, Tracer and Injector. Options with equal plans
@@ -301,6 +305,9 @@ func (o Options) Validate() error {
 func (o Options) Plan() Options {
 	o = o.withDefaults()
 	o.matchingSet, o.refinementSet = true, true
+	if o.Refinement == refine.BKWAY {
+		o.Refinement = refine.BKLGR
+	}
 	o.Cycles, o.Preset = o.CycleCount(), PresetFast
 	o.Parallel, o.ParallelDepth, o.ParallelMinVertices, o.RefineWorkers = false, 0, 0, 0
 	o.Context, o.Tracer, o.Injector = nil, nil, nil

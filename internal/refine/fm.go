@@ -31,13 +31,12 @@ const (
 	// BKLGR combines BKLR and BGR: BKLR while the boundary of the current
 	// graph is small (< 2% of the original vertex count), BGR afterwards.
 	BKLGR
-	// BKWAY — boundary k-way refinement — is the direct k-way engine of
-	// kwayfm.go: greedy moves restricted to an explicitly maintained
-	// boundary set, with optionally parallel propose phases. On the 2-way
-	// bisection path it behaves exactly like BKLGR (the boundary engine
-	// needs a k-way partition object, which recursive bisection does not
-	// build); the policy changes behavior only where a direct k-way
-	// uncoarsening runs (Options.KWayRefine / PartitionDirectKWay).
+	// BKWAY names boundary k-way refinement, the engine of kwayfm.go:
+	// greedy moves restricted to an explicitly maintained boundary set,
+	// with optionally parallel propose phases. Every k-way refinement runs
+	// that engine whatever the policy, and on the 2-way bisection path
+	// BKWAY behaves exactly like BKLGR, so the two policies give identical
+	// results everywhere; BKWAY stays a valid name for compatibility.
 	BKWAY
 )
 
@@ -154,20 +153,13 @@ func Refine(b *Bisection, policy Policy, opts Options) int {
 		fmPass(b, opts, true, 0)
 	case BKLR:
 		iterate(b, opts, true)
-	case BKLGR:
+	case BKLGR, BKWAY:
 		// The hybrid rule from §3.3: precise multi-pass boundary refinement
 		// while the boundary is small relative to the original graph,
-		// single-pass boundary refinement once it is large.
+		// single-pass boundary refinement once it is large. BKWAY names the
+		// boundary k-way engine (kwayfm.go), which every k-way refinement
+		// runs whatever the policy; on a 2-way bisection it means BKLGR.
 		if len(b.Boundary())*50 < opts.OrigNvtxs { // boundary < 2% of original n
-			iterate(b, opts, true)
-		} else {
-			fmPass(b, opts, true, 0)
-		}
-	case BKWAY:
-		// The boundary k-way engine (kwayfm.go) only exists on the direct
-		// k-way path; on a 2-way bisection BKWAY means BKLGR, so recursive
-		// bisections inside a BKWAY run still refine at full quality.
-		if len(b.Boundary())*50 < opts.OrigNvtxs {
 			iterate(b, opts, true)
 		} else {
 			fmPass(b, opts, true, 0)

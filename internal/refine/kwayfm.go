@@ -1,10 +1,13 @@
 // Boundary k-way refinement (the BKWAY policy): the paper's §3.3 insight —
 // only boundary vertices ever move, so restricting the search to the
 // boundary buys KL-quality cuts at a fraction of the cost — applied to the
-// direct k-way path. Where kway.Refine sweeps every vertex of the graph on
-// every pass, this engine keeps the connectivity of the boundary current
-// across moves, as METIS's k-way refinement does, and a pass never reads
-// an adjacency list except to update the neighbours of a vertex it moves.
+// direct k-way path. It is the only k-way refinement kernel: the direct
+// k-way V-cycle, the KWayRefine pass after recursive bisection, the extra
+// cycles of the eco/strong presets, repartitioning and session repair all
+// run it. Rather than sweep every vertex of the graph on every pass, it
+// keeps the connectivity of the boundary current across moves, as METIS's
+// k-way refinement does, and a pass never reads an adjacency list except
+// to update the neighbours of a vertex it moves.
 //
 // Connectivity: every vertex v has id[v], the weight of its edges inside
 // its own part, and every boundary vertex a list of (adjacent part,
@@ -415,10 +418,21 @@ func RefineKWay(p *kway.Partition, opts KWayOptions) int {
 	return p.Cut
 }
 
-// kwayLimit is the part-weight bound of a move's destination: the same
-// slackened tolerance as kway.Refine, the imbalance factor but never
-// tighter than one maximum vertex above target (heavy multinodes on coarse
-// levels must stay movable).
+// RepartitionKWay adapts p to its graph's current vertex weights: it
+// rebalances against the incumbent partition orig (kway.Rebalance), then
+// recovers the cut the diffusion moves lost with boundary k-way
+// refinement, which respects the balance the rebalance established. It
+// returns the final cut. mlpart.Repartition and the sessions' full repair
+// tier both run it, so the two give one answer for one input.
+func RepartitionKWay(p *kway.Partition, orig []int, opts kway.RebalanceOptions) int {
+	kway.Rebalance(p, orig, opts)
+	return RefineKWay(p, KWayOptions{Ubfactor: opts.Ubfactor, Seed: opts.Seed})
+}
+
+// kwayLimit is the part-weight bound of a move's destination: the
+// imbalance factor times the target weight, but never tighter than one
+// maximum vertex above target (heavy multinodes on coarse levels must
+// stay movable).
 func kwayLimit(g *graph.Graph, k int, ubfactor float64) int {
 	target := g.TotalVertexWeight() / k
 	maxVwgt := 0

@@ -20,8 +20,9 @@ import (
 
 // projectedKWay returns the kind of partition refinement meets on the way
 // up a direct k-way V-cycle: g is contracted by one HEM level, the coarse
-// graph is partitioned by multilevel.PartitionKWay, and that partition is
-// projected back onto g. Unlike a random assignment it has a realistic
+// graph is partitioned by multilevel.PartitionKWay (refinement named BKWAY
+// explicitly, so the start cannot move with the default policy), and that
+// partition is projected back onto g. Unlike a random assignment it has a realistic
 // boundary — a thin layer of vertices with a few adjacent parts each.
 func projectedKWay(tb testing.TB, g *graph.Graph, k int) []int {
 	tb.Helper()
@@ -29,7 +30,7 @@ func projectedKWay(tb testing.TB, g *graph.Graph, k int) []int {
 	if len(h.Levels) != 2 {
 		tb.Fatalf("coarsening built %d levels, want 2", len(h.Levels))
 	}
-	res, err := multilevel.PartitionKWay(h.Coarsest(), k, multilevel.Options{Seed: 1})
+	res, err := multilevel.PartitionKWay(h.Coarsest(), k, multilevel.Options{Seed: 1}.WithRefinement(refine.BKWAY))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -52,13 +53,32 @@ func whereHash(where []int) uint64 {
 	return h.Sum64()
 }
 
+// recursiveKWay returns the start the KWayRefine pass meets: the k-way
+// partition recursive bisection assembles.
+func recursiveKWay(tb testing.TB, g *graph.Graph, k int) []int {
+	tb.Helper()
+	res, err := multilevel.Partition(g, k, multilevel.Options{Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.Where
+}
+
+// randomKWay returns a uniform random k-way start.
+func randomKWay(_ testing.TB, g *graph.Graph, k int) []int {
+	return refine.RandomKWhere(g.NumVertices(), k, 5)
+}
+
 // TestRefineKWayPinned pins the exact partitions boundary k-way refinement
 // produces: the start and final cut, the pass and move counts and a hash
 // of Where, for a mesh and a power-law graph from projected starts at two
-// k, plus one random start on the power-law graph (far more moves), each
-// at two worker counts. The values were recorded from the engine that
-// rescanned each vertex's adjacency on every propose and commit; the
-// incremental per-part degree lists must reproduce them bit for bit.
+// k, one random start on the power-law graph (far more moves) and one
+// recursive-bisection start on the mesh, each at two worker counts. The
+// random-start values were recorded from the engine that rescanned each
+// vertex's adjacency on every propose and commit, which the incremental
+// per-part degree lists reproduce bit for bit; the projected starts were
+// recorded while a second, full-sweep k-way kernel still existed, and held
+// unchanged when it was deleted. Refinement never worsens a start.
 func TestRefineKWayPinned(t *testing.T) {
 	fe3d := matgen.FE3DTetra(20, 20, 20, 1)
 	soc := matgen.SocialNetwork(16384, 4, 1)
@@ -66,27 +86,27 @@ func TestRefineKWayPinned(t *testing.T) {
 		name                      string
 		g                         *graph.Graph
 		k                         int
-		random                    bool
+		base                      func(testing.TB, *graph.Graph, int) []int
 		start, cut, passes, moves int
 		hash                      uint64
 	}{
-		{"fe3d/k=8", fe3d, 8, false, 3385, 3041, 8, 307, 0x3bf92cbb4ff3ea21},
-		{"fe3d/k=32", fe3d, 32, false, 6572, 5981, 8, 587, 0xa98af2981cd5fde4},
-		{"soc/k=8", soc, 8, false, 37137, 37137, 1, 0, 0xb1db1f4f6b6641},
-		{"soc/k=32", soc, 32, false, 45503, 45502, 8, 117, 0x89e26345d6ddde1},
-		{"soc-random/k=8", soc, 8, true, 57154, 38304, 8, 16193, 0x9717f85863b0b163},
+		{"fe3d/k=8", fe3d, 8, projectedKWay, 3324, 2974, 8, 322, 0x7b62536118c9d47},
+		{"fe3d/k=32", fe3d, 32, projectedKWay, 6650, 6011, 8, 662, 0xda9b2bf650aa8cd3},
+		{"soc/k=8", soc, 8, projectedKWay, 36955, 36955, 1, 0, 0x411152d6449d4ba4},
+		{"soc/k=32", soc, 32, projectedKWay, 45476, 45475, 8, 42, 0xe992c9424b8ee2da},
+		{"soc-random/k=8", soc, 8, randomKWay, 57154, 38304, 8, 16193, 0x9717f85863b0b163},
+		{"fe3d-recursive/k=16", fe3d, 16, recursiveKWay, 4385, 4292, 8, 112, 0xbc4c417d6d85122d},
 	} {
-		base := projectedKWay
-		if tc.random {
-			base = func(_ testing.TB, g *graph.Graph, k int) []int { return refine.RandomKWhere(g.NumVertices(), k, 5) }
-		}
-		where := base(t, tc.g, tc.k)
+		where := tc.base(t, tc.g, tc.k)
 		for _, workers := range []int{0, 4} {
 			p := kway.NewPartition(tc.g, tc.k, slices.Clone(where))
 			start := p.Cut
 			ctr := &trace.Counters{}
 			cut := refine.RefineKWay(p, refine.KWayOptions{Seed: 7, Workers: workers, Counters: ctr})
 			refine.VerifyKWay(t, p)
+			if cut > start {
+				t.Errorf("%s workers=%d: cut worsened %d -> %d", tc.name, workers, start, cut)
+			}
 			hash := whereHash(p.Where)
 			if start != tc.start || cut != tc.cut || ctr.RefinePasses != tc.passes || ctr.RefineMoves != tc.moves || hash != tc.hash {
 				t.Errorf("%s workers=%d: start %d, cut %d, passes %d, moves %d, hash %#x; want %d, %d, %d, %d, %#x",

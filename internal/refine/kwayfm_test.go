@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mlpart/internal/faults"
+	"mlpart/internal/graph"
 	"mlpart/internal/kway"
 	"mlpart/internal/matgen"
 	"mlpart/internal/trace"
@@ -42,19 +43,32 @@ func verifyKWay(t *testing.T, p *kway.Partition) {
 	}
 }
 
+// TestRefineKWayMaintainsInvariants refines random starts — a mesh at
+// k=5, and small 3D meshes at k from 2 to 7, one graph per seed — and
+// checks that the cut never worsens and that the incrementally kept cut,
+// part weights and part range match a recount.
 func TestRefineKWayMaintainsInvariants(t *testing.T) {
-	g := matgen.Mesh2DTri(20, 20, 0.02, 7)
-	const k = 5
-	p := kway.NewPartition(g, k, randomKWhere(g.NumVertices(), k, 3))
-	before := p.Cut
-	after := RefineKWay(p, KWayOptions{Seed: 1})
-	if after > before {
-		t.Errorf("cut worsened %d -> %d", before, after)
+	type input struct {
+		g    *graph.Graph
+		k    int
+		seed int64
 	}
-	if after != p.Cut {
-		t.Errorf("returned cut %d, state says %d", after, p.Cut)
+	inputs := []input{{matgen.Mesh2DTri(20, 20, 0.02, 7), 5, 3}}
+	for seed := int64(0); seed < 10; seed++ {
+		inputs = append(inputs, input{matgen.FE3DTetra(5, 5, 4, seed), 2 + int(seed%6), seed})
 	}
-	verifyKWay(t, p)
+	for _, in := range inputs {
+		p := kway.NewPartition(in.g, in.k, randomKWhere(in.g.NumVertices(), in.k, in.seed))
+		before := p.Cut
+		after := RefineKWay(p, KWayOptions{Seed: in.seed})
+		if after > before {
+			t.Errorf("k=%d seed %d: cut worsened %d -> %d", in.k, in.seed, before, after)
+		}
+		if after != p.Cut {
+			t.Errorf("k=%d seed %d: returned cut %d, state says %d", in.k, in.seed, after, p.Cut)
+		}
+		verifyKWay(t, p)
+	}
 }
 
 func TestRefineKWayImprovesRandomPartition(t *testing.T) {

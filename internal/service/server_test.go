@@ -373,10 +373,12 @@ func TestCacheCanonicalization(t *testing.T) {
 		t.Errorf("different seed X-Cache = %q, want miss", got)
 	}
 	// Every spelling of a default the engine resolves the same way hits
-	// the entry above: ubfactor 1 runs as 1.05, and ncuts, coarsen_workers
-	// and refine_workers of 1 or less all run serially.
+	// the entry above: ubfactor 1 runs as 1.05, BKWAY refines as BKLGR,
+	// and ncuts, coarsen_workers and refine_workers of 1 or less all run
+	// serially.
 	for _, o := range []*mlpart.Options{
 		{InitPart: mlpart.InitGGGP, Refinement: mlpart.RefineBKLGR},
+		{Refinement: mlpart.RefineBKWAY},
 		{CoarsenTo: 100},
 		{Ubfactor: 1},
 		{Ubfactor: 1.05},

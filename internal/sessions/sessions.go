@@ -79,7 +79,8 @@ const (
 	TierNone Tier = -1
 	// TierBoundary is incremental boundary-local BKWAY refinement.
 	TierBoundary Tier = 0
-	// TierFull is a full migration-aware repartition (rebalance+refine).
+	// TierFull is a full migration-aware repartition (rebalance, then
+	// boundary refinement): refine.RepartitionKWay, as mlpart.Repartition.
 	TierFull Tier = 1
 	// TierVCycle is a fresh multilevel V-cycle from scratch.
 	TierVCycle Tier = 2
@@ -1033,8 +1034,7 @@ func (s *session) repair(m *Manager, tier Tier, replay bool) error {
 		case TierFull:
 			wh := append([]int(nil), s.where...)
 			p := kway.NewPartition(g, s.k, wh)
-			kway.Rebalance(p, s.where, kway.RebalanceOptions{Ubfactor: s.ubfactor, Seed: s.seed})
-			kway.Refine(p, kway.Options{Ubfactor: s.ubfactor, Seed: s.seed})
+			refine.RepartitionKWay(p, s.where, kway.RebalanceOptions{Ubfactor: s.ubfactor, Seed: s.seed})
 			s.adopt(p, true)
 		case TierVCycle:
 			res, verr := multilevel.PartitionKWay(g, s.k, multilevel.Options{

@@ -29,7 +29,7 @@ const (
 	// KindInitial reports the coarsest-graph partition: the cut, the
 	// algorithm and the number of trials.
 	KindInitial Kind = "initial"
-	// KindPass reports one refinement pass (2-way FM or k-way greedy):
+	// KindPass reports one refinement pass (2-way FM or boundary k-way):
 	// moves made, moves with positive gain, and the resulting cut.
 	KindPass Kind = "refine_pass"
 	// KindProject reports a projection to a finer level and the cut the
@@ -121,7 +121,7 @@ type Event struct {
 	Boundary int `json:"boundary,omitempty"`
 
 	// Algorithm names the algorithm behind the event ("GGGP", "BKLGR",
-	// "KWAY", ...).
+	// "BKWAY", ...).
 	Algorithm string `json:"algorithm,omitempty"`
 	// Trials is the number of trials behind an initial partition.
 	Trials int `json:"trials,omitempty"`
@@ -158,7 +158,7 @@ type Tracer interface {
 // counts sum across recursion branches exactly like the timers.
 type Counters struct {
 	// RefinePasses is the number of refinement passes run (2-way FM and
-	// k-way greedy sweeps).
+	// boundary k-way passes).
 	RefinePasses int
 	// RefineMoves is the total number of vertex moves made across passes,
 	// counting moves later undone by the best-prefix rollback.

@@ -203,7 +203,7 @@ const (
 	RefineBGR   = "BGR"   // boundary greedy
 	RefineBKLR  = "BKLR"  // boundary Kernighan-Lin
 	RefineBKLGR = "BKLGR" // hybrid (default; the paper's choice)
-	RefineBKWAY = "BKWAY" // boundary k-way engine on the direct k-way path
+	RefineBKWAY = "BKWAY" // boundary k-way engine; a spelling of RefineBKLGR
 )
 
 // CoarseningOptions selects the coarsening scheme and its per-scheme knobs
@@ -256,11 +256,14 @@ type Options struct {
 	// balanced split, a control for experiments rather than a method to
 	// deploy.
 	InitPart string `json:"init_part,omitempty"`
-	// Refinement is the uncoarsening policy: RefineNone, RefineGR,
-	// RefineKLR, RefineBGR, RefineBKLR, RefineBKLGR or RefineBKWAY. Empty
-	// means RefineBKLGR. RefineBKWAY selects the boundary k-way engine on
-	// the direct k-way path (PartitionDirectKWay and the KWayRefine
-	// post-pass) and behaves like RefineBKLGR during recursive bisection.
+	// Refinement is the bisection uncoarsening policy: RefineNone,
+	// RefineGR, RefineKLR, RefineBGR, RefineBKLR, RefineBKLGR or
+	// RefineBKWAY. Empty means RefineBKLGR. k-way refinement
+	// (PartitionDirectKWay, the KWayRefine post-pass and the extra cycles
+	// of eco/strong) always runs the boundary k-way engine, whatever the
+	// policy. RefineBKWAY names that engine and is kept as a spelling of
+	// RefineBKLGR: the two give identical results and share a service
+	// cache entry.
 	Refinement string `json:"refinement,omitempty"`
 	// CoarsenTo is the coarsest-graph size (0 means 100).
 	CoarsenTo int `json:"coarsen_to,omitempty"`
@@ -283,9 +286,9 @@ type Options struct {
 	// ParallelMinVertices is the smallest subgraph that still fans out
 	// when Parallel is set (0 means 2000).
 	ParallelMinVertices int `json:"parallel_min_vertices,omitempty"`
-	// KWayRefine runs an extra direct k-way refinement pass over the
+	// KWayRefine runs an extra boundary k-way refinement over the
 	// assembled partition after recursive bisection (never worsens the
-	// edge-cut; costs one extra sweep over the graph per pass).
+	// edge-cut; each pass visits only the boundary).
 	KWayRefine bool `json:"kway_refine,omitempty"`
 	// NCuts runs every bisection this many times with independent seeds
 	// and keeps the best cut, trading time for quality; <=1 means once.
@@ -295,10 +298,12 @@ type Options struct {
 	// a fixed seed regardless of worker count, but the matching differs
 	// from the sequential default.
 	CoarsenWorkers int `json:"coarsen_workers,omitempty"`
-	// RefineWorkers > 1 fans the propose phase of RefineBKWAY boundary
-	// k-way refinement out over that many workers. Pure scheduling: the
-	// partition is bit-identical for every worker count (proposals are
-	// chunk-independent, commits serial). <= 1 refines serially.
+	// RefineWorkers > 1 fans the propose phase of boundary k-way
+	// refinement — PartitionDirectKWay, the KWayRefine post-pass and the
+	// extra cycles of eco/strong — out over that many workers. Pure
+	// scheduling: the partition is bit-identical for every worker count
+	// (proposals are chunk-independent, commits serial). <= 1 refines
+	// serially.
 	RefineWorkers int `json:"refine_workers,omitempty"`
 	// Preset selects the quality/latency trade: PresetFast (or "") is one
 	// multilevel cycle, PresetEco adds one partition-seeded extra V-cycle,

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"mlpart/internal/kway"
+	"mlpart/internal/refine"
 )
 
 // RepartitionOptions configures Repartition. Like Options it is part of
@@ -105,10 +106,7 @@ func Repartition(g *Graph, k int, oldWhere []int, opts *RepartitionOptions) (*Re
 	ro := opts.rebalance()
 	where := append([]int(nil), oldWhere...)
 	p := kway.NewPartition(g, k, where)
-	kway.Rebalance(p, oldWhere, ro)
-	// Recover cut quality lost to the diffusion moves; greedy k-way
-	// refinement respects the balance the rebalance just established.
-	kway.Refine(p, kway.Options{Ubfactor: ro.Ubfactor, Seed: ro.Seed})
+	refine.RepartitionKWay(p, oldWhere, ro)
 	migrated := 0
 	for v, w := range p.Where {
 		if w != oldWhere[v] {
