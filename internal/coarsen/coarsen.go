@@ -281,28 +281,36 @@ func ContractWS(g *graph.Graph, match []int, cew []int, ws *workspace.Workspace)
 		if cew != nil {
 			ccew[cv] = cew[v]
 		}
+		mv := match[v]
 		cvwgt[cv] = g.Vwgt[v]
-		if match[v] != v && match[v] >= 0 {
-			cvwgt[cv] += g.Vwgt[match[v]]
+		if mv != v && mv >= 0 {
+			cvwgt[cv] += g.Vwgt[mv]
 			if cew != nil {
-				ccew[cv] += cew[match[v]]
+				ccew[cv] += cew[mv]
 			}
-			ccew[cv] += g.EdgeWeight(v, match[v])
 		}
+		// inner is the weight of the first v->mv entry of v's list, the
+		// multinode's internal edge weight as Graph.EdgeWeight reads it;
+		// -1 until the sweep meets it.
+		inner := -1
 		for j := 0; j < 2; j++ {
 			u := v
 			if j == 1 {
-				if match[v] == v || match[v] < 0 {
+				if mv == v || mv < 0 {
 					break
 				}
-				u = match[v]
+				u = mv
 			}
 			adj := g.Neighbors(u)
 			wgt := g.EdgeWeights(u)
 			for i, w := range adj {
 				c := cmap[w]
 				if c == cv {
-					continue // internal edge of the multinode
+					// Internal edge of the multinode.
+					if j == 0 && w == mv && inner < 0 {
+						inner = wgt[i]
+					}
+					continue
 				}
 				if p := htable[c]; p >= 0 {
 					cadjwgt[p] += wgt[i]
@@ -313,6 +321,9 @@ func ContractWS(g *graph.Graph, match []int, cew []int, ws *workspace.Workspace)
 					pos++
 				}
 			}
+		}
+		if inner > 0 {
+			ccew[cv] += inner
 		}
 		for p := start; p < pos; p++ {
 			htable[cadjncy[p]] = -1

@@ -58,7 +58,8 @@ const (
 	// SiteRefineLevel fires before each level's 2-way refinement; an
 	// injected error or a recovered panic keeps the projected partition.
 	SiteRefineLevel = "refine/level"
-	// SiteKWayLevel fires before each level's k-way refinement pass.
+	// SiteKWayLevel fires before each level's k-way refinement pass; an
+	// injected error or a recovered panic keeps the projected partition.
 	SiteKWayLevel = "kway/level"
 	// SiteKWayPass fires at every pass boundary inside boundary k-way
 	// refinement (BKWAY); an injected error abandons the remaining passes

@@ -57,54 +57,48 @@ func (g *Graph) PartSubgraph(where []int, part int) (*Graph, []int) {
 // PartSubgraphWS is PartSubgraph drawing the subgraph's four arrays, the
 // returned local2global map and its scratch from ws. The arrays are pooled
 // buffers owned by the caller, who returns the graph with Release; a nil
-// ws allocates fresh ones.
+// ws allocates fresh ones. One pass over where numbers the part's vertices
+// and sums their degrees, which bounds the subgraph's adjacency, so the
+// second pass reads each kept vertex's adjacency list once; the adjacency
+// arrays keep the bound as capacity.
 func (g *Graph) PartSubgraphWS(where []int, part int, ws *workspace.Workspace) (*Graph, []int) {
 	n := g.NumVertices()
-	sn := 0
-	for _, p := range where[:n] {
+	// global2local is read only at vertices of the part.
+	global2local := ws.Int(n)
+	sn, deg := 0, 0
+	for v, p := range where[:n] {
 		if p == part {
+			global2local[v] = sn
 			sn++
+			deg += g.Degree(v)
 		}
 	}
 	local2global := ws.Int(sn)
-	// global2local is read only at vertices of the part.
-	global2local := ws.Int(n)
 	xadj := ws.Int(sn + 1)
+	adjncy := ws.Int(deg)
+	adjwgt := ws.Int(deg)
+	vwgt := ws.Int(sn)
 	xadj[0] = 0
-	i := 0
+	i, pos := 0, 0
 	for v := 0; v < n; v++ {
 		if where[v] != part {
 			continue
 		}
-		global2local[v] = i
 		local2global[i] = v
-		d := 0
-		for _, u := range g.Neighbors(v) {
-			if where[u] == part {
-				d++
-			}
-		}
-		xadj[i+1] = xadj[i] + d
-		i++
-	}
-	adjncy := ws.Int(xadj[sn])
-	adjwgt := ws.Int(xadj[sn])
-	vwgt := ws.Int(sn)
-	for i, v := range local2global {
 		vwgt[i] = g.Vwgt[v]
-		p := xadj[i]
-		adj := g.Neighbors(v)
 		wgt := g.EdgeWeights(v)
-		for j, u := range adj {
+		for j, u := range g.Neighbors(v) {
 			if where[u] == part {
-				adjncy[p] = global2local[u]
-				adjwgt[p] = wgt[j]
-				p++
+				adjncy[pos] = global2local[u]
+				adjwgt[pos] = wgt[j]
+				pos++
 			}
 		}
+		i++
+		xadj[i] = pos
 	}
 	ws.PutInt(global2local)
-	return &Graph{Xadj: xadj, Adjncy: adjncy, Adjwgt: adjwgt, Vwgt: vwgt}, local2global
+	return &Graph{Xadj: xadj, Adjncy: adjncy[:pos], Adjwgt: adjwgt[:pos], Vwgt: vwgt}, local2global
 }
 
 // Release returns the four CSR arrays of a graph whose arrays came from ws

@@ -66,8 +66,9 @@ func (e *engine) phaseCoarsen(g *graph.Graph, k int, respect []int, rng *rand.Ra
 // phaseInitial partitions the coarsest graph into k parts by recursive
 // bisection (cheap: the coarsest graph is tiny) and returns the coarse
 // where-vector. Its inner trace events are suppressed — the cycle reports
-// one KindInitial event for the whole step — and its preset is forced to
-// fast so the initial partition never recurses into iterated cycles.
+// one KindInitial event for the whole step, plus the bisections'
+// degradations — and its preset is forced to fast so the initial
+// partition never recurses into iterated cycles.
 func (e *engine) phaseInitial(h *coarsen.Hierarchy, k int, tr trace.Tracer, stats *Stats) ([]int, error) {
 	t0 := time.Now()
 	initOpts := e.opts
@@ -84,6 +85,10 @@ func (e *engine) phaseInitial(h *coarsen.Hierarchy, k int, tr trace.Tracer, stat
 	stats.InitTime += time.Since(t0)
 	stats.InitialCut = cres.EdgeCut
 	stats.Bisections += k - 1
+	// The bisections ran without the tracer; report their fallbacks here.
+	degBase := len(stats.Degradations)
+	stats.Degradations = append(stats.Degradations, cres.Stats.Degradations...)
+	emitDegraded(tr, stats.Degradations, degBase)
 	if tr != nil {
 		tr.Event(trace.Event{
 			Kind:      trace.KindInitial,
@@ -118,7 +123,9 @@ func (e *engine) phaseSeed(h *coarsen.Hierarchy, where []int, ws *workspace.Work
 }
 
 // phaseUncoarsenKWay refines the coarsest k-way partition, then projects
-// and refines level by level up to the finest graph. It takes ownership
+// and refines level by level up to the finest graph. Each projection
+// carries the part weights and cut over from the coarser level, so a level
+// reads its adjacency lists once, in the refiner's build. It takes ownership
 // of where (pooled or fresh) and returns the finest-level where (pooled);
 // on cancellation it releases where and returns nil, false. The hierarchy
 // itself is not released.
@@ -138,7 +145,9 @@ func (e *engine) phaseUncoarsenKWay(h *coarsen.Hierarchy, k int, where []int, se
 		}
 		ws.PutInt(where)
 		where = fineWhere
-		p = kway.NewPartition(fine, k, where)
+		// The contraction invariant fixes the fine part weights and cut
+		// to the coarse ones; the refiner's build reads the adjacency.
+		p = &kway.Partition{G: fine, K: k, Where: where, Pwgt: p.Pwgt, Cut: p.Cut}
 		return p.Cut
 	}, func(li int) {
 		kopts.Level = li

@@ -550,18 +550,15 @@ func emitDegraded(tr trace.Tracer, ds []trace.Degradation, from int) {
 }
 
 // guardedRefine runs one level's refinement behind a fault boundary: an
-// injected error skips the pass, and a panic (injected or organic) abandons
-// it. Either way the level keeps its projected partition — refinement is an
-// improvement step, never a correctness requirement — with the balance
-// invariant restored if the abandoned pass had moved vertices.
+// injected error skips the pass, and a panic (injected or organic)
+// abandons it. Either way the level keeps its projected partition —
+// refinement is an improvement step, never a correctness requirement. The
+// recover is installed before the fault site fires, so an injected panic
+// is caught here too. After a panic the bisection's state is recounted
+// from Where, because a move may have been half applied and the next
+// projection carries the state upward, and the balance tolerance is
+// restored.
 func (e *engine) guardedRefine(b *refine.Bisection, policy refine.Policy, ropts refine.Options, stats *Stats, tr trace.Tracer) {
-	if ierr := e.inj.Fire(faults.SiteRefineLevel); ierr != nil {
-		e.noteDegradation(stats, tr, trace.Degradation{
-			Phase: "refine", From: policy.String(), To: "projected",
-			Level: ropts.Level, Reason: ierr.Error(),
-		})
-		return
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			pe := faults.AsPanic(faults.SiteRefineLevel, r)
@@ -569,34 +566,35 @@ func (e *engine) guardedRefine(b *refine.Bisection, policy refine.Policy, ropts 
 				Phase: "refine", From: policy.String(), To: "projected",
 				Level: ropts.Level, Reason: pe.Error(),
 			})
+			b.Recount()
 			rebalance(b, ropts)
 		}
 	}()
+	if ierr := e.inj.Fire(faults.SiteRefineLevel); ierr != nil {
+		e.noteDegradation(stats, tr, trace.Degradation{
+			Phase: "refine", From: policy.String(), To: "projected",
+			Level: ropts.Level, Reason: ierr.Error(),
+		})
+		return
+	}
 	refine.Refine(b, policy, ropts)
 }
 
 // rebalance restores the part-weight tolerance after an abandoned
-// refinement pass (a mid-pass panic can leave moves half-applied). It runs
-// behind its own recover so a bisection corrupted badly enough to break
-// ForceBalance degrades to "imbalanced but structurally valid" instead of
-// cascading the panic.
+// refinement pass. It runs behind its own recover so a bisection corrupted
+// badly enough to break ForceBalance degrades to "imbalanced but
+// structurally valid" instead of cascading the panic.
 func rebalance(b *refine.Bisection, ropts refine.Options) {
 	defer func() { _ = recover() }()
 	refine.ForceBalance(b, ropts)
 }
 
 // guardedKWayRefine is guardedRefine's direct k-way counterpart: a faulted
-// or panicking k-way pass leaves the level's projected partition in place.
-// It runs the boundary k-way kernel, refine.RefineKWay, with the engine's
+// or panicking k-way pass leaves the level's projected partition in place,
+// its part weights and cut recounted from Where after a panic. It runs the
+// boundary k-way kernel, refine.RefineKWay, with the engine's
 // RefineWorkers propose fan-out and fault injector.
 func (e *engine) guardedKWayRefine(p *kway.Partition, kopts refine.KWayOptions, stats *Stats, tr trace.Tracer) {
-	if ierr := e.inj.Fire(faults.SiteKWayLevel); ierr != nil {
-		e.noteDegradation(stats, tr, trace.Degradation{
-			Phase: "kway", From: "BKWAY", To: "projected",
-			Level: kopts.Level, Reason: ierr.Error(),
-		})
-		return
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			pe := faults.AsPanic(faults.SiteKWayLevel, r)
@@ -604,8 +602,16 @@ func (e *engine) guardedKWayRefine(p *kway.Partition, kopts refine.KWayOptions, 
 				Phase: "kway", From: "BKWAY", To: "projected",
 				Level: kopts.Level, Reason: pe.Error(),
 			})
+			*p = *kway.NewPartition(p.G, p.K, p.Where)
 		}
 	}()
+	if ierr := e.inj.Fire(faults.SiteKWayLevel); ierr != nil {
+		e.noteDegradation(stats, tr, trace.Degradation{
+			Phase: "kway", From: "BKWAY", To: "projected",
+			Level: kopts.Level, Reason: ierr.Error(),
+		})
+		return
+	}
 	kopts.Workers = e.opts.RefineWorkers
 	kopts.Injector = e.inj
 	refine.RefineKWay(p, kopts)

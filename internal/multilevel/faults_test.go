@@ -3,13 +3,16 @@ package multilevel
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"mlpart/internal/coarsen"
 	"mlpart/internal/faults"
 	"mlpart/internal/initpart"
+	"mlpart/internal/kway"
 	"mlpart/internal/matgen"
+	"mlpart/internal/metrics"
 	"mlpart/internal/refine"
 	"mlpart/internal/trace"
 )
@@ -262,5 +265,94 @@ func TestValidateRejectsBadEnums(t *testing.T) {
 	}
 	if _, err := Partition(g, 2, Options{}.WithRefinement(refine.Policy(99))); err == nil {
 		t.Error("refinement policy 99 accepted")
+	}
+}
+
+// TestChaosLevelPanicKeepsProjected injects a panic at the second hit of
+// each level refinement site, on the recursive and the direct path: the
+// level must keep its projected partition, the run must succeed with
+// exactly that one degradation, and the reported cut and part weights
+// must be those of the returned partition.
+func TestChaosLevelPanicKeepsProjected(t *testing.T) {
+	g := matgen.FE3DTetra(8, 8, 8, 3)
+	const k = 8
+	for _, plan := range []struct{ spec, phase string }{
+		{"refine/level=panic@2", "refine"},
+		{"kway/level=panic@2", "kway"},
+	} {
+		for _, direct := range []bool{false, true} {
+			name := plan.spec + "/recursive"
+			run := Partition
+			if direct {
+				name = plan.spec + "/direct"
+				run = PartitionKWay
+			}
+			t.Run(name, func(t *testing.T) {
+				res, err := run(g, k, Options{
+					Seed:       4,
+					KWayRefine: true,
+					Preset:     PresetEco,
+					Injector:   faults.MustParse(plan.spec),
+				})
+				if err != nil {
+					t.Fatalf("run failed: %v", err)
+				}
+				verifyResult(t, res, g.NumVertices(), k)
+				if len(res.Stats.Degradations) != 1 {
+					t.Fatalf("degradations = %+v, want exactly one", res.Stats.Degradations)
+				}
+				if d := res.Stats.Degradations[0]; d.Phase != plan.phase || d.To != "projected" {
+					t.Fatalf("degradation = %+v, want %s -> projected", d, plan.phase)
+				}
+				rep, err := metrics.Evaluate(g, res.Where, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.EdgeCut != res.EdgeCut || !reflect.DeepEqual(rep.PartWeights, res.PartWeights) {
+					t.Fatalf("reported cut %d, weights %v; evaluated %d, %v",
+						res.EdgeCut, res.PartWeights, rep.EdgeCut, rep.PartWeights)
+				}
+			})
+		}
+	}
+}
+
+// TestGuardedRefineRecountsAfterPanic: a panic behind the level fault
+// boundaries may leave a move half applied, so the boundaries rebuild the
+// state from Where before anything reads it again. A corrupted state
+// stands in for the half-applied move.
+func TestGuardedRefineRecountsAfterPanic(t *testing.T) {
+	g := matgen.Grid2D(16, 16)
+	e := newEngine(Options{Injector: faults.MustParse("refine/level=panic@1;kway/level=panic@1")})
+	stats := &Stats{}
+
+	where := make([]int, g.NumVertices())
+	for v := range where {
+		where[v] = v % 16 / 8
+	}
+	b := refine.NewBisection(g, where)
+	b.Cut += 7
+	b.Pwgt[0]++
+	b.ED[3] += 2
+	e.guardedRefine(b, refine.BKLGR, refine.Options{}, stats, nil)
+	if err := b.Verify(); err != nil {
+		t.Fatalf("bisection after a recovered panic: %v", err)
+	}
+
+	kwhere := make([]int, g.NumVertices())
+	for v := range kwhere {
+		kwhere[v] = v % 4
+	}
+	p := kway.NewPartition(g, 4, kwhere)
+	want := *p
+	want.Pwgt = slices.Clone(p.Pwgt)
+	p.Cut += 7
+	p.Pwgt[1]--
+	e.guardedKWayRefine(p, refine.KWayOptions{}, stats, nil)
+	if p.Cut != want.Cut || !slices.Equal(p.Pwgt, want.Pwgt) || !slices.Equal(p.Where, want.Where) {
+		t.Fatalf("partition after a recovered panic: cut %d, weights %v; want %d, %v", p.Cut, p.Pwgt, want.Cut, want.Pwgt)
+	}
+	if len(stats.Degradations) != 2 {
+		t.Fatalf("degradations = %+v, want one per boundary", stats.Degradations)
 	}
 }

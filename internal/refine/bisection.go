@@ -33,6 +33,9 @@ type Bisection struct {
 	// Boundary set with O(1) insert/remove/membership.
 	bndList  []int
 	bndIndex []int // position of v in bndList, or -1
+	// maxDeg is the graph's maximum weighted degree (ID[v]+ED[v] over v),
+	// which bounds every gain: the gain buckets' range.
+	maxDeg int
 }
 
 // NewBisection builds the full refinement state for the partition `where`
@@ -50,29 +53,51 @@ func NewBisectionWS(g *graph.Graph, where []int, ws *workspace.Workspace) *Bisec
 	b := &Bisection{
 		G:        g,
 		Where:    where,
-		ID:       ws.IntFilled(n, 0),
-		ED:       ws.IntFilled(n, 0),
-		bndIndex: ws.IntFilled(n, -1),
+		ID:       ws.Int(n),
+		ED:       ws.Int(n),
+		bndIndex: ws.Int(n),
 		bndList:  ws.Int(n)[:0],
 	}
-	for v := 0; v < n; v++ {
+	b.Recount()
+	return b
+}
+
+// Recount rebuilds every derived field of b — part weights, degrees, cut,
+// boundary and maximum degree — from G and Where alone, in place. It is
+// the from-scratch sweep NewBisection runs, and how a caller restores the
+// state after a refinement pass was abandoned mid-move.
+func (b *Bisection) Recount() {
+	g, where := b.G, b.Where
+	b.Pwgt, b.Cut, b.maxDeg = [2]int{}, 0, 0
+	b.bndList = b.bndList[:0]
+	for v := range where {
 		b.Pwgt[where[v]] += g.Vwgt[v]
-		adj := g.Neighbors(v)
+		id, ed := 0, 0
 		wgt := g.EdgeWeights(v)
-		for i, u := range adj {
+		for i, u := range g.Neighbors(v) {
 			if where[u] == where[v] {
-				b.ID[v] += wgt[i]
+				id += wgt[i]
 			} else {
-				b.ED[v] += wgt[i]
+				ed += wgt[i]
 			}
 		}
-		b.Cut += b.ED[v]
-		if b.ED[v] > 0 {
-			b.bndInsert(v)
-		}
+		b.setDegrees(v, id, ed)
+		b.Cut += ed
 	}
 	b.Cut /= 2
-	return b
+}
+
+// setDegrees records v's internal and external degrees, appends v to the
+// boundary when it has a cut edge, and folds its weighted degree into
+// maxDeg. The from-scratch sweeps call it for v in ascending order, which
+// fixes the boundary order.
+func (b *Bisection) setDegrees(v, id, ed int) {
+	b.ID[v], b.ED[v] = id, ed
+	b.bndIndex[v] = -1
+	if ed > 0 {
+		b.bndInsert(v)
+	}
+	b.maxDeg = max(b.maxDeg, id+ed)
 }
 
 // Release returns the bisection's arrays — including Where — to ws; b must
@@ -107,6 +132,7 @@ func (b *Bisection) Detach(ws *workspace.Workspace) *Bisection {
 		Cut:      b.Cut,
 		bndList:  append([]int(nil), b.bndList...),
 		bndIndex: append([]int(nil), b.bndIndex...),
+		maxDeg:   b.maxDeg,
 	}
 	b.Release(ws)
 	return nb
@@ -208,6 +234,9 @@ func (b *Bisection) Verify() error {
 	if fresh.Pwgt != b.Pwgt {
 		return fmt.Errorf("refine: pwgt %v, recomputed %v", b.Pwgt, fresh.Pwgt)
 	}
+	if fresh.maxDeg != b.maxDeg {
+		return fmt.Errorf("refine: max degree %d, recomputed %d", b.maxDeg, fresh.maxDeg)
+	}
 	for v := range b.Where {
 		if fresh.ID[v] != b.ID[v] || fresh.ED[v] != b.ED[v] {
 			return fmt.Errorf("refine: degrees of %d: id/ed %d/%d, recomputed %d/%d",
@@ -222,9 +251,16 @@ func (b *Bisection) Verify() error {
 
 // Project carries a coarse bisection up to the fine graph it was contracted
 // from: fine vertex v inherits the part of its multinode cmap[v]. The
-// projected partition has the same cut and part weights by construction
-// (the contraction invariant); the returned state is rebuilt on the fine
-// graph so refinement can proceed.
+// contraction invariant — a multinode weighs what its fine vertices weigh,
+// and a coarse edge what the fine edges it merges weigh — fixes the fine
+// part weights and cut to the coarse ones, so they are copied, not
+// recounted. The degrees are derived in one sweep that reads each fine
+// adjacency list once, and the part of a neighbour only where the
+// multinode was on the coarse boundary: a fine vertex of an interior
+// multinode (ED == 0) is interior too, its internal degree its weighted
+// degree. That takes edge weights > 0 and no self-loops, which
+// Graph.Validate enforces. The result equals NewBisection of the
+// projected partition field for field, boundary order included.
 func Project(fine *graph.Graph, cmap []int, coarse *Bisection) *Bisection {
 	return ProjectWS(fine, cmap, coarse, nil)
 }
@@ -234,11 +270,39 @@ func Project(fine *graph.Graph, cmap []int, coarse *Bisection) *Bisection {
 // typically Releases it once the projection is built.
 func ProjectWS(fine *graph.Graph, cmap []int, coarse *Bisection, ws *workspace.Workspace) *Bisection {
 	n := fine.NumVertices()
-	where := ws.Int(n)
-	for v := 0; v < n; v++ {
+	b := &Bisection{
+		G:        fine,
+		Where:    ws.Int(n),
+		Pwgt:     coarse.Pwgt,
+		ID:       ws.Int(n),
+		ED:       ws.Int(n),
+		Cut:      coarse.Cut,
+		bndIndex: ws.Int(n),
+		bndList:  ws.Int(n)[:0],
+	}
+	where := b.Where
+	for v := range where {
 		where[v] = coarse.Where[cmap[v]]
 	}
-	return NewBisectionWS(fine, where, ws)
+	for v := range where {
+		id, ed := 0, 0
+		wgt := fine.EdgeWeights(v)
+		if coarse.ED[cmap[v]] == 0 {
+			for _, w := range wgt {
+				id += w
+			}
+		} else {
+			for i, u := range fine.Neighbors(v) {
+				if where[u] == where[v] {
+					id += wgt[i]
+				} else {
+					ed += wgt[i]
+				}
+			}
+		}
+		b.setDegrees(v, id, ed)
+	}
+	return b
 }
 
 // ComputeCut returns the edge-cut of an arbitrary k-way partition vector

@@ -192,10 +192,9 @@ func fmPass(b *Bisection, opts Options, boundaryOnly bool, pass int) bool {
 	}
 	ws := opts.Workspace
 	n := b.G.NumVertices()
-	maxGain := b.G.MaxWeightedDegree()
 	var bk0, bk1 GainBuckets
-	bk0.Init(n, maxGain, ws)
-	bk1.Init(n, maxGain, ws)
+	bk0.Init(n, b.maxDeg, ws)
+	bk1.Init(n, b.maxDeg, ws)
 	buckets := [2]*GainBuckets{&bk0, &bk1}
 	locked := ws.Bool(n)
 	limit := maxAllowed(b, opts)
@@ -337,7 +336,7 @@ func ForceBalance(b *Bisection, opts Options) {
 	}
 	n := b.G.NumVertices()
 	var bk GainBuckets
-	bk.Init(n, b.G.MaxWeightedDegree(), opts.Workspace)
+	bk.Init(n, b.maxDeg, opts.Workspace)
 	defer bk.Free(opts.Workspace)
 	for _, v := range b.Boundary() {
 		if b.Where[v] == from {

@@ -14,15 +14,17 @@
 // degree) pairs — one per other part it has an edge into, with the total
 // weight of those edges. The lists live in one pool, v's in a slot at
 // off[v] holding cnt[v] pairs; v is on the boundary exactly when
-// cnt[v] > 0. A slot is first sized to the parts its vertex touches when
-// the lists are built — a mesh boundary vertex touches one or two parts
-// of its dozen neighbours' — and the pool holds those slots plus an
-// eighth. When a vertex first touches one part more (or, interior at the
-// build, joins the boundary), its pairs move to a fresh slot of
-// min(deg(v), k-1) pairs, all it can ever need, at the end of the pool,
-// which grows by half when full. A move of v from part a to part b turns
-// v's pair for b into (a, id[v]) — or drops it when id[v] was 0 — and
-// shifts each neighbour's id and its pairs for a and b in place.
+// cnt[v] > 0. The lists are built in one sweep over the adjacency lists.
+// A slot is first sized to the parts its vertex touches — a mesh boundary
+// vertex touches one or two parts of its dozen neighbours' — and the pool
+// starts at min(Σ_v min(deg(v), k-1), 2·Cut) pairs, a bound on the pairs
+// of any partition of the graph with that cut. When a vertex first
+// touches one part more (or, interior at the build, joins the boundary),
+// its pairs move to a fresh slot of min(deg(v), k-1) pairs, all it can
+// ever need, at the end of the pool, which grows by half when full. A
+// move of v from part a to part b turns v's pair for b into (a, id[v]) —
+// or drops it when id[v] was 0 — and shifts each neighbour's id and its
+// pairs for a and b in place.
 //
 // Each pass is a propose/commit protocol:
 //
@@ -197,87 +199,76 @@ func (r *kwayRefiner) bndFix(v int) {
 }
 
 // build computes id for every vertex and the pair lists of the initial
-// boundary. The first sweep counts the parts each vertex touches besides
-// its own (mark[q] == v once v's edges reached part q), inserts boundary
-// vertices in ascending order and sizes each slot to its count; the pool
-// holds those slots plus an eighth. The second sweep fills the lists,
-// using mark again as pos, the pool index of each part's pair for the
-// vertex at hand.
+// boundary in one sweep over the adjacency lists, writing each vertex's
+// pairs straight into the pool (mark[q] is the pool index of the pair for
+// part q of the vertex at hand, -1 when it has none). A slot is sized to
+// the parts its vertex touches, and boundary vertices are inserted in
+// ascending order. The pool starts at min(Σ_v min(deg(v), k-1), 2·Cut)
+// pairs: no vertex touches more than min(deg(v), k-1) other parts, and
+// each pair owns at least one directed cut edge of weight >= 1. A Cut
+// below the truth, even a negative one, can only cost the copy of a grown
+// pool: every new pair passes reserve.
 func (r *kwayRefiner) build() {
 	g := r.p.G
 	where := r.p.Where
+	bound := 0
+	for v := range where {
+		bound += min(g.Degree(v), r.p.K-1)
+	}
+	size := max(min(bound, 2*r.p.Cut), 0)
+	r.pairPart = r.ws.Int(size)
+	r.pairDeg = r.ws.Int(size)
 	mark := r.ws.IntFilled(r.p.K, -1)
-	size := 0
+	// The pool arrays are held in locals, reloaded only after a grow.
+	pairPart, pairDeg := r.pairPart, r.pairDeg
 	for v := range where {
 		pv := where[v]
-		in, c := 0, 0
-		wgt := g.EdgeWeights(v)
-		for i, u := range g.Neighbors(v) {
-			if q := where[u]; q == pv {
-				in += wgt[i]
-			} else if mark[q] != v {
-				mark[q] = v
-				c++
-			}
-		}
-		r.id[v] = in
-		r.cnt[v] = 0
-		r.room[v] = c
-		if c > 0 {
-			r.bndInsert(v)
-			size += c
-		}
-	}
-	r.pairPart = r.ws.Int(size + size/8)
-	r.pairDeg = r.ws.Int(size + size/8)
-
-	pos := mark
-	for i := range pos {
-		pos[i] = -1
-	}
-	for _, v := range r.bndList {
 		o := r.used
-		r.off[v] = o
-		r.used += r.room[v]
-		pv := where[v]
-		c := 0
+		in := 0
 		wgt := g.EdgeWeights(v)
 		for i, u := range g.Neighbors(v) {
 			pu := where[u]
 			if pu == pv {
+				in += wgt[i]
 				continue
 			}
-			j := pos[pu]
+			j := mark[pu]
 			if j < 0 {
-				j = o + c
-				pos[pu] = j
-				r.pairPart[j] = pu
-				r.pairDeg[j] = 0
-				c++
+				if r.used == len(pairPart) {
+					r.reserve(1)
+					pairPart, pairDeg = r.pairPart, r.pairDeg
+				}
+				j = r.used
+				r.used++
+				mark[pu] = j
+				pairPart[j] = pu
+				pairDeg[j] = 0
 			}
-			r.pairDeg[j] += wgt[i]
+			pairDeg[j] += wgt[i]
 		}
+		c := r.used - o
+		r.id[v] = in
+		r.off[v] = o
 		r.cnt[v] = c
-		for _, q := range r.pairPart[o : o+c] {
-			pos[q] = -1
+		r.room[v] = c
+		if c > 0 {
+			r.bndInsert(v)
+			for _, q := range pairPart[o:r.used] {
+				mark[q] = -1
+			}
 		}
 	}
-	r.ws.PutInt(pos)
+	r.ws.PutInt(mark)
 }
 
-// relocate moves v's pairs to a fresh slot at the end of the pool, grown
-// by half when full, of min(deg(v), k-1) pairs: as many parts as v can
-// ever touch, so a vertex moves at most once. It runs when v first
-// touches a part beyond those its slot was sized for — including the
-// first one, for a vertex that was interior when the lists were built.
-// The old slot is abandoned.
+// relocate moves v's pairs to a fresh slot at the end of the pool of
+// min(deg(v), k-1) pairs: as many parts as v can ever touch, so a vertex
+// moves at most once. It runs when v first touches a part beyond those its
+// slot was sized for — including the first one, for a vertex that was
+// interior when the lists were built. The old slot is abandoned.
 func (r *kwayRefiner) relocate(v int) {
 	c := min(r.p.G.Degree(v), r.p.K-1)
-	if r.used+c > len(r.pairPart) {
-		size := max(len(r.pairPart)*3/2, r.used+c)
-		r.pairPart = r.grow(r.pairPart, size)
-		r.pairDeg = r.grow(r.pairDeg, size)
-	}
+	r.reserve(c)
 	if n := r.cnt[v]; n > 0 {
 		o := r.off[v]
 		copy(r.pairPart[r.used:], r.pairPart[o:o+n])
@@ -286,6 +277,17 @@ func (r *kwayRefiner) relocate(v int) {
 	r.off[v] = r.used
 	r.room[v] = c
 	r.used += c
+}
+
+// reserve makes room for c more pairs at the end of the pool, growing it
+// by half (or to fit, if more) when full.
+func (r *kwayRefiner) reserve(c int) {
+	if r.used+c <= len(r.pairPart) {
+		return
+	}
+	size := max(len(r.pairPart)*3/2, r.used+c)
+	r.pairPart = r.grow(r.pairPart, size)
+	r.pairDeg = r.grow(r.pairDeg, size)
 }
 
 // grow moves the used part of a pool array into a new one of the given

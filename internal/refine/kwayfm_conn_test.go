@@ -75,14 +75,20 @@ func checkConnectivity(t testing.TB, r *kwayRefiner) {
 // checkedRefineKWay runs RefineKWay's passes on p — the same build,
 // snapshot, propose and commit steps with the default options — and checks
 // the connectivity against a recount after the build and after every
-// committed move. It returns the moves made and whether the pair pool grew.
-func checkedRefineKWay(t testing.TB, p *kway.Partition, seed int64) (moves int, grew bool) {
+// committed move. With tight set, the pool is cut back after the build to
+// the pairs the build wrote, so the first relocation must grow it; pool
+// size never changes a result. It returns the moves made and whether the
+// pair pool grew.
+func checkedRefineKWay(t testing.TB, p *kway.Partition, seed int64, tight bool) (moves int, grew bool) {
 	t.Helper()
 	ws := &workspace.Workspace{}
 	opts := KWayOptions{}.withDefaults()
 	limit := kwayLimit(p.G, p.K, opts.Ubfactor)
 	r := newKWayRefiner(p, ws)
 	defer r.release()
+	if tight {
+		r.pairPart, r.pairDeg = r.pairPart[:r.used], r.pairDeg[:r.used]
+	}
 	checkConnectivity(t, &r)
 	pool := len(r.pairPart)
 	order := make([]int, p.G.NumVertices())
@@ -124,8 +130,8 @@ func weightedGrid(rows, cols int, seed int64) *graph.Graph {
 
 // tinyBoundaryWhere puts every vertex in part 0 except one vertex per
 // other part, spread evenly over the vertex ids: the initial boundary is a
-// few neighbourhoods, so the pair pool is sized small and must grow as
-// refinement moves the boundary.
+// few neighbourhoods, so a pool holding just the initial pairs must grow
+// as refinement moves the boundary.
 func tinyBoundaryWhere(n, k int) []int {
 	where := make([]int, n)
 	for q := 1; q < k; q++ {
@@ -138,7 +144,9 @@ func tinyBoundaryWhere(n, k int) []int {
 // from-scratch recount after every single commit, over meshes, a power-law
 // graph and a weighted grid, k from 2 to 64, from random starts and from
 // starts with a tiny boundary, and that the refinement is the one
-// RefineKWay itself performs.
+// RefineKWay itself performs. The tiny-boundary starts run with a tight
+// pool (see checkedRefineKWay), which keeps the grow path under the
+// per-commit recount.
 func TestRefineKWayConnectivity(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -159,7 +167,7 @@ func TestRefineKWayConnectivity(t *testing.T) {
 				}
 				name := fmt.Sprintf("%s/k=%d/%s", tc.name, k, start)
 				p := kway.NewPartition(tc.g, k, slices.Clone(where))
-				moves, grew := checkedRefineKWay(t, p, 3)
+				moves, grew := checkedRefineKWay(t, p, 3, start == "tiny")
 				verifyKWay(t, p)
 				if start == "random" && moves == 0 {
 					t.Errorf("%s: no moves from a random start", name)
@@ -184,7 +192,7 @@ func TestRefineKWayConnectivity(t *testing.T) {
 // FuzzRefineKWayConnectivity checks the connectivity invariant over random
 // graphs and partitions. The bytes of data are read in triples (u, v, w)
 // as edges; n, k, the partition and the pass seed come from the other
-// arguments.
+// arguments, and even seeds run with a tight pool.
 func FuzzRefineKWayConnectivity(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 2, 1, 2, 3, 5, 3, 0, 2, 0, 2, 9}, uint8(6), uint8(3), int64(1))
 	f.Add([]byte{0, 1, 9, 0, 2, 9, 0, 3, 9, 0, 4, 9, 4, 5, 1, 5, 6, 1, 6, 7, 1}, uint8(10), uint8(4), int64(7))
@@ -209,7 +217,7 @@ func FuzzRefineKWayConnectivity(f *testing.F) {
 			g.Vwgt[v] = 1 + rng.Intn(4)
 		}
 		p := kway.NewPartition(g, k, slices.Clone(where))
-		checkedRefineKWay(t, p, seed)
+		checkedRefineKWay(t, p, seed, seed%2 == 0)
 		verifyKWay(t, p)
 		ref := kway.NewPartition(g, k, slices.Clone(where))
 		RefineKWay(ref, KWayOptions{Seed: seed})
@@ -217,4 +225,33 @@ func FuzzRefineKWayConnectivity(f *testing.F) {
 			t.Fatal("checked passes diverge from RefineKWay")
 		}
 	})
+}
+
+// TestRefineKWayUnderstatedCut builds the connectivity of partitions whose
+// Cut reads below the truth, down to a negative one: the pool is then
+// sized too small, and the build must grow it rather than write past its
+// end, with the refinement unchanged.
+func TestRefineKWayUnderstatedCut(t *testing.T) {
+	g := matgen.SocialNetwork(600, 4, 2)
+	for _, k := range []int{2, 8, 64} {
+		where := randomKWhere(g.NumVertices(), k, int64(k))
+		ref := kway.NewPartition(g, k, slices.Clone(where))
+		RefineKWay(ref, KWayOptions{Seed: 5})
+		for _, cut := range []int{-5, 0, 1, ref.Cut / 3} {
+			p := kway.NewPartition(g, k, slices.Clone(where))
+			truth := p.Cut
+			p.Cut = cut
+			ws := &workspace.Workspace{}
+			r := newKWayRefiner(p, ws)
+			checkConnectivity(t, &r)
+			if len(r.pairPart) < r.used || r.used <= 2*cut {
+				t.Fatalf("k=%d cut=%d: %d pairs in a pool of %d", k, cut, r.used, len(r.pairPart))
+			}
+			r.release()
+			RefineKWay(p, KWayOptions{Seed: 5})
+			if !slices.Equal(p.Where, ref.Where) || p.Cut-cut != ref.Cut-truth {
+				t.Fatalf("k=%d cut=%d: refinement differs from the one with the true cut", k, cut)
+			}
+		}
+	}
 }

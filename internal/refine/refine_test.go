@@ -187,21 +187,38 @@ func TestProjectPreservesCut(t *testing.T) {
 	for i := range cg.Vwgt {
 		cg.Vwgt[i] = 2
 	}
-	cwhere := randomWhere(cg.NumVertices(), 13)
-	coarse := NewBisection(cg, cwhere)
-	fine := Project(g, cmap, coarse)
-	// The projected cut equals the fine cut of the projected vector.
-	want := ComputeCut(g, fine.Where)
-	if fine.Cut != want {
-		t.Fatalf("projected cut %d, want %d", fine.Cut, want)
+	// A random coarse partition leaves few multinodes interior; halving
+	// the coarse ids leaves most of them interior, which Project takes
+	// without reading their neighbours' parts.
+	cn := cg.NumVertices()
+	half := make([]int, cn)
+	for c := range half {
+		half[c] = 2 * c / cn
 	}
-	for v := 0; v < n; v++ {
-		if fine.Where[v] != cwhere[cmap[v]] {
-			t.Fatal("projection assigned wrong part")
+	for _, tc := range []struct {
+		where       []int
+		minInterior int
+	}{{randomWhere(cn, 13), 0}, {half, cn / 2}} {
+		cwhere := tc.where
+		coarse := NewBisection(cg, cwhere)
+		interior := cn - len(coarse.Boundary())
+		if interior < tc.minInterior {
+			t.Fatalf("only %d of %d multinodes interior, want at least %d", interior, cn, tc.minInterior)
 		}
-	}
-	if err := fine.Verify(); err != nil {
-		t.Fatal(err)
+		fine := Project(g, cmap, coarse)
+		// The projected cut equals the fine cut of the projected vector.
+		want := ComputeCut(g, fine.Where)
+		if fine.Cut != want {
+			t.Fatalf("projected cut %d, want %d", fine.Cut, want)
+		}
+		for v := 0; v < n; v++ {
+			if fine.Where[v] != cwhere[cmap[v]] {
+				t.Fatal("projection assigned wrong part")
+			}
+		}
+		if err := fine.Verify(); err != nil {
+			t.Fatalf("%d of %d multinodes interior: %v", interior, cn, err)
+		}
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -550,8 +551,7 @@ func (m *Manager) Create(g *graph.Graph, cfg Config) (*State, error) {
 	}
 	s.dg = newDynGraph(g)
 	s.where = res.Where
-	p := kway.NewPartition(g, cfg.K, res.Where)
-	s.pwgt = p.Pwgt
+	s.pwgt = res.PartWeights
 	s.cut = res.EdgeCut
 	s.baselineCut = s.cut
 
@@ -1027,13 +1027,11 @@ func (s *session) repair(m *Manager, tier Tier, replay bool) error {
 		g := s.dg.snapshot()
 		switch tier {
 		case TierBoundary:
-			wh := append([]int(nil), s.where...)
-			p := kway.NewPartition(g, s.k, wh)
+			p := s.partition(g)
 			refine.RefineKWay(p, refine.KWayOptions{Ubfactor: s.ubfactor, Seed: s.seed, Workers: 1, Injector: inj})
 			s.adopt(p, false)
 		case TierFull:
-			wh := append([]int(nil), s.where...)
-			p := kway.NewPartition(g, s.k, wh)
+			p := s.partition(g)
 			refine.RepartitionKWay(p, s.where, kway.RebalanceOptions{Ubfactor: s.ubfactor, Seed: s.seed})
 			s.adopt(p, true)
 		case TierVCycle:
@@ -1045,8 +1043,7 @@ func (s *session) repair(m *Manager, tier Tier, replay bool) error {
 			if verr != nil {
 				return verr
 			}
-			p := kway.NewPartition(g, s.k, res.Where)
-			s.adopt(p, true)
+			s.adopt(&kway.Partition{G: g, K: s.k, Where: res.Where, Pwgt: res.PartWeights, Cut: res.EdgeCut}, true)
 		default:
 			return fmt.Errorf("sessions: unknown repair tier %d", tier)
 		}
@@ -1065,6 +1062,15 @@ func (s *session) repair(m *Manager, tier Tier, replay bool) error {
 		m.repairsVCycle.Add(1)
 	}
 	return nil
+}
+
+// partition returns the session's partition of g, its current graph, as
+// refinement state for a repair: a copy of where, with the part weights
+// and cut that every op keeps current (applyOp) rather than a recount. The
+// copies leave the session untouched until adopt, whatever the repair
+// does.
+func (s *session) partition(g *graph.Graph) *kway.Partition {
+	return &kway.Partition{G: g, K: s.k, Where: slices.Clone(s.where), Pwgt: slices.Clone(s.pwgt), Cut: s.cut}
 }
 
 // adopt commits a repaired partition; tiers that rebuild globally reset

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +15,7 @@ import (
 
 	"mlpart/internal/faults"
 	"mlpart/internal/graph"
+	"mlpart/internal/kway"
 	"mlpart/internal/matgen"
 	"mlpart/internal/trace"
 )
@@ -718,5 +721,65 @@ func TestSessionTraceEvents(t *testing.T) {
 		if !phases[want] {
 			t.Fatalf("missing %q event; got %v", want, phases)
 		}
+	}
+}
+
+// TestRepairSeedsFromSessionTotals: the boundary and full tiers seed
+// their refinement from the cut and part weights applyOp keeps current,
+// not from a recount, so those must equal a recount before every repair —
+// after edge additions and removals across and inside parts and vertex
+// reweighting — and again after it.
+func TestRepairSeedsFromSessionTotals(t *testing.T) {
+	m := mustManager(t, Options{})
+	g := matgen.FE3DTetra(6, 6, 6, 2)
+	st := mustCreate(t, m, g, Config{K: 8, Seed: 5})
+	s, err := m.acquire(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.mu.Unlock()
+	check := func(when string) {
+		t.Helper()
+		p := kway.NewPartition(s.dg.snapshot(), s.k, s.where)
+		if s.cut != p.Cut || !slices.Equal(s.pwgt, p.Pwgt) {
+			t.Fatalf("%s: session cut %d, weights %v; recount %d, %v", when, s.cut, s.pwgt, p.Cut, p.Pwgt)
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	n := g.NumVertices()
+	// TierNone stands for the ladder's own choice.
+	tiers := []Tier{TierBoundary, TierFull, TierNone}
+	for round := 0; round < 30; round++ {
+		for i := 0; i < 12; i++ {
+			u := rng.Intn(n)
+			var op Op
+			switch rng.Intn(3) {
+			case 0:
+				op = Op{Op: OpAdd, U: u, V: (u + 1 + rng.Intn(n-1)) % n, W: 1 + rng.Intn(5)}
+			case 1:
+				v := -1
+				for w := range s.dg.adj[u] {
+					v = max(v, w)
+				}
+				if v < 0 {
+					continue
+				}
+				op = Op{Op: OpRemove, U: u, V: v}
+			default:
+				op = Op{Op: OpVwgt, U: u, W: 1 + rng.Intn(4)}
+			}
+			if _, err := s.applyOp(op); err != nil {
+				t.Fatalf("op %+v: %v", op, err)
+			}
+		}
+		tier := tiers[round%len(tiers)]
+		if tier == TierNone {
+			tier = s.autoTier(m.opts)
+		}
+		check(fmt.Sprintf("round %d, before the %s repair", round, tier))
+		if err := s.repair(m, tier, false); err != nil {
+			t.Fatalf("round %d: %s repair: %v", round, tier, err)
+		}
+		check(fmt.Sprintf("round %d, after the %s repair", round, tier))
 	}
 }

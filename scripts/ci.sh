@@ -60,7 +60,7 @@ else
 fi
 rm -f "$perf_now"
 
-echo "== fuzz smoke (graph readers + binary, JSON and query request decoders + session delta log + BKWAY connectivity + Repartition)"
+echo "== fuzz smoke (graph readers + binary, JSON and query request decoders + session delta log + BKWAY connectivity + projection + Repartition)"
 go test -fuzz '^FuzzRead$' -fuzztime 10s -run '^$' ./internal/graph/
 go test -fuzz '^FuzzReadMatrixMarket$' -fuzztime 10s -run '^$' ./internal/graph/
 go test -fuzz '^FuzzDecodeBinary$' -fuzztime 10s -run '^$' ./internal/graph/
@@ -68,6 +68,7 @@ go test -fuzz '^FuzzDecodeJSONRequest$' -fuzztime 10s -run '^$' ./internal/servi
 go test -fuzz '^FuzzQueryDecode$' -fuzztime 10s -run '^$' ./internal/service/
 go test -fuzz '^FuzzDeltaLog$' -fuzztime 10s -run '^$' ./internal/sessions/
 go test -fuzz '^FuzzRefineKWayConnectivity$' -fuzztime 10s -run '^$' ./internal/refine/
+go test -fuzz '^FuzzProject$' -fuzztime 10s -run '^$' ./internal/refine/
 go test -fuzz '^FuzzRepartition$' -fuzztime 10s -run '^$' .
 
 echo "CI OK"
