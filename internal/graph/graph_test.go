@@ -235,20 +235,20 @@ func TestPermuteRoundTrip(t *testing.T) {
 	g := randomGraph(50, 200, 4, 1)
 	n := g.NumVertices()
 	perm := rand.New(rand.NewSource(2)).Perm(n)
-	pg := g.Permute(perm)
+	pg := Permute(g, perm)
 	if err := pg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if pg.NumEdges() != g.NumEdges() || pg.TotalEdgeWeight() != g.TotalEdgeWeight() {
 		t.Fatal("permutation changed edge set size or weight")
 	}
-	// Edge (perm[i], perm[j]) in g <=> edge (i, j) in pg with same weight.
+	// Edge (i, j) in g <=> edge (perm[i], perm[j]) in pg with same weight.
 	for i := 0; i < n; i++ {
-		adj := pg.Neighbors(i)
-		wgt := pg.EdgeWeights(i)
+		adj := g.Neighbors(i)
+		wgt := g.EdgeWeights(i)
 		for k, j := range adj {
-			if w := g.EdgeWeight(perm[i], perm[j]); w != wgt[k] {
-				t.Fatalf("edge (%d,%d): weight %d in pg, %d in g", i, j, wgt[k], w)
+			if w := pg.EdgeWeight(perm[i], perm[j]); w != wgt[k] {
+				t.Fatalf("edge (%d,%d): weight %d in g, %d in pg", i, j, wgt[k], w)
 			}
 		}
 	}
@@ -438,7 +438,7 @@ func TestPermutePropertyQuick(t *testing.T) {
 		n := 20 + int(uint64(seed)%30)
 		g := randomGraph(n, 3*n, 3, seed)
 		perm := rand.New(rand.NewSource(seed + 1)).Perm(g.NumVertices())
-		pg := g.Permute(perm)
+		pg := Permute(g, perm)
 		return pg.Validate() == nil &&
 			pg.TotalEdgeWeight() == g.TotalEdgeWeight() &&
 			pg.TotalVertexWeight() == g.TotalVertexWeight()

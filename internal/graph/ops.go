@@ -84,36 +84,6 @@ func (g *Graph) PseudoPeripheral(start int) int {
 	return v
 }
 
-// Permute returns a new graph with vertices relabeled so that new vertex i
-// corresponds to old vertex perm[i]. Vertex and edge weights follow their
-// vertices. perm must be a permutation of [0, n).
-func (g *Graph) Permute(perm []int) *Graph {
-	n := g.NumVertices()
-	iperm := make([]int, n) // old -> new
-	for newv, oldv := range perm {
-		iperm[oldv] = newv
-	}
-	xadj := make([]int, n+1)
-	for newv := 0; newv < n; newv++ {
-		xadj[newv+1] = xadj[newv] + g.Degree(perm[newv])
-	}
-	adjncy := make([]int, xadj[n])
-	adjwgt := make([]int, xadj[n])
-	vwgt := make([]int, n)
-	for newv := 0; newv < n; newv++ {
-		oldv := perm[newv]
-		vwgt[newv] = g.Vwgt[oldv]
-		adj := g.Neighbors(oldv)
-		wgt := g.EdgeWeights(oldv)
-		base := xadj[newv]
-		for i, u := range adj {
-			adjncy[base+i] = iperm[u]
-			adjwgt[base+i] = wgt[i]
-		}
-	}
-	return &Graph{Xadj: xadj, Adjncy: adjncy, Adjwgt: adjwgt, Vwgt: vwgt}
-}
-
 // DegreeHistogram returns counts[d] = number of vertices with degree d,
 // up to the maximum degree present.
 func (g *Graph) DegreeHistogram() []int {

@@ -38,18 +38,3 @@ func NewPartition(g *graph.Graph, k int, where []int) *Partition {
 	p.Cut /= 2
 	return p
 }
-
-// Balance returns k*max(Pwgt)/total; 1.0 is perfect.
-func (p *Partition) Balance() float64 {
-	tot, maxw := 0, 0
-	for _, w := range p.Pwgt {
-		tot += w
-		if w > maxw {
-			maxw = w
-		}
-	}
-	if tot == 0 {
-		return 1
-	}
-	return float64(p.K) * float64(maxw) / float64(tot)
-}

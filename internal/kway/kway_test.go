@@ -7,6 +7,7 @@ import (
 
 	"mlpart/internal/kway"
 	"mlpart/internal/matgen"
+	"mlpart/internal/metrics"
 	"mlpart/internal/multilevel"
 	"mlpart/internal/refine"
 )
@@ -90,7 +91,7 @@ func TestRefineRespectsBalance(t *testing.T) {
 	}
 	p := kway.NewPartition(g, 8, res.Where)
 	refine.RefineKWay(p, refine.KWayOptions{Seed: 8, Ubfactor: 1.05})
-	if b := p.Balance(); b > 1.1 {
+	if b := metrics.Balance(p.Pwgt); b > 1.1 {
 		t.Fatalf("balance %v after refinement", b)
 	}
 	for _, w := range p.Pwgt {

@@ -6,6 +6,7 @@ import (
 	"mlpart/internal/graph"
 	"mlpart/internal/kway"
 	"mlpart/internal/matgen"
+	"mlpart/internal/metrics"
 	"mlpart/internal/multilevel"
 	"mlpart/internal/refine"
 )
@@ -30,12 +31,12 @@ func TestRebalanceRestoresBalance(t *testing.T) {
 	// The computation adapts: one region becomes 5x heavier.
 	g := adapt(base, 4)
 	p := kway.NewPartition(g, 8, append([]int(nil), res.Where...))
-	if p.Balance() < 1.2 {
-		t.Fatalf("test premise broken: balance %v should be bad", p.Balance())
+	if metrics.Balance(p.Pwgt) < 1.2 {
+		t.Fatalf("test premise broken: balance %v should be bad", metrics.Balance(p.Pwgt))
 	}
 	orig := append([]int(nil), res.Where...)
 	migrated := kway.Rebalance(p, orig, kway.RebalanceOptions{Seed: 3})
-	if b := p.Balance(); b > 1.12 {
+	if b := metrics.Balance(p.Pwgt); b > 1.12 {
 		t.Errorf("balance %v after rebalance", b)
 	}
 	if migrated <= 0 {

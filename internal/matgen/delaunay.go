@@ -234,6 +234,12 @@ func (t *triangulation) insert(p, hint int) int {
 	return newTri[0]
 }
 
+// Point is a vertex coordinate returned by DelaunayMesh and AirfoilMesh.
+// Z is zero for these 2D meshes.
+type Point struct {
+	X, Y, Z float64
+}
+
 // DelaunayMesh generates n random points in the unit square (deterministic
 // in seed), triangulates them, and returns the triangulation's edge graph
 // plus the points — a true unstructured 2D FE mesh in the style of 4ELT.

@@ -38,6 +38,22 @@ type Report struct {
 	EmptyParts int
 }
 
+// Balance returns k*max(pwgt)/total for the k = len(pwgt) part weights:
+// 1.0 is a perfect balance, larger is worse. A zero total reads as 1.
+func Balance(pwgt []int) float64 {
+	tot, maxw := 0, 0
+	for _, w := range pwgt {
+		tot += w
+		if w > maxw {
+			maxw = w
+		}
+	}
+	if tot == 0 {
+		return 1
+	}
+	return float64(len(pwgt)) * float64(maxw) / float64(tot)
+}
+
 // Evaluate computes the Report for a partition vector with parts 0..k-1.
 func Evaluate(g *graph.Graph, where []int, k int) (*Report, error) {
 	n := g.NumVertices()
@@ -99,21 +115,11 @@ func Evaluate(g *graph.Graph, where []int, k int) (*Report, error) {
 		}
 	}
 
-	// Balance.
-	tot, maxw := 0, 0
+	r.Balance = Balance(r.PartWeights)
 	for _, w := range r.PartWeights {
-		tot += w
-		if w > maxw {
-			maxw = w
-		}
 		if w == 0 {
 			r.EmptyParts++
 		}
-	}
-	if tot > 0 {
-		r.Balance = float64(k) * float64(maxw) / float64(tot)
-	} else {
-		r.Balance = 1
 	}
 
 	// Per-part connectivity by one BFS sweep per part.

@@ -1,4 +1,4 @@
-package metrics
+package metrics_test
 
 import (
 	"strings"
@@ -7,9 +7,28 @@ import (
 
 	"mlpart/internal/graph"
 	"mlpart/internal/matgen"
+	"mlpart/internal/metrics"
 	"mlpart/internal/multilevel"
 	"mlpart/internal/refine"
 )
+
+func TestBalance(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pwgt []int
+		want float64
+	}{
+		{"empty", nil, 1},
+		{"zero total", []int{0, 0, 0}, 1},
+		{"k=1", []int{7}, 1},
+		{"perfect", []int{5, 5, 5, 5}, 1},
+		{"uneven", []int{6, 2, 0, 2}, 2.4},
+	} {
+		if got := metrics.Balance(tc.pwgt); got != tc.want {
+			t.Errorf("%s: Balance(%v) = %v, want %v", tc.name, tc.pwgt, got, tc.want)
+		}
+	}
+}
 
 func TestEvaluateKnownSmallCase(t *testing.T) {
 	// Path 0-1-2-3, split {0,1} | {2,3}: cut 1, one boundary vertex per
@@ -19,7 +38,7 @@ func TestEvaluateKnownSmallCase(t *testing.T) {
 	b.AddEdge(1, 2)
 	b.AddEdge(2, 3)
 	g := b.MustBuild()
-	r, err := Evaluate(g, []int{0, 0, 1, 1}, 2)
+	r, err := metrics.Evaluate(g, []int{0, 0, 1, 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +69,7 @@ func TestEvaluateDisconnectedPart(t *testing.T) {
 		b.AddEdge(i, i+1)
 	}
 	g := b.MustBuild()
-	r, err := Evaluate(g, []int{0, 1, 1, 1, 0}, 2)
+	r, err := metrics.Evaluate(g, []int{0, 1, 1, 1, 0}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +80,7 @@ func TestEvaluateDisconnectedPart(t *testing.T) {
 
 func TestEvaluateEmptyPart(t *testing.T) {
 	g := graph.NewBuilder(2).MustBuild()
-	r, err := Evaluate(g, []int{0, 0}, 3)
+	r, err := metrics.Evaluate(g, []int{0, 0}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +95,7 @@ func TestEvaluateMatchesComputeCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Evaluate(g, res.Where, 8)
+	r, err := metrics.Evaluate(g, res.Where, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,15 +109,15 @@ func TestEvaluateMatchesComputeCut(t *testing.T) {
 
 func TestEvaluateErrors(t *testing.T) {
 	g := matgen.Grid2D(3, 3)
-	if _, err := Evaluate(g, make([]int, 4), 2); err == nil {
+	if _, err := metrics.Evaluate(g, make([]int, 4), 2); err == nil {
 		t.Error("short where accepted")
 	}
-	if _, err := Evaluate(g, make([]int, 9), 0); err == nil {
+	if _, err := metrics.Evaluate(g, make([]int, 9), 0); err == nil {
 		t.Error("k=0 accepted")
 	}
 	bad := make([]int, 9)
 	bad[0] = 5
-	if _, err := Evaluate(g, bad, 2); err == nil {
+	if _, err := metrics.Evaluate(g, bad, 2); err == nil {
 		t.Error("out-of-range part accepted")
 	}
 }
@@ -109,7 +128,7 @@ func TestReportString(t *testing.T) {
 	for i := 8; i < 16; i++ {
 		where[i] = 1
 	}
-	r, _ := Evaluate(g, where, 2)
+	r, _ := metrics.Evaluate(g, where, 2)
 	s := r.String()
 	for _, want := range []string{"edge-cut", "comm-volume", "balance"} {
 		if !strings.Contains(s, want) {
@@ -141,7 +160,7 @@ func TestEvaluateWeightedMultiPart(t *testing.T) {
 	// Parts: {0,1,2} | {3,4} | {5}. Crossing edges: 2-3 (4), 4-5 (2),
 	// 3-5 (6) => cut 12.
 	where := []int{0, 0, 0, 1, 1, 2}
-	r, err := Evaluate(g, where, 3)
+	r, err := metrics.Evaluate(g, where, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +208,7 @@ func TestEvaluateWeightedPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Evaluate(g, res.Where, len(fracs))
+	r, err := metrics.Evaluate(g, res.Where, len(fracs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +252,7 @@ func TestEvaluatePropertyQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r, err := Evaluate(g, res.Where, k)
+		r, err := metrics.Evaluate(g, res.Where, k)
 		if err != nil {
 			return false
 		}

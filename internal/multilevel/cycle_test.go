@@ -67,6 +67,26 @@ func TestGoldenPresetMatrix(t *testing.T) {
 	}
 }
 
+// TestGoldenSocEco pins the direct k-way path under eco on a power-law
+// graph, which TestGoldenPresetMatrix (recursive, meshes) does not reach:
+// the soc-csrb-eco benchmark's engine call at 1/8 of its vertex count.
+// The balance is logged, not asserted: it breaks ubfactor today, and
+// pinning that figure would lock the defect in.
+func TestGoldenSocEco(t *testing.T) {
+	g := matgen.SocialNetwork(8192, 4, 1)
+	res, err := PartitionKWay(g, 32, Options{Seed: 1, Preset: PresetEco})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("SOC 8192, k=32, eco: cut %d, balance %.3f, %d cycles", res.EdgeCut, res.Balance(), res.Stats.Cycles)
+	if res.EdgeCut != 21793 {
+		t.Errorf("cut = %d, want 21793", res.EdgeCut)
+	}
+	if res.Stats.Cycles != 2 {
+		t.Errorf("completed %d cycles, want 2", res.Stats.Cycles)
+	}
+}
+
 // cycles is a test-only helper mapping a preset to its cycle count.
 func (p Preset) cycles() int { return Options{Preset: p}.CycleCount() }
 

@@ -23,6 +23,7 @@ import (
 	"mlpart/internal/faults"
 	"mlpart/internal/graph"
 	"mlpart/internal/initpart"
+	"mlpart/internal/metrics"
 	"mlpart/internal/refine"
 	"mlpart/internal/trace"
 	"mlpart/internal/workspace"
@@ -434,19 +435,7 @@ type Result struct {
 }
 
 // Balance returns k * max(PartWeights) / total: 1.0 is perfect.
-func (r *Result) Balance() float64 {
-	tot, maxw := 0, 0
-	for _, w := range r.PartWeights {
-		tot += w
-		if w > maxw {
-			maxw = w
-		}
-	}
-	if tot == 0 {
-		return 1
-	}
-	return float64(len(r.PartWeights)) * float64(maxw) / float64(tot)
-}
+func (r *Result) Balance() float64 { return metrics.Balance(r.PartWeights) }
 
 // Partition divides g into k parts by recursive multilevel bisection
 // (log k levels of bisection, with target weights proportional to the

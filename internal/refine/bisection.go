@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"mlpart/internal/graph"
+	"mlpart/internal/metrics"
 	"mlpart/internal/workspace"
 )
 
@@ -212,17 +213,7 @@ func (b *Bisection) Move(v int, onGainChange func(u int)) int {
 }
 
 // Balance returns max(Pwgt) / (total/2): 1.0 is perfect, larger is worse.
-func (b *Bisection) Balance() float64 {
-	tot := b.Pwgt[0] + b.Pwgt[1]
-	if tot == 0 {
-		return 1
-	}
-	maxw := b.Pwgt[0]
-	if b.Pwgt[1] > maxw {
-		maxw = b.Pwgt[1]
-	}
-	return 2 * float64(maxw) / float64(tot)
-}
+func (b *Bisection) Balance() float64 { return metrics.Balance(b.Pwgt[:]) }
 
 // Verify recomputes all incremental state from scratch and returns an error
 // if any field is inconsistent. For tests.

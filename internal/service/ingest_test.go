@@ -8,10 +8,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"mlpart"
+	"mlpart/internal/matgen"
 )
 
 // checkDecodeJSON asserts that decodeJSON returns exactly what the stdlib
@@ -174,6 +176,44 @@ func TestDecodeJSONCapacityBomb(t *testing.T) {
 	}
 	if limit := len(data)/2 + 1; cap(wg.Adjncy) > limit || cap(wg.Adjwgt) > limit {
 		t.Errorf("adjncy/adjwgt capacity %d/%d, want <= %d", cap(wg.Adjncy), cap(wg.Adjwgt), limit)
+	}
+}
+
+// TestDecodeJSONAllocBound pins the bytes one JSON partition request costs
+// to decode and validate (decodeJSON, then WireGraph.ToGraph), in the
+// fe3d-json benchmark's body shape on a smaller mesh: a 20x20x20 FE3D
+// graph, k=32, a 545 KB body. Measured on go1.24 linux/amd64: 1,454 KB on
+// the scanning path, 8,836 KB through encoding/json alone. The bound sits
+// 5% above the first figure, the alloc_mb_per_op tolerance of the
+// benchmark, so a change that falls back to the stdlib decoder fails it.
+func TestDecodeJSONAllocBound(t *testing.T) {
+	g := matgen.FE3DTetra(20, 20, 20, 1)
+	body, err := json.Marshal(mlpart.PartitionRequest{Graph: *mlpart.NewWireGraph(g), K: 32, Options: &mlpart.Options{Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest := func() {
+		req, err := decodeJSON(body, func(r *mlpart.PartitionRequest) *mlpart.WireGraph { return &r.Graph })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := req.Graph.ToGraph(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest()
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		ingest()
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d KB body: %d KB per request", len(body)>>10, got>>10)
+	const bound = 1530 << 10
+	if got > bound {
+		t.Errorf("%d KB per request, bound %d KB", got>>10, bound>>10)
 	}
 }
 

@@ -47,6 +47,7 @@ import (
 	"mlpart/internal/faults"
 	"mlpart/internal/graph"
 	"mlpart/internal/kway"
+	"mlpart/internal/metrics"
 	"mlpart/internal/multilevel"
 	"mlpart/internal/refine"
 	"mlpart/internal/trace"
@@ -545,7 +546,7 @@ func (m *Manager) Create(g *graph.Graph, cfg Config) (*State, error) {
 		Seed:     cfg.Seed,
 		Ubfactor: cfg.Ubfactor,
 		Injector: m.opts.Injector,
-	}.WithRefinement(refine.BKWAY))
+	})
 	if err != nil {
 		return fail(err)
 	}
@@ -978,19 +979,7 @@ func (s *session) applyOp(op Op) (Op, error) {
 }
 
 // balance returns k*max(pwgt)/total.
-func (s *session) balance() float64 {
-	tot, maxw := 0, 0
-	for _, w := range s.pwgt {
-		tot += w
-		if w > maxw {
-			maxw = w
-		}
-	}
-	if tot == 0 {
-		return 1
-	}
-	return float64(s.k) * float64(maxw) / float64(tot)
-}
+func (s *session) balance() float64 { return metrics.Balance(s.pwgt) }
 
 // autoTier picks the ladder rung from the drift guards.
 func (s *session) autoTier(opts Options) Tier {
@@ -1039,7 +1028,7 @@ func (s *session) repair(m *Manager, tier Tier, replay bool) error {
 				Seed:     s.seed,
 				Ubfactor: s.ubfactor,
 				Injector: inj,
-			}.WithRefinement(refine.BKWAY))
+			})
 			if verr != nil {
 				return verr
 			}

@@ -594,19 +594,7 @@ type Partitioning struct {
 }
 
 // Balance returns k*max(PartWeights)/total; 1.0 is a perfect balance.
-func (p *Partitioning) Balance() float64 {
-	tot, maxw := 0, 0
-	for _, w := range p.PartWeights {
-		tot += w
-		if w > maxw {
-			maxw = w
-		}
-	}
-	if tot == 0 {
-		return 1
-	}
-	return float64(len(p.PartWeights)) * float64(maxw) / float64(tot)
-}
+func (p *Partitioning) Balance() float64 { return metrics.Balance(p.PartWeights) }
 
 // Partition divides g into k parts by recursive multilevel bisection,
 // minimizing the edge-cut subject to the balance tolerance. opts may be
