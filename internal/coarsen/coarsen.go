@@ -90,7 +90,7 @@ func (s Scheme) Family() string {
 	return FamilyMatching
 }
 
-// Valid reports whether s is one of the defined schemes; Match panics on
+// Valid reports whether s is one of the defined schemes; MatchWS panics on
 // anything else, so user-reachable entry points must gate on this.
 func (s Scheme) Valid() bool { return schemeNames.Valid(s) }
 
@@ -124,18 +124,13 @@ func AllSchemes() []SchemeInfo {
 	return out
 }
 
-// Match computes a maximal matching of g in O(|E|) using the given scheme.
-// The result maps each vertex to its partner; unmatched vertices map to
-// themselves. cew is the contracted edge weight of each vertex (the total
-// weight of original edges already inside the multinode); it is only
+// MatchWS computes a maximal matching of g in O(|E|) using the given
+// scheme. The result maps each vertex to its partner; unmatched vertices
+// map to themselves. cew is the contracted edge weight of each vertex (the
+// total weight of original edges already inside the multinode); it is only
 // consulted by HCM and may be nil for the others or for level-0 graphs.
-func Match(g *graph.Graph, scheme Scheme, cew []int, rng *rand.Rand) []int {
-	return MatchWS(g, scheme, cew, nil, rng, nil)
-}
-
-// MatchWS is Match drawing its scratch (and the returned matching) from ws;
-// the caller releases the result with ws.PutInt once contracted. A nil ws
-// allocates, exactly like Match.
+// Its scratch and the returned matching come from ws; the caller releases
+// the result with ws.PutInt once contracted. A nil ws allocates.
 //
 // respect, when non-nil, assigns each vertex a group (typically its part in
 // an existing partition) and restricts the matching to pairs inside one
@@ -227,20 +222,13 @@ func mergedDensity(g *graph.Graph, cew []int, u, v, w int) float64 {
 	return 2 * float64(inner) / (float64(size) * float64(size-1))
 }
 
-// Contract builds the next-coarser graph induced by a matching. It returns
-// the coarse graph, the vertex map cmap (fine vertex -> coarse vertex), and
-// the coarse contracted-edge-weight array (needed by HCM at deeper levels).
-// cew may be nil, meaning all-zero. The returned adjacency arrays are
-// length-trimmed: the coarse graph pins no more memory than it needs.
-func Contract(g *graph.Graph, match []int, cew []int) (*graph.Graph, []int, []int) {
-	return ContractWS(g, match, cew, nil)
-}
-
-// ContractWS is Contract drawing its scratch and the coarse graph's arrays
-// from ws. The returned graph, cmap and cew arrays are pooled buffers owned
-// by the caller (Coarsen releases them through Hierarchy.Release); with a
-// nil ws they are freshly allocated. Either way the arrays have their exact
-// sizes.
+// ContractWS builds the next-coarser graph induced by a matching. It
+// returns the coarse graph, the vertex map cmap (fine vertex -> coarse
+// vertex), and the coarse contracted-edge-weight array (needed by HCM at
+// deeper levels). cew may be nil, meaning all-zero. Scratch and the
+// returned graph, cmap and cew arrays come from ws and are owned by the
+// caller (Coarsen releases them through Hierarchy.Release); with a nil ws
+// they are freshly allocated. Either way the arrays have their exact sizes.
 func ContractWS(g *graph.Graph, match []int, cew []int, ws *workspace.Workspace) (*graph.Graph, []int, []int) {
 	n := g.NumVertices()
 	cmap := ws.Int(n)

@@ -46,7 +46,7 @@ func checkMatching(t *testing.T, g *graph.Graph, match []int, scheme Scheme) {
 func TestMatchProperties(t *testing.T) {
 	g := matgen.Mesh2DTri(20, 20, 0.03, 1)
 	for _, s := range allSchemes() {
-		match := Match(g, s, nil, rng(42))
+		match := MatchWS(g, s, nil, nil, rng(42), nil)
 		checkMatching(t, g, match, s)
 	}
 }
@@ -59,7 +59,7 @@ func TestMatchPathGraph(t *testing.T) {
 	b.AddEdge(2, 3)
 	g := b.MustBuild()
 	for _, s := range allSchemes() {
-		match := Match(g, s, nil, rng(1))
+		match := MatchWS(g, s, nil, nil, rng(1), nil)
 		checkMatching(t, g, match, s)
 		matched := 0
 		for v := 0; v < 4; v++ {
@@ -87,7 +87,7 @@ func TestHEMPicksHeaviestEdge(t *testing.T) {
 	// 0 or 2 is visited while both are free.
 	heavy := 0
 	for seed := int64(0); seed < 50; seed++ {
-		match := Match(g, HEM, nil, rng(seed))
+		match := MatchWS(g, HEM, nil, nil, rng(seed), nil)
 		checkMatching(t, g, match, HEM)
 		if match[0] == 2 {
 			heavy++
@@ -99,7 +99,7 @@ func TestHEMPicksHeaviestEdge(t *testing.T) {
 	// And LEM must prefer the light edges.
 	light := 0
 	for seed := int64(0); seed < 50; seed++ {
-		match := Match(g, LEM, nil, rng(seed))
+		match := MatchWS(g, LEM, nil, nil, rng(seed), nil)
 		if match[0] != 2 {
 			light++
 		}
@@ -112,8 +112,8 @@ func TestHEMPicksHeaviestEdge(t *testing.T) {
 func TestContractInvariants(t *testing.T) {
 	g := matgen.FE3DTetra(8, 8, 8, 2)
 	for _, s := range allSchemes() {
-		match := Match(g, s, nil, rng(7))
-		cg, cmap, ccew := Contract(g, match, nil)
+		match := MatchWS(g, s, nil, nil, rng(7), nil)
+		cg, cmap, ccew := ContractWS(g, match, nil, nil)
 		if err := cg.Validate(); err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -154,8 +154,8 @@ func TestContractPreservesCutStructure(t *testing.T) {
 	// the same edge-cut. Check on a random graph with a random coarse
 	// partition.
 	g := matgen.Mesh2DTri(15, 15, 0, 3)
-	match := Match(g, HEM, nil, rng(5))
-	cg, cmap, _ := Contract(g, match, nil)
+	match := MatchWS(g, HEM, nil, nil, rng(5), nil)
+	cg, cmap, _ := ContractWS(g, match, nil, nil)
 	r := rng(9)
 	cwhere := make([]int, cg.NumVertices())
 	for i := range cwhere {
@@ -253,8 +253,8 @@ func TestSchemeStringRoundTrip(t *testing.T) {
 
 func TestMatchDeterministicGivenSeed(t *testing.T) {
 	g := matgen.Mesh2DTri(12, 12, 0.05, 4)
-	a := Match(g, HEM, nil, rng(99))
-	b := Match(g, HEM, nil, rng(99))
+	a := MatchWS(g, HEM, nil, nil, rng(99), nil)
+	b := MatchWS(g, HEM, nil, nil, rng(99), nil)
 	for v := range a {
 		if a[v] != b[v] {
 			t.Fatal("matching not deterministic under fixed seed")

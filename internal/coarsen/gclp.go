@@ -228,8 +228,8 @@ func clusterLPWS(g *graph.Graph, respect []int, cfg lpConfig, rng *rand.Rand, ws
 }
 
 // ContractClusters builds the next-coarser graph induced by an
-// arbitrary-clusters map, the aggregation counterpart of Contract: multinode
-// weights are the sums of their members, parallel edges collapse by summing
+// arbitrary-clusters map, the aggregation counterpart of ContractWS:
+// multinode weights are the sums of their members, parallel edges collapse by summing
 // weights, and intra-cluster edges vanish — so a partition of the coarse
 // graph keeps exactly the fine partition's cut, the same invariant matching
 // contraction guarantees. cmap must map every vertex to a cluster in

@@ -10,7 +10,7 @@ import (
 	"mlpart/internal/workspace"
 )
 
-// ParallelMatch computes a maximal matching with the handshake algorithm,
+// ParallelMatchWS computes a maximal matching with the handshake algorithm,
 // which parallelizes across workers and returns the same matching for any
 // worker count: in each round every unmatched vertex proposes to its
 // preferred unmatched neighbor (per the scheme's criterion, with ties
@@ -21,16 +21,12 @@ import (
 //
 // rnd supplies the random visit keys that keep the matching unbiased;
 // workers <= 0 selects GOMAXPROCS. The result maps each vertex to its
-// partner (itself when unmatched), exactly like Match.
-func ParallelMatch(g *graph.Graph, scheme Scheme, cew []int, rnd *rand.Rand, workers int) []int {
-	return ParallelMatchWS(g, scheme, cew, nil, rnd, workers, nil)
-}
-
-// ParallelMatchWS is ParallelMatch drawing its scratch (and the returned
-// matching) from ws; the caller releases the result with ws.PutInt once
-// contracted. A nil ws allocates, exactly like ParallelMatch. respect, when
-// non-nil, restricts the matching to pairs inside one group, exactly like
-// MatchWS: partition-respecting coarsening for iterated cycles.
+// partner (itself when unmatched), exactly like MatchWS.
+//
+// Its scratch and the returned matching come from ws; the caller releases
+// the result with ws.PutInt once contracted. A nil ws allocates. respect,
+// when non-nil, restricts the matching to pairs inside one group, exactly
+// like MatchWS: partition-respecting coarsening for iterated cycles.
 func ParallelMatchWS(g *graph.Graph, scheme Scheme, cew, respect []int, rnd *rand.Rand, workers int, ws *workspace.Workspace) []int {
 	n := g.NumVertices()
 	if workers <= 0 {
@@ -192,7 +188,7 @@ func ParallelMatchWS(g *graph.Graph, scheme Scheme, cew, respect []int, rnd *ran
 }
 
 // ParallelCoarsen builds the hierarchy like Coarsen but computes each
-// level's matching with ParallelMatch. The result is identical for any
+// level's matching with ParallelMatchWS. The result is identical for any
 // worker count, but differs from Coarsen's sequential matching order —
 // except under GCLP, whose propose-parallel/commit-serial rounds make
 // ParallelCoarsen bit-identical to Coarsen for every worker count as long

@@ -10,7 +10,7 @@ import (
 func TestParallelMatchValidMatching(t *testing.T) {
 	g := matgen.FE3DTetra(8, 8, 8, 1)
 	for _, s := range allSchemes() {
-		match := ParallelMatch(g, s, nil, rng(2), 4)
+		match := ParallelMatchWS(g, s, nil, nil, rng(2), 4, nil)
 		checkMatching(t, g, match, s)
 	}
 }
@@ -18,9 +18,9 @@ func TestParallelMatchValidMatching(t *testing.T) {
 func TestParallelMatchIndependentOfWorkers(t *testing.T) {
 	g := matgen.Mesh2DTri(25, 25, 0.02, 3)
 	for _, s := range []Scheme{RM, HEM} {
-		ref := ParallelMatch(g, s, nil, rng(4), 1)
+		ref := ParallelMatchWS(g, s, nil, nil, rng(4), 1, nil)
 		for _, workers := range []int{2, 3, 8} {
-			got := ParallelMatch(g, s, nil, rng(4), workers)
+			got := ParallelMatchWS(g, s, nil, nil, rng(4), workers, nil)
 			for v := range ref {
 				if got[v] != ref[v] {
 					t.Fatalf("%v: workers=%d differs from workers=1 at vertex %d", s, workers, v)
@@ -34,7 +34,7 @@ func TestParallelMatchMatchesMostVertices(t *testing.T) {
 	// Handshake matching must be near-maximal: on a mesh, the vast
 	// majority of vertices end up matched.
 	g := matgen.Grid2D(40, 40)
-	match := ParallelMatch(g, HEM, nil, rng(5), 4)
+	match := ParallelMatchWS(g, HEM, nil, nil, rng(5), 4, nil)
 	unmatched := 0
 	for v, m := range match {
 		if m == v {
@@ -73,7 +73,7 @@ func TestParallelCoarsenHierarchy(t *testing.T) {
 
 func TestParallelMatchEdgeless(t *testing.T) {
 	g := matgen.Grid2D(1, 1)
-	match := ParallelMatch(g, RM, nil, rand.New(rand.NewSource(1)), 4)
+	match := ParallelMatchWS(g, RM, nil, nil, rand.New(rand.NewSource(1)), 4, nil)
 	if match[0] != 0 {
 		t.Fatal("singleton should self-match")
 	}
@@ -85,7 +85,7 @@ func BenchmarkMatchSequential(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Match(g, HEM, nil, r)
+		MatchWS(g, HEM, nil, nil, r, nil)
 	}
 }
 
@@ -98,7 +98,7 @@ func BenchmarkMatchParallel(b *testing.B) {
 			r := rand.New(rand.NewSource(1))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ParallelMatch(g, HEM, nil, r, workers)
+				ParallelMatchWS(g, HEM, nil, nil, r, workers, nil)
 			}
 		})
 	}
@@ -107,9 +107,9 @@ func BenchmarkMatchParallel(b *testing.B) {
 func BenchmarkContract(b *testing.B) {
 	b.ReportAllocs()
 	g := matgen.Stiffness3D(16, 16, 16)
-	match := Match(g, HEM, nil, rand.New(rand.NewSource(1)))
+	match := MatchWS(g, HEM, nil, nil, rand.New(rand.NewSource(1)), nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Contract(g, match, nil)
+		ContractWS(g, match, nil, nil)
 	}
 }

@@ -76,7 +76,7 @@ func TestCoarsenWorkspaceParity(t *testing.T) {
 // keep the pessimistic upper-bound capacity they were staged with.
 func TestContractTrimmedArrays(t *testing.T) {
 	g := matgen.Grid2D(20, 20)
-	cg, _, _ := Contract(g, Match(g, HEM, nil, rng(3)), nil)
+	cg, _, _ := ContractWS(g, MatchWS(g, HEM, nil, nil, rng(3), nil), nil, nil)
 	if cap(cg.Adjncy) != len(cg.Adjncy) {
 		t.Errorf("cadjncy cap %d != len %d", cap(cg.Adjncy), len(cg.Adjncy))
 	}

@@ -59,6 +59,16 @@ func (g *Graph) TotalVertexWeight() int {
 	return s
 }
 
+// MaxVertexWeight returns the weight of the heaviest vertex (0 for an
+// empty graph).
+func (g *Graph) MaxVertexWeight() int {
+	m := 0
+	for _, w := range g.Vwgt {
+		m = max(m, w)
+	}
+	return m
+}
+
 // TotalEdgeWeight returns the sum of the weights of all undirected edges
 // (each edge counted once).
 func (g *Graph) TotalEdgeWeight() int {

@@ -2,11 +2,14 @@ package kway
 
 import (
 	"math/rand"
+
+	"mlpart/internal/metrics"
 )
 
 // RebalanceOptions configures Rebalance.
 type RebalanceOptions struct {
-	// Ubfactor is the balance target (0 means 1.05).
+	// Ubfactor is the balance target; metrics.Ubfactor resolves the
+	// default.
 	Ubfactor float64
 	// MigrationWeight trades cut quality against data movement: the
 	// penalty per unit of vertex weight that ends up away from its
@@ -23,9 +26,7 @@ type RebalanceOptions struct {
 func (o RebalanceOptions) Plan() RebalanceOptions { return o.withDefaults() }
 
 func (o RebalanceOptions) withDefaults() RebalanceOptions {
-	if o.Ubfactor <= 1 {
-		o.Ubfactor = 1.05
-	}
+	o.Ubfactor = metrics.Ubfactor(o.Ubfactor)
 	if o.MigrationWeight == 0 {
 		o.MigrationWeight = 1.0
 	}
@@ -52,12 +53,7 @@ func Rebalance(p *Partition, orig []int, opts RebalanceOptions) (migrated int) {
 	if n == 0 || p.K < 2 {
 		return migratedWeight(p, orig)
 	}
-	tot := g.TotalVertexWeight()
-	target := tot / p.K
-	limit := int(opts.Ubfactor * float64(target))
-	if limit < target+1 {
-		limit = target + 1
-	}
+	limit := metrics.PartBounds(g.TotalVertexWeight()/p.K, opts.Ubfactor, 1).Hi
 
 	order := rand.New(rand.NewSource(opts.Seed)).Perm(n)
 	ed := make([]int, p.K)

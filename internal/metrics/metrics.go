@@ -7,7 +7,9 @@
 package metrics
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"mlpart/internal/graph"
 )
@@ -52,6 +54,42 @@ func Balance(pwgt []int) float64 {
 		return 1
 	}
 	return float64(len(pwgt)) * float64(maxw) / float64(tot)
+}
+
+// Ubfactor returns the balance tolerance ub runs at: values of 1 or less,
+// 0 included, mean 1.05, so exactly 1 does not request perfect balance.
+func Ubfactor(ub float64) float64 {
+	if ub <= 1 {
+		return 1.05
+	}
+	return ub
+}
+
+// ValidateUbfactor rejects a balance tolerance no part-weight bound can
+// honor: it must be finite, and either 0 (the default) or at least 1,
+// since a part can always hold its target weight. Callers wrap the error
+// with the name of their own field.
+func ValidateUbfactor(ub float64) error {
+	if math.IsNaN(ub) || math.IsInf(ub, 0) {
+		return errors.New("want a finite value")
+	}
+	if ub != 0 && ub < 1 {
+		return errors.New("want >= 1 (or 0 for the default 1.05)")
+	}
+	return nil
+}
+
+// Bounds are the lightest and heaviest a part may become.
+type Bounds struct{ Lo, Hi int }
+
+// PartBounds returns the part-weight bounds of one level for a part of
+// the given target weight under the tolerance ub (as Ubfactor resolves
+// it). The upper bound is ub times the target, but never tighter than
+// target+slack: refiners pass the heaviest vertex as slack so that heavy
+// multinodes on coarse levels stay movable, and the rebalancer passes 1.
+// The lower bound is 1: no move may empty a part.
+func PartBounds(target int, ub float64, slack int) Bounds {
+	return Bounds{Lo: 1, Hi: max(int(ub*float64(target)), target+slack)}
 }
 
 // Evaluate computes the Report for a partition vector with parts 0..k-1.

@@ -1,6 +1,7 @@
 package metrics_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -26,6 +27,59 @@ func TestBalance(t *testing.T) {
 	} {
 		if got := metrics.Balance(tc.pwgt); got != tc.want {
 			t.Errorf("%s: Balance(%v) = %v, want %v", tc.name, tc.pwgt, got, tc.want)
+		}
+	}
+}
+
+// TestTolerance covers the one balance tolerance every refiner, the
+// rebalancer and every validator share: its default, its validation and
+// its part-weight bounds.
+func TestTolerance(t *testing.T) {
+	for _, tc := range []struct {
+		ub, want float64
+	}{
+		{0, 1.05},
+		{1, 1.05}, // exactly 1 does not request perfect balance
+		{1.03, 1.03},
+	} {
+		if got := metrics.Ubfactor(tc.ub); got != tc.want {
+			t.Errorf("Ubfactor(%v) = %v, want %v", tc.ub, got, tc.want)
+		}
+	}
+
+	for _, tc := range []struct {
+		ub float64
+		ok bool
+	}{
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{0.5, false},
+		{0.999, false},
+		{0, true},
+		{1, true},
+		{1.03, true},
+	} {
+		if err := metrics.ValidateUbfactor(tc.ub); (err == nil) != tc.ok {
+			t.Errorf("ValidateUbfactor(%v) = %v, want ok=%v", tc.ub, err, tc.ok)
+		}
+	}
+
+	for _, tc := range []struct {
+		name          string
+		target, slack int
+		ub            float64
+		want          metrics.Bounds
+	}{
+		// 1.05*1000 = 1050 beats 1000+3.
+		{"fine level, factor dominates", 1000, 3, 1.05, metrics.Bounds{Lo: 1, Hi: 1050}},
+		// 1.05*40 = 42 loses to 40+9: a heavy multinode stays movable.
+		{"coarse level, slack dominates", 40, 9, 1.05, metrics.Bounds{Lo: 1, Hi: 49}},
+		{"target 0", 0, 2, 1.05, metrics.Bounds{Lo: 1, Hi: 2}},
+	} {
+		if got := metrics.PartBounds(tc.target, tc.ub, tc.slack); got != tc.want {
+			t.Errorf("%s: PartBounds(%d, %v, %d) = %+v, want %+v",
+				tc.name, tc.target, tc.ub, tc.slack, got, tc.want)
 		}
 	}
 }

@@ -29,14 +29,16 @@ import (
 // never collide with the recursion branches (2, 3) of the first cycle.
 const cycleBranch int64 = 0x5EED
 
-// phaseCoarsen builds one cycle's hierarchy, keeping at least 15*k coarse
-// vertices so the coarsest graph can host k parts. respect, when non-nil,
-// makes the coarsening partition-respecting (matchings never cross parts).
-func (e *engine) phaseCoarsen(g *graph.Graph, k int, respect []int, rng *rand.Rand, ws *workspace.Workspace, tr trace.Tracer, stats *Stats) *coarsen.Hierarchy {
-	coarsenTo := e.opts.CoarsenTo
-	if min := 15 * k; coarsenTo < min {
-		coarsenTo = min
-	}
+// kwayCoarsenTo is the coarsening threshold of a k-way hierarchy: at
+// least 15*k coarse vertices, so the coarsest graph can host k parts.
+func (e *engine) kwayCoarsenTo(k int) int { return max(e.opts.CoarsenTo, 15*k) }
+
+// phaseCoarsen builds a hierarchy down to coarsenTo vertices, serially or
+// with CoarsenWorkers, and adds its time, levels and size to stats. Both
+// the bisection V-cycle and the k-way cycles coarsen through it. respect,
+// when non-nil, makes the coarsening partition-respecting (matchings never
+// cross parts).
+func (e *engine) phaseCoarsen(g *graph.Graph, coarsenTo int, respect []int, rng *rand.Rand, ws *workspace.Workspace, tr trace.Tracer, stats *Stats) *coarsen.Hierarchy {
 	t0 := time.Now()
 	copts := coarsen.Options{
 		Scheme:           e.opts.Matching,
@@ -178,7 +180,7 @@ func (e *engine) vCycle(g *graph.Graph, k int, seedWhere []int, seed int64, ws *
 	}
 	tr := trace.WithSeed(e.tracer, seed)
 	rng := rand.New(rand.NewSource(seed))
-	h := e.phaseCoarsen(g, k, seedWhere, rng, ws, tr, stats)
+	h := e.phaseCoarsen(g, e.kwayCoarsenTo(k), seedWhere, rng, ws, tr, stats)
 	emitDegraded(tr, stats.Degradations, 0)
 	if cerr := e.ctx.Err(); cerr != nil {
 		h.Release(ws)

@@ -392,26 +392,7 @@ func (e *engine) bisectOnce(g *graph.Graph, target0 int, rng *rand.Rand, seed in
 		Counters:   &stats.Counters,
 	}
 
-	t0 := time.Now()
-	copts := coarsen.Options{
-		Scheme:           opts.Matching,
-		CoarsenTo:        opts.CoarsenTo,
-		MaxClusterWeight: opts.MaxClusterWeight,
-		LPRounds:         opts.LPRounds,
-		Workspace:        ws,
-		Tracer:           tr,
-		Injector:         e.inj,
-		Degradations:     &stats.Degradations,
-	}
-	var h *coarsen.Hierarchy
-	if opts.CoarsenWorkers > 1 {
-		h = coarsen.ParallelCoarsen(g, copts, rng, opts.CoarsenWorkers)
-	} else {
-		h = coarsen.Coarsen(g, copts, rng)
-	}
-	stats.CoarsenTime = time.Since(t0)
-	stats.Levels = len(h.Levels)
-	stats.CoarsestN = h.Coarsest().NumVertices()
+	h := e.phaseCoarsen(g, opts.CoarsenTo, nil, rng, ws, tr, stats)
 	emitDegraded(tr, stats.Degradations, 0)
 	if e.cancelled() {
 		h.Release(ws)
@@ -424,7 +405,7 @@ func (e *engine) bisectOnce(g *graph.Graph, target0 int, rng *rand.Rand, seed in
 		return nil, stats
 	}
 	degBase := len(stats.Degradations)
-	t0 = time.Now()
+	t0 := time.Now()
 	b := initpart.Partition(h.Coarsest(), initpart.Options{
 		Method:       opts.InitMethod,
 		Trials:       opts.InitTrials,

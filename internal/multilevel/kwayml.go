@@ -59,7 +59,7 @@ func (e *engine) runKWay(g *graph.Graph, k int) (res *Result, err error) {
 	// The call's arena, shared by the first cycle and the extra cycles and
 	// dropped when runKWay returns.
 	ws := new(workspace.Workspace)
-	h := e.phaseCoarsen(g, k, nil, rng, ws, tr, &res.Stats)
+	h := e.phaseCoarsen(g, e.kwayCoarsenTo(k), nil, rng, ws, tr, &res.Stats)
 	emitDegraded(tr, res.Stats.Degradations, 0)
 	if e.cancelled() {
 		h.Release(ws)

@@ -14,7 +14,6 @@ package multilevel
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -110,8 +109,8 @@ type Options struct {
 	InitTrials int
 	// StopWindow is the refinement stop parameter x (0 means 50).
 	StopWindow int
-	// Ubfactor is the allowed part imbalance. Values of 1 or less, 0
-	// included, mean 1.05: exactly 1 does not request perfect balance.
+	// Ubfactor is the allowed part imbalance; metrics.Ubfactor resolves
+	// the default (values of 1 or less, 0 included, mean 1.05).
 	Ubfactor float64
 	// Seed makes every run deterministic; the same seed gives the same
 	// partition, as the paper's "fixed seed" experiments require.
@@ -216,9 +215,7 @@ func (o Options) withDefaults() Options {
 	if o.CoarsenTo <= 0 {
 		o.CoarsenTo = 100
 	}
-	if o.Ubfactor <= 1 {
-		o.Ubfactor = 1.05
-	}
+	o.Ubfactor = metrics.Ubfactor(o.Ubfactor)
 	if o.NCuts < 1 {
 		o.NCuts = 1
 	}
@@ -275,11 +272,8 @@ func (o Options) Validate() error {
 	if o.LPRounds < 0 {
 		return fmt.Errorf("multilevel: LPRounds = %d, want >= 0", o.LPRounds)
 	}
-	if math.IsNaN(o.Ubfactor) || math.IsInf(o.Ubfactor, 0) {
-		return fmt.Errorf("multilevel: Ubfactor = %v, want a finite value", o.Ubfactor)
-	}
-	if o.Ubfactor != 0 && o.Ubfactor < 1 {
-		return fmt.Errorf("multilevel: Ubfactor = %v, want >= 1 (or 0 for the default)", o.Ubfactor)
+	if err := metrics.ValidateUbfactor(o.Ubfactor); err != nil {
+		return fmt.Errorf("multilevel: Ubfactor = %v, %w", o.Ubfactor, err)
 	}
 	if o.ParallelDepth < 0 {
 		return fmt.Errorf("multilevel: ParallelDepth = %d, want >= 0", o.ParallelDepth)

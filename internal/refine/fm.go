@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mlpart/internal/enum"
+	"mlpart/internal/metrics"
 	"mlpart/internal/trace"
 	"mlpart/internal/workspace"
 )
@@ -73,7 +74,8 @@ type Options struct {
 	// MaxPasses bounds the iterated policies (KLR, BKLR); 0 means 8.
 	MaxPasses int
 	// Ubfactor is the allowed imbalance: each part may weigh up to
-	// Ubfactor times its target. 0 means 1.05.
+	// Ubfactor times its target (metrics.PartBounds); metrics.Ubfactor
+	// resolves the default.
 	Ubfactor float64
 	// TargetPwgt gives the desired weight of each part. Zero means an
 	// even split of the total.
@@ -103,9 +105,7 @@ func (o Options) withDefaults(b *Bisection) Options {
 	if o.MaxPasses <= 0 {
 		o.MaxPasses = 8
 	}
-	if o.Ubfactor <= 1 {
-		o.Ubfactor = 1.05
-	}
+	o.Ubfactor = metrics.Ubfactor(o.Ubfactor)
 	if o.TargetPwgt[0] == 0 && o.TargetPwgt[1] == 0 {
 		tot := b.Pwgt[0] + b.Pwgt[1]
 		o.TargetPwgt[0] = tot / 2
@@ -121,23 +121,11 @@ func (o Options) withDefaults(b *Bisection) Options {
 // tolerance, slackened by the largest vertex weight so that coarse graphs
 // (whose multinodes are heavy) are never deadlocked.
 func maxAllowed(b *Bisection, o Options) [2]int {
-	maxVwgt := 0
-	for _, w := range b.G.Vwgt {
-		if w > maxVwgt {
-			maxVwgt = w
-		}
+	slack := b.G.MaxVertexWeight()
+	return [2]int{
+		metrics.PartBounds(o.TargetPwgt[0], o.Ubfactor, slack).Hi,
+		metrics.PartBounds(o.TargetPwgt[1], o.Ubfactor, slack).Hi,
 	}
-	var lim [2]int
-	for p := 0; p < 2; p++ {
-		byFactor := int(o.Ubfactor * float64(o.TargetPwgt[p]))
-		bySlack := o.TargetPwgt[p] + maxVwgt
-		if byFactor > bySlack {
-			lim[p] = byFactor
-		} else {
-			lim[p] = bySlack
-		}
-	}
-	return lim
 }
 
 // Refine runs the given policy on b in place and returns the final cut.

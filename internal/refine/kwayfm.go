@@ -59,6 +59,7 @@ import (
 	"mlpart/internal/faults"
 	"mlpart/internal/graph"
 	"mlpart/internal/kway"
+	"mlpart/internal/metrics"
 	"mlpart/internal/trace"
 	"mlpart/internal/workspace"
 )
@@ -67,7 +68,8 @@ import (
 type KWayOptions struct {
 	// MaxPasses bounds the number of propose/commit passes (0 means 8).
 	MaxPasses int
-	// Ubfactor is the allowed imbalance per part (0 means 1.05).
+	// Ubfactor is the allowed imbalance per part; metrics.Ubfactor
+	// resolves the default.
 	Ubfactor float64
 	// Seed drives the per-pass visit permutations; a fixed seed fixes the
 	// result bit-for-bit.
@@ -99,9 +101,7 @@ func (o KWayOptions) withDefaults() KWayOptions {
 	if o.MaxPasses <= 0 {
 		o.MaxPasses = 8
 	}
-	if o.Ubfactor <= 1 {
-		o.Ubfactor = 1.05
-	}
+	o.Ubfactor = metrics.Ubfactor(o.Ubfactor)
 	if o.Workers < 1 {
 		o.Workers = 1
 	}
@@ -356,7 +356,7 @@ func RefineKWay(p *kway.Partition, opts KWayOptions) int {
 	if n == 0 || k < 2 {
 		return p.Cut
 	}
-	limit := kwayLimit(g, k, opts.Ubfactor)
+	bounds := kwayLimit(g, k, opts.Ubfactor)
 
 	ws := opts.Workspace
 	if ws == nil {
@@ -387,10 +387,10 @@ func RefineKWay(p *kway.Partition, opts KWayOptions) int {
 		}
 
 		snap := r.snapshot(order, &rng)
-		r.propose(opts.Workers, limit)
+		r.propose(opts.Workers, bounds)
 		// Commit serially in snapshot order, re-validating every proposal
 		// against the live state.
-		moves, posGain := r.commit(snap, limit)
+		moves, posGain := r.commit(snap, bounds)
 
 		if opts.Counters != nil {
 			opts.Counters.RefinePasses++
@@ -425,29 +425,19 @@ func RefineKWay(p *kway.Partition, opts KWayOptions) int {
 // recovers the cut the diffusion moves lost with boundary k-way
 // refinement, which respects the balance the rebalance established. It
 // returns the final cut. mlpart.Repartition and the sessions' full repair
-// tier both run it, so the two give one answer for one input.
-func RepartitionKWay(p *kway.Partition, orig []int, opts kway.RebalanceOptions) int {
+// tier both run it, so the two give one answer for one input. tr, when
+// non-nil, receives the refinement's pass events.
+func RepartitionKWay(p *kway.Partition, orig []int, opts kway.RebalanceOptions, tr trace.Tracer) int {
 	kway.Rebalance(p, orig, opts)
-	return RefineKWay(p, KWayOptions{Ubfactor: opts.Ubfactor, Seed: opts.Seed})
+	return RefineKWay(p, KWayOptions{Ubfactor: opts.Ubfactor, Seed: opts.Seed, Tracer: tr})
 }
 
-// kwayLimit is the part-weight bound of a move's destination: the
-// imbalance factor times the target weight, but never tighter than one
-// maximum vertex above target (heavy multinodes on coarse levels must
-// stay movable).
-func kwayLimit(g *graph.Graph, k int, ubfactor float64) int {
-	target := g.TotalVertexWeight() / k
-	maxVwgt := 0
-	for _, w := range g.Vwgt {
-		if w > maxVwgt {
-			maxVwgt = w
-		}
-	}
-	limit := int(ubfactor * float64(target))
-	if lim2 := target + maxVwgt; lim2 > limit {
-		limit = lim2
-	}
-	return limit
+// kwayLimit returns the part-weight bounds of a move at one level: a
+// destination may grow to the imbalance factor times the target weight,
+// but never less than one maximum vertex above target (heavy multinodes
+// on coarse levels must stay movable), and a source may never be emptied.
+func kwayLimit(g *graph.Graph, k int, ubfactor float64) metrics.Bounds {
+	return metrics.PartBounds(g.TotalVertexWeight()/k, ubfactor, g.MaxVertexWeight())
 }
 
 // newKWayRefiner draws the engine state from ws and builds the
@@ -501,12 +491,12 @@ func (r *kwayRefiner) snapshot(order []int, rng *splitmix64) []int {
 // the worker's own stack and re-raised here after the join, because
 // recover never runs across goroutines and an unhandled worker panic would
 // kill the process.
-func (r *kwayRefiner) propose(workers, limit int) {
+func (r *kwayRefiner) propose(workers int, bounds metrics.Bounds) {
 	bnd := r.bndList
 	bsize := len(bnd)
 	w := min(workers, bsize/512+1)
 	if w <= 1 {
-		kwayPropose(r.p, r.kwayLists, r.bestTo, bnd, limit)
+		kwayPropose(r.p, r.kwayLists, r.bestTo, bnd, bounds)
 		return
 	}
 	chunk := (bsize + w - 1) / w
@@ -520,9 +510,9 @@ func (r *kwayRefiner) propose(workers, limit int) {
 			continue
 		}
 		wg.Add(1)
-		go kwayProposeWorker(&wg, &mu, &panicked, r.p, r.kwayLists, r.bestTo, bnd[lo:hi], limit)
+		go kwayProposeWorker(&wg, &mu, &panicked, r.p, r.kwayLists, r.bestTo, bnd[lo:hi], bounds)
 	}
-	kwayPropose(r.p, r.kwayLists, r.bestTo, bnd[:chunk], limit)
+	kwayPropose(r.p, r.kwayLists, r.bestTo, bnd[:chunk], bounds)
 	wg.Wait()
 	if panicked != nil {
 		panic(panicked)
@@ -530,7 +520,7 @@ func (r *kwayRefiner) propose(workers, limit int) {
 }
 
 func kwayProposeWorker(wg *sync.WaitGroup, mu *sync.Mutex, panicked *any,
-	p *kway.Partition, l kwayLists, bestTo, snap []int, limit int) {
+	p *kway.Partition, l kwayLists, bestTo, snap []int, bounds metrics.Bounds) {
 	defer wg.Done()
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -541,7 +531,7 @@ func kwayProposeWorker(wg *sync.WaitGroup, mu *sync.Mutex, panicked *any,
 			mu.Unlock()
 		}
 	}()
-	kwayPropose(p, l, bestTo, snap, limit)
+	kwayPropose(p, l, bestTo, snap, bounds)
 }
 
 // kwayPropose sets bestTo[v] for the given boundary vertices: the
@@ -550,13 +540,13 @@ func kwayProposeWorker(wg *sync.WaitGroup, mu *sync.Mutex, panicked *any,
 // committing. It reads v's pair list, never its adjacency, and writes only
 // its own vertices' bestTo slots, which is what makes chunking
 // result-neutral.
-func kwayPropose(p *kway.Partition, l kwayLists, bestTo, snap []int, limit int) {
+func kwayPropose(p *kway.Partition, l kwayLists, bestTo, snap []int, bounds metrics.Bounds) {
 	g := p.G
 	for _, v := range snap {
 		bestTo[v] = -1
 		from := p.Where[v]
 		vw := g.Vwgt[v]
-		if p.Pwgt[from]-vw <= 0 {
+		if p.Pwgt[from]-vw < bounds.Lo {
 			// Never propose emptying a part.
 			continue
 		}
@@ -565,7 +555,7 @@ func kwayPropose(p *kway.Partition, l kwayLists, bestTo, snap []int, limit int) 
 		best, bestG := -1, 0
 		for j := o; j < o+l.cnt[v]; j++ {
 			to := l.pairPart[j]
-			if p.Pwgt[to]+vw > limit {
+			if p.Pwgt[to]+vw > bounds.Hi {
 				continue
 			}
 			gain := l.pairDeg[j] - id
@@ -589,9 +579,9 @@ func kwayPropose(p *kway.Partition, l kwayLists, bestTo, snap []int, limit int) 
 
 // commit applies the proposals in snapshot order and returns the moves
 // made and how many had positive gain.
-func (r *kwayRefiner) commit(snap []int, limit int) (moves, posGain int) {
+func (r *kwayRefiner) commit(snap []int, bounds metrics.Bounds) (moves, posGain int) {
 	for _, v := range snap {
-		if gain, ok := r.commitOne(v, limit); ok {
+		if gain, ok := r.commitOne(v, bounds); ok {
 			moves++
 			if gain > 0 {
 				posGain++
@@ -606,7 +596,7 @@ func (r *kwayRefiner) commit(snap []int, limit int) (moves, posGain int) {
 // it is re-validated against the live list and balance: the move is made
 // only if it still reduces the cut, or keeps it while strictly improving
 // the weight spread. Returns the gain and whether v moved.
-func (r *kwayRefiner) commitOne(v, limit int) (gain int, ok bool) {
+func (r *kwayRefiner) commitOne(v int, bounds metrics.Bounds) (gain int, ok bool) {
 	p := r.p
 	to := r.bestTo[v]
 	if to < 0 {
@@ -614,7 +604,7 @@ func (r *kwayRefiner) commitOne(v, limit int) (gain int, ok bool) {
 	}
 	from := p.Where[v]
 	vw := p.G.Vwgt[v]
-	if p.Pwgt[to]+vw > limit || p.Pwgt[from]-vw <= 0 {
+	if p.Pwgt[to]+vw > bounds.Hi || p.Pwgt[from]-vw < bounds.Lo {
 		return 0, false
 	}
 	j := r.find(v, to)

@@ -156,7 +156,7 @@ func FuzzProject(f *testing.F) {
 				match[v], match[u] = u, v
 			}
 		}
-		cg, cmap, _ := coarsen.Contract(g, match, nil)
+		cg, cmap, _ := coarsen.ContractWS(g, match, nil, nil)
 		cwhere := make([]int, cg.NumVertices())
 		for c := range cwhere {
 			cwhere[c] = rng.Intn(2)

@@ -155,7 +155,8 @@ type Config struct {
 	// Seed drives every repair deterministically — the property log
 	// replay relies on.
 	Seed int64
-	// Ubfactor is the balance target (0 means 1.05).
+	// Ubfactor is the balance target; metrics.Ubfactor resolves the
+	// default.
 	Ubfactor float64
 }
 
@@ -164,11 +165,8 @@ func (c Config) Validate() error {
 	if c.K < 2 {
 		return fmt.Errorf("sessions: k must be >= 2, got %d", c.K)
 	}
-	if math.IsNaN(c.Ubfactor) || math.IsInf(c.Ubfactor, 0) {
-		return errors.New("sessions: ubfactor must be finite")
-	}
-	if c.Ubfactor != 0 && c.Ubfactor < 1 {
-		return fmt.Errorf("sessions: ubfactor must be >= 1 (or 0 for default), got %v", c.Ubfactor)
+	if err := metrics.ValidateUbfactor(c.Ubfactor); err != nil {
+		return fmt.Errorf("sessions: ubfactor = %v, %w", c.Ubfactor, err)
 	}
 	return nil
 }
@@ -213,7 +211,8 @@ type Options struct {
 	// Injector is the fault injector consulted at session/apply and
 	// session/repair (nil = faults.Default()).
 	Injector *faults.Injector
-	// Tracer, when non-nil, receives KindSession events.
+	// Tracer, when non-nil, receives KindSession events, plus the KindPass
+	// events of the boundary and full repair tiers' refinement.
 	Tracer trace.Tracer
 	// Now overrides the clock (tests).
 	Now func() time.Time
@@ -1017,11 +1016,11 @@ func (s *session) repair(m *Manager, tier Tier, replay bool) error {
 		switch tier {
 		case TierBoundary:
 			p := s.partition(g)
-			refine.RefineKWay(p, refine.KWayOptions{Ubfactor: s.ubfactor, Seed: s.seed, Workers: 1, Injector: inj})
+			refine.RefineKWay(p, refine.KWayOptions{Ubfactor: s.ubfactor, Seed: s.seed, Workers: 1, Tracer: m.opts.Tracer, Injector: inj})
 			s.adopt(p, false)
 		case TierFull:
 			p := s.partition(g)
-			refine.RepartitionKWay(p, s.where, kway.RebalanceOptions{Ubfactor: s.ubfactor, Seed: s.seed})
+			refine.RepartitionKWay(p, s.where, kway.RebalanceOptions{Ubfactor: s.ubfactor, Seed: s.seed}, m.opts.Tracer)
 			s.adopt(p, true)
 		case TierVCycle:
 			res, verr := multilevel.PartitionKWay(g, s.k, multilevel.Options{

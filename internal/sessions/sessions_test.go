@@ -701,16 +701,31 @@ func TestSessionTraceEvents(t *testing.T) {
 	if _, err := m.Apply(st.ID, []Op{{Op: OpAdd, U: 0, V: 63, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Repair(st.ID, "boundary"); err != nil {
-		t.Fatal(err)
+	for _, tier := range []string{"boundary", "full"} {
+		if _, err := m.Repair(st.ID, tier); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := m.Delete(st.ID); err != nil {
 		t.Fatal(err)
 	}
 	phases := map[string]bool{}
+	passes := 0
 	for _, e := range col.Events() {
+		if e.Kind == trace.KindPass {
+			passes++
+			continue
+		}
+		if e.Phase == "repair" {
+			// Both tiers' refinement reports its passes before the
+			// repair event.
+			if passes == 0 {
+				t.Fatalf("%s repair reported no refinement passes", e.Algorithm)
+			}
+			passes = 0
+		}
 		if e.Kind != trace.KindSession {
-			t.Fatalf("event kind %q, want %q", e.Kind, trace.KindSession)
+			t.Fatalf("event kind %q, want %q or %q", e.Kind, trace.KindSession, trace.KindPass)
 		}
 		if e.Session != st.ID {
 			t.Fatalf("event session %q, want %q", e.Session, st.ID)

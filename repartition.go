@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"mlpart/internal/kway"
+	"mlpart/internal/metrics"
 	"mlpart/internal/refine"
 )
 
@@ -32,11 +33,8 @@ func (o *RepartitionOptions) Validate() error {
 	if o == nil {
 		return nil
 	}
-	if math.IsNaN(o.Ubfactor) || math.IsInf(o.Ubfactor, 0) {
-		return fmt.Errorf("mlpart: RepartitionOptions.Ubfactor = %v, want a finite value", o.Ubfactor)
-	}
-	if o.Ubfactor != 0 && o.Ubfactor < 1 {
-		return fmt.Errorf("mlpart: RepartitionOptions.Ubfactor = %v, want >= 1 (or 0 for the default 1.05)", o.Ubfactor)
+	if err := metrics.ValidateUbfactor(o.Ubfactor); err != nil {
+		return fmt.Errorf("mlpart: RepartitionOptions.Ubfactor = %v, %w", o.Ubfactor, err)
 	}
 	if math.IsNaN(o.MigrationWeight) || math.IsInf(o.MigrationWeight, 0) {
 		return fmt.Errorf("mlpart: RepartitionOptions.MigrationWeight = %v, want a finite value", o.MigrationWeight)
@@ -106,7 +104,7 @@ func Repartition(g *Graph, k int, oldWhere []int, opts *RepartitionOptions) (*Re
 	ro := opts.rebalance()
 	where := append([]int(nil), oldWhere...)
 	p := kway.NewPartition(g, k, where)
-	refine.RepartitionKWay(p, oldWhere, ro)
+	refine.RepartitionKWay(p, oldWhere, ro, nil)
 	migrated := 0
 	for v, w := range p.Where {
 		if w != oldWhere[v] {

@@ -2,9 +2,10 @@
 # Local CI: the same steps, in the same order, as .github/workflows/ci.yml.
 # Fails on unformatted files, vet findings, build or test failures, data
 # races in the concurrent packages (parallel coarsening, parallel NCuts /
-# recursive bisection, k-way refinement), a failing benchmark, and fuzz
-# findings. Performance gates are the deterministic pinned tests (golden
-# cuts, allocation bounds) inside go test; timing is perfbench's job.
+# recursive bisection, k-way refinement, parallel nested dissection), a
+# failing benchmark, and fuzz findings. Performance gates are the
+# deterministic pinned tests (golden cuts, allocation bounds) inside go
+# test; timing is perfbench's job.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -29,7 +30,8 @@ go test ./...
 echo "== go test -race (concurrent packages, parity + fuzz seeds)"
 go test -race ./internal/coarsen/ ./internal/multilevel/ ./internal/kway/ \
     ./internal/trace/ ./internal/graph/ ./internal/service/ ./internal/jobs/ \
-    ./internal/sessions/ ./internal/workspace/ ./internal/refine/
+    ./internal/sessions/ ./internal/workspace/ ./internal/refine/ \
+    ./internal/ordering/
 
 echo "== chaos (fault-injection suite under -race, multiple seeds)"
 for seed in 1 7 42; do
