@@ -254,8 +254,10 @@ func ContractWS(g *graph.Graph, match []int, cew []int, ws *workspace.Workspace)
 	cadjncy := ws.Int(ub)
 	cadjwgt := ws.Int(ub)
 
-	// htable[c] is the position of coarse neighbor c in the current coarse
-	// vertex's adjacency, or -1.
+	// htable[c] is the position in cadjncy at which coarse neighbour c was
+	// last listed, or -1. Positions below start belong to coarse vertices
+	// already built, so c is in the current vertex's list exactly when
+	// htable[c] >= start, and the table needs no reset between vertices.
 	htable := ws.IntFilled(cn, -1)
 	pos := 0
 	cxadj := ws.Int(cn + 1)
@@ -300,7 +302,7 @@ func ContractWS(g *graph.Graph, match []int, cew []int, ws *workspace.Workspace)
 					}
 					continue
 				}
-				if p := htable[c]; p >= 0 {
+				if p := htable[c]; p >= start {
 					cadjwgt[p] += wgt[i]
 				} else {
 					htable[c] = pos
@@ -312,9 +314,6 @@ func ContractWS(g *graph.Graph, match []int, cew []int, ws *workspace.Workspace)
 		}
 		if inner > 0 {
 			ccew[cv] += inner
-		}
-		for p := start; p < pos; p++ {
-			htable[cadjncy[p]] = -1
 		}
 		cv++
 		cxadj[cv] = pos

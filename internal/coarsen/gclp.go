@@ -273,8 +273,9 @@ func ContractClustersWS(g *graph.Graph, cmap []int, cn int, cew []int, ws *works
 	cadjncy := ws.Int(ub)
 	cadjwgt := ws.Int(ub)
 
-	// htable[c] is the position of coarse neighbor c in the current coarse
-	// vertex's adjacency, or -1.
+	// htable[c] is the position at which coarse neighbour c was last
+	// listed, or -1; c is in the current vertex's list exactly when
+	// htable[c] >= start, as in ContractWS.
 	htable := ws.IntFilled(cn, -1)
 	cxadj := ws.Int(cn + 1)
 	pos := 0
@@ -298,7 +299,7 @@ func ContractClustersWS(g *graph.Graph, cmap []int, cn int, cew []int, ws *works
 					internal += wgt[i]
 					continue
 				}
-				if p := htable[c]; p >= 0 {
+				if p := htable[c]; p >= start {
 					cadjwgt[p] += wgt[i]
 				} else {
 					htable[c] = pos
@@ -309,9 +310,6 @@ func ContractClustersWS(g *graph.Graph, cmap []int, cn int, cew []int, ws *works
 			}
 		}
 		ccew[cv] += internal / 2
-		for p := start; p < pos; p++ {
-			htable[cadjncy[p]] = -1
-		}
 		cxadj[cv+1] = pos
 	}
 	ws.PutInt(htable)

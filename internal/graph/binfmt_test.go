@@ -288,3 +288,26 @@ func TestOpenBinaryFile(t *testing.T) {
 		t.Fatal("vertex weight mutation leaked into the backing file")
 	}
 }
+
+// TestFromCSRMatchesBinaryVerdict checks that FromCSR, the path of JSON
+// bodies, accepts exactly the arrays the csrb decoder accepts, multigraphs
+// included: parallel edges whose weights pair up across the two directions
+// pass, and a duplicate entry with no partner fails.
+func TestFromCSRMatchesBinaryVerdict(t *testing.T) {
+	for _, g := range []*Graph{
+		path(6),
+		{Xadj: []int{0, 2, 4}, Adjncy: []int{1, 1, 0, 0}, Adjwgt: []int{1, 2, 1, 2}, Vwgt: []int{1, 1}},
+		{Xadj: []int{0, 2, 3, 5, 6}, Adjncy: []int{1, 1, 0, 3, 3, 2}, Adjwgt: []int{1, 1, 1, 1, 1, 1}, Vwgt: []int{1, 1, 1, 1}},
+		{Xadj: []int{0, 1, 2}, Adjncy: []int{1, 0}, Adjwgt: []int{2, 3}, Vwgt: []int{1, 1}},
+	} {
+		var buf bytes.Buffer
+		if err := EncodeBinary(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		_, binErr := DecodeBinary(buf.Bytes())
+		_, csrErr := FromCSR(g.Xadj, g.Adjncy, g.Adjwgt, g.Vwgt)
+		if (binErr == nil) != (csrErr == nil) {
+			t.Errorf("%v: csrb says %v, FromCSR says %v", g.Adjncy, binErr, csrErr)
+		}
+	}
+}

@@ -121,9 +121,15 @@ func (b *Builder) MustBuild() *Graph {
 
 // FromCSR wraps pre-built CSR arrays in a Graph after validating them.
 // The slices are retained, not copied. vwgt may be nil for unit weights,
-// and adjwgt may be nil for unit edge weights.
+// and adjwgt may be nil for unit edge weights. Validation is the one
+// linear pass of the binary decoder (validateFused); Validate, whose
+// symmetry probe costs O(Σ deg²), runs only on arrays that fail it, so
+// the error names the first violation in Validate's words.
 func FromCSR(xadj, adjncy, adjwgt, vwgt []int) (*Graph, error) {
 	n := len(xadj) - 1
+	if n < 0 {
+		return nil, fmt.Errorf("graph: Xadj must have length >= 1")
+	}
 	if vwgt == nil {
 		vwgt = make([]int, n)
 		for i := range vwgt {
@@ -137,7 +143,10 @@ func FromCSR(xadj, adjncy, adjwgt, vwgt []int) (*Graph, error) {
 		}
 	}
 	g := &Graph{Xadj: xadj, Adjncy: adjncy, Adjwgt: adjwgt, Vwgt: vwgt}
-	if err := g.Validate(); err != nil {
+	if err := g.validateFused(); err != nil {
+		if verr := g.Validate(); verr != nil {
+			return nil, verr
+		}
 		return nil, err
 	}
 	return g, nil

@@ -128,10 +128,11 @@ func (e *engine) phaseSeed(h *coarsen.Hierarchy, where []int, ws *workspace.Work
 // and refines level by level up to the finest graph. Each projection
 // carries the part weights and cut over from the coarser level, so a level
 // reads its adjacency lists once, in the refiner's build. It takes ownership
-// of where (pooled or fresh) and returns the finest-level where (pooled);
-// on cancellation it releases where and returns nil, false. The hierarchy
-// itself is not released.
-func (e *engine) phaseUncoarsenKWay(h *coarsen.Hierarchy, k int, where []int, seed int64, ws *workspace.Workspace, stats *Stats, tr trace.Tracer) ([]int, bool) {
+// of where (pooled or fresh) and returns the finest-level where (pooled)
+// and its cut, which the refiner keeps current; on cancellation it
+// releases where and returns nil, 0, false. The hierarchy itself is not
+// released.
+func (e *engine) phaseUncoarsenKWay(h *coarsen.Hierarchy, k int, where []int, seed int64, ws *workspace.Workspace, stats *Stats, tr trace.Tracer) ([]int, int, bool) {
 	kopts := refine.KWayOptions{Ubfactor: e.opts.Ubfactor, Seed: seed, Workspace: ws, Tracer: tr, Counters: &stats.Counters}
 	t0 := time.Now()
 	p := kway.NewPartition(h.Coarsest(), k, where)
@@ -157,17 +158,18 @@ func (e *engine) phaseUncoarsenKWay(h *coarsen.Hierarchy, k int, where []int, se
 	})
 	if !ok {
 		ws.PutInt(where)
-		return nil, false
+		return nil, 0, false
 	}
-	return where, true
+	return where, p.Cut, true
 }
 
 // vCycle runs one extra multilevel cycle seeded from seedWhere: coarsen
 // respecting the partition, project it to the coarsest graph, refine with
 // BKWAY at every level on the way up. It returns a where-vector drawn from
-// ws, which the caller releases, and its cut. Failures (injected via the
-// "cycle" site or organic panics) surface as errors for the caller's
-// degradation ladder; they never propagate a panic.
+// ws, which the caller releases, and its cut as the refiner kept it.
+// Failures (injected via the "cycle" site or organic panics) surface as
+// errors for the caller's degradation ladder; they never propagate a
+// panic.
 func (e *engine) vCycle(g *graph.Graph, k int, seedWhere []int, seed int64, ws *workspace.Workspace) (where []int, cut int, stats *Stats, err error) {
 	stats = &Stats{}
 	defer func() {
@@ -187,7 +189,7 @@ func (e *engine) vCycle(g *graph.Graph, k int, seedWhere []int, seed int64, ws *
 		return nil, 0, stats, cerr
 	}
 	cw := e.phaseSeed(h, seedWhere, ws)
-	fw, ok := e.phaseUncoarsenKWay(h, k, cw, seed, ws, stats, tr)
+	fw, cut, ok := e.phaseUncoarsenKWay(h, k, cw, seed, ws, stats, tr)
 	if !ok {
 		h.Release(ws)
 		if cerr := e.ctx.Err(); cerr != nil {
@@ -199,25 +201,30 @@ func (e *engine) vCycle(g *graph.Graph, k int, seedWhere []int, seed int64, ws *
 		return nil, 0, stats, ferr
 	}
 	h.Release(ws)
-	return fw, refine.ComputeCut(g, fw), stats, nil
+	return fw, cut, stats, nil
 }
 
 // iterate is the cycle driver behind the eco/strong presets: after the
 // first cycle has produced res, it runs CycleCount()-1 extra V-cycles,
 // each seeded from the best partition so far with its own derived seed,
-// and keeps the best cut. Cancellation at a cycle boundary (or mid-cycle)
-// returns the best completed partition silently — a full, valid result.
-// Any other cycle failure degrades to the best completed partition,
-// recorded in Stats.Degradations, never a hard error. Every cycle draws
-// from ws, so an extra cycle reuses the buffers of the one before.
-func (e *engine) iterate(g *graph.Graph, k int, res *Result, ws *workspace.Workspace) {
+// and keeps the best cut. cut is res.Where's edge-cut as the refiner kept
+// it, or -1 when the caller holds none and iterate must count it.
+// Cancellation at a cycle boundary (or mid-cycle) returns the best
+// completed partition silently — a full, valid result. Any other cycle
+// failure degrades to the best completed partition, recorded in
+// Stats.Degradations, never a hard error. Every cycle draws from ws, so
+// an extra cycle reuses the buffers of the one before.
+func (e *engine) iterate(g *graph.Graph, k int, res *Result, cut int, ws *workspace.Workspace) {
 	res.Stats.Cycles = 1
 	cycles := e.opts.CycleCount()
 	if cycles <= 1 || k < 2 || g.NumVertices() == 0 {
 		return
 	}
 	tr := trace.WithSeed(e.tracer, e.opts.Seed)
-	bestCut := refine.ComputeCut(g, res.Where)
+	bestCut := cut
+	if bestCut < 0 {
+		bestCut = refine.ComputeCut(g, res.Where)
+	}
 	if tr != nil {
 		tr.Event(trace.Event{Kind: trace.KindCycle, Cycle: 0, Cut: bestCut})
 	}

@@ -8,6 +8,7 @@ import (
 
 	"mlpart/internal/coarsen"
 	"mlpart/internal/faults"
+	"mlpart/internal/graph"
 	"mlpart/internal/matgen"
 	"mlpart/internal/trace"
 )
@@ -238,40 +239,63 @@ func TestChaosCycleError(t *testing.T) {
 
 // TestCycleTraceEvents asserts the KindCycle stream: one event per
 // completed cycle (including cycle 0's baseline), carrying the cycle
-// index and the cut after that cycle, and none at all under fast.
+// index and the cut after that cycle, and none at all under fast. The
+// cycle cuts are the ones the refiner kept (or, after plain recursive
+// bisection, a count), so the best of them must equal the result's cut,
+// which is counted from scratch; this holds on the recursive path, with
+// the k-way pass after it, and on the direct k-way path, on a mesh and
+// on a power-law graph.
 func TestCycleTraceEvents(t *testing.T) {
 	w, err := matgen.Generate("BRCK", 0.04)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &collectTracer{}
-	res, err := Partition(w.Graph, 8, Options{Seed: 3, Preset: PresetStrong, Tracer: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cycles []trace.Event
-	for _, e := range tr.events {
-		if e.Kind == trace.KindCycle {
-			cycles = append(cycles, e)
+	soc := matgen.SocialNetwork(3000, 4, 2)
+	strong := Options{Seed: 3, Preset: PresetStrong}
+	withKWay := strong
+	withKWay.KWayRefine = true
+	for _, run := range []struct {
+		name string
+		part func(*graph.Graph, int, Options) (*Result, error)
+		g    *graph.Graph
+		opts Options
+	}{
+		{"recursive", Partition, w.Graph, strong},
+		{"recursive+kway", Partition, w.Graph, withKWay},
+		{"direct", PartitionKWay, w.Graph, strong},
+		{"direct/soc", PartitionKWay, soc, strong},
+		{"recursive+kway/soc", Partition, soc, withKWay},
+	} {
+		tr := &collectTracer{}
+		run.opts.Tracer = tr
+		res, err := run.part(run.g, 8, run.opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(cycles) != 4 {
-		t.Fatalf("got %d cycle events, want 4", len(cycles))
-	}
-	best := cycles[0].Cut
-	for i, e := range cycles {
-		if e.Cycle != i {
-			t.Errorf("event %d: Cycle = %d, want %d", i, e.Cycle, i)
+		var cycles []trace.Event
+		for _, e := range tr.events {
+			if e.Kind == trace.KindCycle {
+				cycles = append(cycles, e)
+			}
 		}
-		if e.Cut < best {
-			best = e.Cut
+		if len(cycles) != 4 {
+			t.Fatalf("%s: got %d cycle events, want 4", run.name, len(cycles))
 		}
-	}
-	if best != res.EdgeCut {
-		t.Errorf("best cycle cut %d != result cut %d", best, res.EdgeCut)
+		best := cycles[0].Cut
+		for i, e := range cycles {
+			if e.Cycle != i {
+				t.Errorf("%s: event %d: Cycle = %d, want %d", run.name, i, e.Cycle, i)
+			}
+			if e.Cut < best {
+				best = e.Cut
+			}
+		}
+		if best != res.EdgeCut {
+			t.Errorf("%s: best cycle cut %d != result cut %d", run.name, best, res.EdgeCut)
+		}
 	}
 
-	tr = &collectTracer{}
+	tr := &collectTracer{}
 	if _, err := Partition(w.Graph, 8, Options{Seed: 3, Tracer: tr}); err != nil {
 		t.Fatal(err)
 	}

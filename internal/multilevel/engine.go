@@ -155,6 +155,7 @@ func (e *engine) run(g *graph.Graph, sp splitSpec, kwayRefine bool) (res *Result
 	if e.err != nil {
 		return nil, fmt.Errorf("multilevel: %w", e.err)
 	}
+	cut := -1 // res.Where's edge-cut, once a k-way refinement keeps it
 	if kwayRefine && k >= 2 {
 		t0 := time.Now()
 		p := kway.NewPartition(g, k, res.Where)
@@ -167,11 +168,12 @@ func (e *engine) run(g *graph.Graph, sp splitSpec, kwayRefine bool) (res *Result
 			Counters:  &res.Stats.Counters,
 		}, &res.Stats, tr)
 		res.Stats.RefineTime += time.Since(t0)
+		cut = p.Cut
 	}
 	if _, uniform := sp.(uniformSplit); uniform {
 		// Extra cycles of the eco/strong presets. Weighted targets are
 		// excluded: the k-way refinement kernels assume equal part targets.
-		e.iterate(g, k, res, ws)
+		e.iterate(g, k, res, cut, ws)
 	} else {
 		res.Stats.Cycles = 1
 	}

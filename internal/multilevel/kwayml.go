@@ -75,7 +75,7 @@ func (e *engine) runKWay(g *graph.Graph, k int) (res *Result, err error) {
 	// Uncoarsen: project the k-way partition and refine at every level.
 	// Intermediate where-vectors are pooled; only the finest one is copied
 	// into the escaping result.
-	where, ok := e.phaseUncoarsenKWay(h, k, where, opts.Seed, ws, &res.Stats, tr)
+	where, cut, ok := e.phaseUncoarsenKWay(h, k, where, opts.Seed, ws, &res.Stats, tr)
 	if !ok {
 		h.Release(ws)
 		return nil, fmt.Errorf("multilevel: %w", e.err)
@@ -84,7 +84,7 @@ func (e *engine) runKWay(g *graph.Graph, k int) (res *Result, err error) {
 	copy(res.Where, where)
 	ws.PutInt(where)
 	h.Release(ws)
-	e.iterate(g, k, res, ws)
+	e.iterate(g, k, res, cut, ws)
 	for v, part := range res.Where {
 		res.PartWeights[part] += g.Vwgt[v]
 	}

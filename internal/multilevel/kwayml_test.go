@@ -7,6 +7,7 @@ import (
 	"mlpart/internal/graph"
 	"mlpart/internal/matgen"
 	"mlpart/internal/refine"
+	"mlpart/internal/trace"
 )
 
 func TestPartitionKWayBasics(t *testing.T) {
@@ -80,20 +81,38 @@ func TestPartitionKWayQualityNearRecursive(t *testing.T) {
 
 func TestPartitionKWayFasterForLargeK(t *testing.T) {
 	// The whole point: one hierarchy instead of k-1. Compare coarsening
-	// work via stats rather than flaky wall-clock.
+	// work — the edges of every graph a contraction reads — counted from
+	// the trace rather than timed, so load on the machine cannot flip it.
 	g := matgen.Mesh2DTri(50, 50, 0.01, 5)
-	d, err := PartitionKWay(g, 64, Options{Seed: 6})
-	if err != nil {
-		t.Fatal(err)
+	work := func(part func(*graph.Graph, int, Options) (*Result, error)) int {
+		tr := &collectTracer{}
+		if _, err := part(g, 64, Options{Seed: 6, Tracer: tr}); err != nil {
+			t.Fatal(err)
+		}
+		return edgesContracted(tr.events)
 	}
-	r, err := Partition(g, 64, Options{Seed: 6})
-	if err != nil {
-		t.Fatal(err)
+	d, r := work(PartitionKWay), work(Partition)
+	if d == 0 || 2*d >= r {
+		t.Errorf("direct k-way contracted %d edges, recursive %d: want a positive count below half", d, r)
 	}
-	if d.Stats.CoarsenTime >= r.Stats.CoarsenTime {
-		t.Errorf("direct k-way coarsening %v not below recursive %v",
-			d.Stats.CoarsenTime, r.Stats.CoarsenTime)
+}
+
+// edgesContracted sums, over the contractions a trace reports, the edges
+// of the graph each one contracted: every KindLevel event past level 0
+// credits the edges of the event before it, the finer level of the same
+// hierarchy.
+func edgesContracted(events []trace.Event) int {
+	total, fine := 0, 0
+	for _, e := range events {
+		if e.Kind != trace.KindLevel {
+			continue
+		}
+		if e.Level > 0 {
+			total += fine
+		}
+		fine = e.Edges
 	}
+	return total
 }
 
 func TestPartitionKWayDeterministic(t *testing.T) {

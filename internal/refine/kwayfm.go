@@ -33,8 +33,12 @@
 //  2. Propose (parallelizable): for every snapshot vertex, the best
 //     admissible target part is read off its pair list, in O(adjacent
 //     parts), against the start-of-pass state. Proposals read shared
-//     state but write only their own vertex's slot of bestTo, so the
-//     phase splits across a worker pool without locks.
+//     state but write only their own vertex's slots of bestTo and
+//     settled, so the phase splits across a worker pool without locks.
+//     A vertex whose every pair has negative gain proposes no move
+//     whatever the part weights are; it is marked settled and skipped
+//     by later passes until a move of it or of a neighbour — the only
+//     changes to its pairs — clears the mark.
 //  3. Commit (serial, in snapshot order): every proposal is re-validated
 //     against the live state — the target must still be in the vertex's
 //     list, its gain is read from it, the balance constraint re-checked —
@@ -149,6 +153,11 @@ type kwayRefiner struct {
 	// bestTo[v] is the proposed target part of snapshot vertex v, -1 when
 	// no admissible move exists.
 	bestTo []int
+	// settled[v] marks a boundary vertex with no pair of gain >= 0 since
+	// its last proposal: it proposes -1 under any part weights, so propose
+	// skips it. The mark speaks only of cut-reducing moves; a balance
+	// repair inside the kernel must not read it.
+	settled []bool
 }
 
 // kwayLists is the connectivity the refiner keeps current across moves:
@@ -199,15 +208,19 @@ func (r *kwayRefiner) bndFix(v int) {
 }
 
 // build computes id for every vertex and the pair lists of the initial
-// boundary in one sweep over the adjacency lists, writing each vertex's
-// pairs straight into the pool (mark[q] is the pool index of the pair for
-// part q of the vertex at hand, -1 when it has none). A slot is sized to
-// the parts its vertex touches, and boundary vertices are inserted in
-// ascending order. The pool starts at min(Σ_v min(deg(v), k-1), 2·Cut)
-// pairs: no vertex touches more than min(deg(v), k-1) other parts, and
-// each pair owns at least one directed cut edge of weight >= 1. A Cut
-// below the truth, even a negative one, can only cost the copy of a grown
-// pool: every new pair passes reserve.
+// boundary in one sweep over the adjacency lists. A vertex's edge weights
+// are first summed per part into deg, with the parts listed in touched
+// in the order the sweep first meets them; the sweep takes no branch on
+// whether a neighbour shares the vertex's part, which on a boundary
+// vertex would be a coin toss for the branch predictor. Then the part's
+// own sum becomes id and the others, in first-touch order, its pairs,
+// written straight into the pool. A slot is sized to the parts its vertex
+// touches, and boundary vertices are inserted in ascending order. The
+// pool starts at min(Σ_v min(deg(v), k-1), 2·Cut) pairs: no vertex
+// touches more than min(deg(v), k-1) other parts, and each pair owns at
+// least one directed cut edge of weight >= 1. A Cut below the truth, even
+// a negative one, can only cost the copy of a grown pool: every new pair
+// passes reserve.
 func (r *kwayRefiner) build() {
 	g := r.p.G
 	where := r.p.Where
@@ -218,47 +231,51 @@ func (r *kwayRefiner) build() {
 	size := max(min(bound, 2*r.p.Cut), 0)
 	r.pairPart = r.ws.Int(size)
 	r.pairDeg = r.ws.Int(size)
-	mark := r.ws.IntFilled(r.p.K, -1)
+	// deg is zero outside the vertex at hand; touched has room for every
+	// part plus the slot the sweep writes past the last distinct one.
+	deg := r.ws.IntFilled(r.p.K, 0)
+	touched := r.ws.Int(r.p.K + 1)
 	// The pool arrays are held in locals, reloaded only after a grow.
 	pairPart, pairDeg := r.pairPart, r.pairDeg
 	for v := range where {
-		pv := where[v]
-		o := r.used
-		in := 0
 		wgt := g.EdgeWeights(v)
+		nt := 0
 		for i, u := range g.Neighbors(v) {
 			pu := where[u]
-			if pu == pv {
-				in += wgt[i]
-				continue
+			touched[nt] = pu
+			if deg[pu] == 0 {
+				nt++
 			}
-			j := mark[pu]
-			if j < 0 {
-				if r.used == len(pairPart) {
-					r.reserve(1)
-					pairPart, pairDeg = r.pairPart, r.pairDeg
-				}
-				j = r.used
-				r.used++
-				mark[pu] = j
-				pairPart[j] = pu
-				pairDeg[j] = 0
+			deg[pu] += wgt[i]
+		}
+		pv := where[v]
+		r.id[v] = deg[pv]
+		deg[pv] = 0
+		o := r.used
+		for _, q := range touched[:nt] {
+			d := deg[q]
+			if d == 0 {
+				continue // v's own part
 			}
-			pairDeg[j] += wgt[i]
+			deg[q] = 0
+			if r.used == len(pairPart) {
+				r.reserve(1)
+				pairPart, pairDeg = r.pairPart, r.pairDeg
+			}
+			pairPart[r.used] = q
+			pairDeg[r.used] = d
+			r.used++
 		}
 		c := r.used - o
-		r.id[v] = in
 		r.off[v] = o
 		r.cnt[v] = c
 		r.room[v] = c
 		if c > 0 {
 			r.bndInsert(v)
-			for _, q := range pairPart[o:r.used] {
-				mark[q] = -1
-			}
 		}
 	}
-	r.ws.PutInt(mark)
+	r.ws.PutInt(deg)
+	r.ws.PutInt(touched)
 }
 
 // relocate moves v's pairs to a fresh slot at the end of the pool of
@@ -456,6 +473,7 @@ func newKWayRefiner(p *kway.Partition, ws *workspace.Workspace) kwayRefiner {
 		bndIndex: ws.IntFilled(n, -1),
 		bndList:  ws.Int(n)[:0],
 		bestTo:   ws.Int(n),
+		settled:  ws.Bool(n),
 	}
 	r.build()
 	return r
@@ -466,6 +484,7 @@ func (r *kwayRefiner) release() {
 	for _, s := range [...][]int{r.id, r.off, r.cnt, r.room, r.pairPart, r.pairDeg, r.bndIndex, r.bndList, r.bestTo} {
 		r.ws.PutInt(s)
 	}
+	r.ws.PutBool(r.settled)
 }
 
 // snapshot copies the boundary into order and permutes it (Fisher-Yates on
@@ -496,7 +515,7 @@ func (r *kwayRefiner) propose(workers int, bounds metrics.Bounds) {
 	bsize := len(bnd)
 	w := min(workers, bsize/512+1)
 	if w <= 1 {
-		kwayPropose(r.p, r.kwayLists, r.bestTo, bnd, bounds)
+		kwayPropose(r.p, r.kwayLists, r.bestTo, r.settled, bnd, bounds)
 		return
 	}
 	chunk := (bsize + w - 1) / w
@@ -510,9 +529,9 @@ func (r *kwayRefiner) propose(workers int, bounds metrics.Bounds) {
 			continue
 		}
 		wg.Add(1)
-		go kwayProposeWorker(&wg, &mu, &panicked, r.p, r.kwayLists, r.bestTo, bnd[lo:hi], bounds)
+		go kwayProposeWorker(&wg, &mu, &panicked, r.p, r.kwayLists, r.bestTo, r.settled, bnd[lo:hi], bounds)
 	}
-	kwayPropose(r.p, r.kwayLists, r.bestTo, bnd[:chunk], bounds)
+	kwayPropose(r.p, r.kwayLists, r.bestTo, r.settled, bnd[:chunk], bounds)
 	wg.Wait()
 	if panicked != nil {
 		panic(panicked)
@@ -520,7 +539,7 @@ func (r *kwayRefiner) propose(workers int, bounds metrics.Bounds) {
 }
 
 func kwayProposeWorker(wg *sync.WaitGroup, mu *sync.Mutex, panicked *any,
-	p *kway.Partition, l kwayLists, bestTo, snap []int, bounds metrics.Bounds) {
+	p *kway.Partition, l kwayLists, bestTo []int, settled []bool, snap []int, bounds metrics.Bounds) {
 	defer wg.Done()
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -531,19 +550,23 @@ func kwayProposeWorker(wg *sync.WaitGroup, mu *sync.Mutex, panicked *any,
 			mu.Unlock()
 		}
 	}()
-	kwayPropose(p, l, bestTo, snap, bounds)
+	kwayPropose(p, l, bestTo, settled, snap, bounds)
 }
 
 // kwayPropose sets bestTo[v] for the given boundary vertices: the
 // admissible adjacent part with the highest gain (ties broken toward the
 // lighter part, then the lower part id), or -1 when no move is worth
-// committing. It reads v's pair list, never its adjacency, and writes only
-// its own vertices' bestTo slots, which is what makes chunking
-// result-neutral.
-func kwayPropose(p *kway.Partition, l kwayLists, bestTo, snap []int, bounds metrics.Bounds) {
+// committing. A settled vertex proposes -1 without reading its pairs, and
+// a vertex whose pairs all have negative gain becomes settled. It reads
+// v's pair list, never its adjacency, and writes only its own vertices'
+// bestTo and settled slots, which is what makes chunking result-neutral.
+func kwayPropose(p *kway.Partition, l kwayLists, bestTo []int, settled []bool, snap []int, bounds metrics.Bounds) {
 	g := p.G
 	for _, v := range snap {
 		bestTo[v] = -1
+		if settled[v] {
+			continue
+		}
 		from := p.Where[v]
 		vw := g.Vwgt[v]
 		if p.Pwgt[from]-vw < bounds.Lo {
@@ -553,8 +576,12 @@ func kwayPropose(p *kway.Partition, l kwayLists, bestTo, snap []int, bounds metr
 		id := l.id[v]
 		o := l.off[v]
 		best, bestG := -1, 0
+		// top is the highest degree into another part: v is settled when
+		// even that pair's gain, top - id, is negative.
+		top := 0
 		for j := o; j < o+l.cnt[v]; j++ {
 			to := l.pairPart[j]
+			top = max(top, l.pairDeg[j])
 			if p.Pwgt[to]+vw > bounds.Hi {
 				continue
 			}
@@ -574,6 +601,7 @@ func kwayPropose(p *kway.Partition, l kwayLists, bestTo, snap []int, bounds metr
 			}
 		}
 		bestTo[v] = best
+		settled[v] = top < id
 	}
 }
 
@@ -635,6 +663,7 @@ func (r *kwayRefiner) move(v, from, to, j int) {
 	p.Pwgt[to] += vw
 	p.Cut -= r.pairDeg[j] - id
 	r.id[v] = r.pairDeg[j]
+	r.settled[v] = false
 	if id > 0 {
 		r.pairPart[j], r.pairDeg[j] = from, id
 	} else {
@@ -644,6 +673,7 @@ func (r *kwayRefiner) move(v, from, to, j int) {
 	wgt := g.EdgeWeights(v)
 	for i, u := range g.Neighbors(v) {
 		w := wgt[i]
+		r.settled[u] = false
 		switch p.Where[u] {
 		case from:
 			r.id[u] -= w

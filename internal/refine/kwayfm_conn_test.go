@@ -9,6 +9,7 @@ import (
 	"mlpart/internal/graph"
 	"mlpart/internal/kway"
 	"mlpart/internal/matgen"
+	"mlpart/internal/metrics"
 	"mlpart/internal/workspace"
 )
 
@@ -72,10 +73,36 @@ func checkConnectivity(t testing.TB, r *kwayRefiner) {
 	}
 }
 
+// checkSettled checks every settled vertex: it is on the boundary, no
+// pair of it has gain >= 0, and proposing for it afresh — with the mark
+// ignored, against the current part weights — gives -1.
+func checkSettled(t testing.TB, r *kwayRefiner, bounds metrics.Bounds) {
+	t.Helper()
+	fresh := make([]bool, len(r.settled))
+	best := make([]int, len(r.bestTo))
+	for v, settled := range r.settled {
+		if !settled {
+			continue
+		}
+		if r.cnt[v] == 0 {
+			t.Fatalf("settled vertex %d is interior", v)
+		}
+		for j := r.off[v]; j < r.off[v]+r.cnt[v]; j++ {
+			if gain := r.pairDeg[j] - r.id[v]; gain >= 0 {
+				t.Fatalf("settled vertex %d has gain %d into part %d", v, gain, r.pairPart[j])
+			}
+		}
+		kwayPropose(r.p, r.kwayLists, best, fresh, []int{v}, bounds)
+		if best[v] != -1 {
+			t.Fatalf("settled vertex %d proposes part %d", v, best[v])
+		}
+	}
+}
+
 // checkedRefineKWay runs RefineKWay's passes on p — the same build,
 // snapshot, propose and commit steps with the default options — and checks
 // the connectivity against a recount after the build and after every
-// committed move. With tight set, the pool is cut back after the build to
+// committed move, and the settled vertices after every pass. With tight set, the pool is cut back after the build to
 // the pairs the build wrote, so the first relocation must grow it; pool
 // size never changes a result. It returns the moves made and whether the
 // pair pool grew.
@@ -103,6 +130,7 @@ func checkedRefineKWay(t testing.TB, p *kway.Partition, seed int64, tight bool) 
 				checkConnectivity(t, &r)
 			}
 		}
+		checkSettled(t, &r, limit)
 		moves += passMoves
 		if passMoves == 0 {
 			break

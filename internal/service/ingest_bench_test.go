@@ -85,36 +85,54 @@ func BenchmarkServiceIngestBinary(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeJSONRequest is the daemon's JSON request decode alone on
-// the ~125k-vertex FE3D mesh body the fe3d-json daemon benchmark posts:
-// the stdlib decoder (the fallback and the fuzz reference) against the
-// scanning decoder, both ending in the same PartitionRequest.
+// BenchmarkDecodeJSONRequest is the daemon's JSON request decode on the
+// ~125k-vertex FE3D mesh body the fe3d-json daemon benchmark posts and on
+// a star whose hub has degree 65,535: the stdlib decoder (the fallback and
+// the fuzz reference) against the scanning decoder, both ending in the
+// same PartitionRequest, and the scanning decoder followed by the graph's
+// validation, as a JSON body or batch entry goes through them. The star
+// keeps validation honest: a symmetry probe that scans the hub's list for
+// each leaf costs O(Σ deg²) there.
 func BenchmarkDecodeJSONRequest(b *testing.B) {
-	g := matgen.FE3DTetra(50, 50, 50, 3)
-	body, err := json.Marshal(mlpart.PartitionRequest{Graph: *mlpart.NewWireGraph(g), K: 32, Options: &mlpart.Options{Seed: 1}})
-	if err != nil {
-		b.Fatal(err)
-	}
 	graphOf := func(r *mlpart.PartitionRequest) *mlpart.WireGraph { return &r.Graph }
-	for _, bc := range []struct {
-		name   string
-		decode func() (mlpart.PartitionRequest, error)
+	for _, gc := range []struct {
+		name string
+		wg   mlpart.WireGraph
 	}{
-		{"stdlib", func() (req mlpart.PartitionRequest, err error) {
-			err = json.NewDecoder(bytes.NewReader(body)).Decode(&req)
-			return req, err
-		}},
-		{"scan", func() (mlpart.PartitionRequest, error) { return decodeJSON(body, graphOf) }},
+		{"fe3d", *mlpart.NewWireGraph(matgen.FE3DTetra(50, 50, 50, 3))},
+		{"star", starWire(1 << 16)},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(body)))
-			for i := 0; i < b.N; i++ {
-				req, err := bc.decode()
-				if err != nil || len(req.Graph.Adjncy) != len(g.Adjncy) {
-					b.Fatalf("decode: %v", err)
+		body, err := json.Marshal(mlpart.PartitionRequest{Graph: gc.wg, K: 32, Options: &mlpart.Options{Seed: 1}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, bc := range []struct {
+			name   string
+			decode func() (mlpart.PartitionRequest, error)
+		}{
+			{"stdlib", func() (req mlpart.PartitionRequest, err error) {
+				err = json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+				return req, err
+			}},
+			{"scan", func() (mlpart.PartitionRequest, error) { return decodeJSON(body, graphOf) }},
+			{"scan+validate", func() (mlpart.PartitionRequest, error) {
+				req, err := decodeJSON(body, graphOf)
+				if err == nil {
+					_, err = req.Graph.ToGraph()
 				}
-			}
-		})
+				return req, err
+			}},
+		} {
+			b.Run(gc.name+"/"+bc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(body)))
+				for i := 0; i < b.N; i++ {
+					req, err := bc.decode()
+					if err != nil || len(req.Graph.Adjncy) != len(gc.wg.Adjncy) {
+						b.Fatalf("decode: %v", err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -307,3 +307,61 @@ func TestReadBodyFollowsBytesReceived(t *testing.T) {
 		t.Errorf("full body: buffer capacity %d, want <= %d", cap(got), cl+bytes.MinRead)
 	}
 }
+
+// TestBadGraphErrorText pins the 400 text of JSON bodies whose graph is
+// invalid. Graphs are validated by one linear pass, and the quadratic
+// Validate runs only to word the error of a graph that fails it, so each
+// text is the one Validate gave before: asymmetric structure and weights,
+// out-of-range and negative neighbours, a self loop, zero edge and vertex
+// weights, a decreasing Xadj and an empty one.
+func TestBadGraphErrorText(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		g    mlpart.WireGraph
+		want string
+	}{
+		{mlpart.WireGraph{Xadj: []int{0, 1, 2, 2}, Adjncy: []int{1, 2}}, "asymmetric edge (0,1): 1 vs 0"},
+		{mlpart.WireGraph{Xadj: []int{0, 1, 2}, Adjncy: []int{1, 0}, Adjwgt: []int{2, 3}}, "asymmetric edge (0,1): 2 vs 3"},
+		{mlpart.WireGraph{Xadj: []int{0, 1, 2}, Adjncy: []int{5, 0}}, "edge (0,5) out of range"},
+		{mlpart.WireGraph{Xadj: []int{0, 1, 2}, Adjncy: []int{-1, 0}}, "edge (0,-1) out of range"},
+		{mlpart.WireGraph{Xadj: []int{0, 2, 4}, Adjncy: []int{0, 1, 0, 1}}, "self loop at 0"},
+		{mlpart.WireGraph{Xadj: []int{0, 1, 2}, Adjncy: []int{1, 0}, Adjwgt: []int{0, 0}}, "edge (0,1) weight 0, want > 0"},
+		{mlpart.WireGraph{Xadj: []int{0, 1, 2}, Adjncy: []int{1, 0}, Vwgt: []int{1, 0}}, "Vwgt[1] = 0, want > 0"},
+		{mlpart.WireGraph{Xadj: []int{0, 2, 1, 2}, Adjncy: []int{1, 0}}, "Xadj decreasing at 1"},
+		{asymmetricStar(300), "asymmetric edge (0,299): 1 vs 2"},
+		// Before, an empty Xadj panicked the handler (unit weights were
+		// allocated for n = -1 before validation).
+		{mlpart.WireGraph{}, "Xadj must have length >= 1"},
+	} {
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/partition", mlpart.PartitionRequest{Graph: tc.g, K: 2})
+		var got struct{ Error string }
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if want := "bad graph: graph: " + tc.want; resp.StatusCode != http.StatusBadRequest || got.Error != want {
+			t.Errorf("status %d, error %q; want 400, %q", resp.StatusCode, got.Error, want)
+		}
+	}
+}
+
+// asymmetricStar is a star with hub 0 and n-1 leaves in which the last
+// leaf lists the hub with weight 2 while the hub lists it with weight 1.
+func asymmetricStar(n int) mlpart.WireGraph {
+	wg := starWire(n)
+	wg.Adjwgt[len(wg.Adjwgt)-1] = 2
+	return wg
+}
+
+// starWire is a star with hub 0 and n-1 leaves: the hub's degree is
+// n-1, the most a graph of n vertices can have.
+func starWire(n int) mlpart.WireGraph {
+	b := mlpart.NewGraphBuilder(n)
+	for v := 1; v < n; v++ {
+		b.AddEdge(0, v)
+	}
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return *mlpart.NewWireGraph(g)
+}
