@@ -325,8 +325,8 @@ func asymMix(u, v, w int) uint64 {
 }
 
 // validateFused checks the Graph invariants in one fused pass over the CSR
-// arrays — the ingest-path replacement for the multi-pass Validate, whose
-// per-edge symmetry probe costs O(m·d). Structure (Xadj monotone and
+// arrays — the ingest-path replacement for Validate, whose transpose
+// allocates O(m) scratch. Structure (Xadj monotone and
 // consistent, neighbors in range, no self loops, positive weights) is
 // checked exactly; edge symmetry is checked probabilistically: every
 // stored edge (u,v,w) contributes asymMix(u,v,w) − asymMix(v,u,w) to a

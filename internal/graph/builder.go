@@ -122,9 +122,9 @@ func (b *Builder) MustBuild() *Graph {
 // FromCSR wraps pre-built CSR arrays in a Graph after validating them.
 // The slices are retained, not copied. vwgt may be nil for unit weights,
 // and adjwgt may be nil for unit edge weights. Validation is the one
-// linear pass of the binary decoder (validateFused); Validate, whose
-// symmetry probe costs O(Σ deg²), runs only on arrays that fail it, so
-// the error names the first violation in Validate's words.
+// linear, allocation-free pass of the binary decoder (validateFused);
+// Validate, which allocates a transpose, runs only on arrays that fail
+// it, so the error names the first violation in Validate's words.
 func FromCSR(xadj, adjncy, adjwgt, vwgt []int) (*Graph, error) {
 	n := len(xadj) - 1
 	if n < 0 {

@@ -141,8 +141,12 @@ func (g *Graph) String() string {
 }
 
 // Validate checks all structural invariants and returns a descriptive error
-// for the first violation found. It is O(n + m·d) due to the symmetry check
-// and is intended for tests and input validation, not inner loops.
+// for the first violation found, scanning the entries vertex by vertex in
+// list order. It is O(n + m): instead of searching v's list for its first
+// u for every entry (u,v,w), it transposes the adjacency once, so each
+// entry finds that weight in O(1). The transpose costs O(m) scratch; the
+// ingest paths check with the allocation-free validateFused and call
+// Validate only to word an error.
 func (g *Graph) Validate() error {
 	n := g.NumVertices()
 	if n < 0 {
@@ -171,21 +175,53 @@ func (g *Graph) Validate() error {
 	if len(g.Adjncy)%2 != 0 {
 		return fmt.Errorf("graph: odd number of directed edges %d", len(g.Adjncy))
 	}
+
+	// The transpose: src[start[u]:start[u+1]] lists the sources v of the
+	// entries (v,u,w) in ascending list position, and wgt their weights.
+	start := make([]int, n+1)
+	for _, u := range g.Adjncy {
+		if u >= 0 && u < n {
+			start[u+1]++
+		}
+	}
 	for u := 0; u < n; u++ {
-		adj := g.Neighbors(u)
-		wgt := g.EdgeWeights(u)
-		for i, v := range adj {
+		start[u+1] += start[u]
+	}
+	src, wgt := make([]int, start[n]), make([]int, start[n])
+	next := append([]int(nil), start[:n]...)
+	for v := 0; v < n; v++ {
+		for j := g.Xadj[v]; j < g.Xadj[v+1]; j++ {
+			if u := g.Adjncy[j]; u >= 0 && u < n {
+				src[next[u]], wgt[next[u]] = v, g.Adjwgt[j]
+				next[u]++
+			}
+		}
+	}
+
+	// While u is scanned, back[v] is the weight of the first u in v's list
+	// if seen[v] == u+1; there is no u in v's list otherwise. Stamping the
+	// transpose backwards leaves the first entry's weight.
+	back, seen := next, make([]int, n)
+	for u := 0; u < n; u++ {
+		for i := start[u+1] - 1; i >= start[u]; i-- {
+			back[src[i]], seen[src[i]] = wgt[i], u+1
+		}
+		for j := g.Xadj[u]; j < g.Xadj[u+1]; j++ {
+			v, w := g.Adjncy[j], g.Adjwgt[j]
 			if v < 0 || v >= n {
 				return fmt.Errorf("graph: edge (%d,%d) out of range", u, v)
 			}
 			if v == u {
 				return fmt.Errorf("graph: self loop at %d", u)
 			}
-			if wgt[i] <= 0 {
-				return fmt.Errorf("graph: edge (%d,%d) weight %d, want > 0", u, v, wgt[i])
+			if w <= 0 {
+				return fmt.Errorf("graph: edge (%d,%d) weight %d, want > 0", u, v, w)
 			}
-			if back := g.EdgeWeight(v, u); back != wgt[i] {
-				return fmt.Errorf("graph: asymmetric edge (%d,%d): %d vs %d", u, v, wgt[i], back)
+			if seen[v] != u+1 {
+				return fmt.Errorf("graph: asymmetric edge (%d,%d): %d vs 0", u, v, w)
+			}
+			if back[v] != w {
+				return fmt.Errorf("graph: asymmetric edge (%d,%d): %d vs %d", u, v, w, back[v])
 			}
 		}
 	}

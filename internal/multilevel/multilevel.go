@@ -19,6 +19,7 @@ import (
 
 	"mlpart/internal/coarsen"
 	"mlpart/internal/enum"
+	"mlpart/internal/errlist"
 	"mlpart/internal/faults"
 	"mlpart/internal/graph"
 	"mlpart/internal/initpart"
@@ -240,52 +241,58 @@ func (o Options) withDefaults() Options {
 // target weight). It checks the options alone — constraints that also
 // involve the graph or k (k in range, k vs vertex count) live in validate,
 // which every entry point runs — so callers like the service can reject a
-// malformed request before any graph work happens.
+// malformed request before any graph work happens. Every bad field is
+// reported, in field order, joined with "; ".
 func (o Options) Validate() error {
-	if o.NCuts < 0 {
-		return fmt.Errorf("multilevel: NCuts = %d, want >= 0", o.NCuts)
-	}
-	if o.CoarsenTo < 0 {
-		return fmt.Errorf("multilevel: CoarsenTo = %d, want >= 0", o.CoarsenTo)
-	}
+	var errs []error
+	bad := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
 	if !o.Matching.Valid() {
-		return fmt.Errorf("multilevel: invalid matching scheme %d", int(o.Matching))
+		bad("invalid matching scheme %d", int(o.Matching))
 	}
 	if !o.InitMethod.Valid() {
-		return fmt.Errorf("multilevel: invalid initial-partitioning method %d", int(o.InitMethod))
+		bad("invalid initial-partitioning method %d", int(o.InitMethod))
 	}
 	if !o.Refinement.Valid() {
-		return fmt.Errorf("multilevel: invalid refinement policy %d", int(o.Refinement))
+		bad("invalid refinement policy %d", int(o.Refinement))
+	}
+	if o.CoarsenTo < 0 {
+		bad("CoarsenTo = %d, want >= 0", o.CoarsenTo)
 	}
 	if o.InitTrials < 0 {
-		return fmt.Errorf("multilevel: InitTrials = %d, want >= 0", o.InitTrials)
-	}
-	if o.CoarsenWorkers < 0 {
-		return fmt.Errorf("multilevel: CoarsenWorkers = %d, want >= 0", o.CoarsenWorkers)
-	}
-	if o.RefineWorkers < 0 {
-		return fmt.Errorf("multilevel: RefineWorkers = %d, want >= 0", o.RefineWorkers)
-	}
-	if o.MaxClusterWeight < 0 {
-		return fmt.Errorf("multilevel: MaxClusterWeight = %d, want >= 0", o.MaxClusterWeight)
-	}
-	if o.LPRounds < 0 {
-		return fmt.Errorf("multilevel: LPRounds = %d, want >= 0", o.LPRounds)
+		bad("InitTrials = %d, want >= 0", o.InitTrials)
 	}
 	if err := metrics.ValidateUbfactor(o.Ubfactor); err != nil {
-		return fmt.Errorf("multilevel: Ubfactor = %v, %w", o.Ubfactor, err)
+		bad("Ubfactor = %v, %w", o.Ubfactor, err)
 	}
 	if o.ParallelDepth < 0 {
-		return fmt.Errorf("multilevel: ParallelDepth = %d, want >= 0", o.ParallelDepth)
+		bad("ParallelDepth = %d, want >= 0", o.ParallelDepth)
 	}
 	if o.ParallelMinVertices < 0 {
-		return fmt.Errorf("multilevel: ParallelMinVertices = %d, want >= 0", o.ParallelMinVertices)
+		bad("ParallelMinVertices = %d, want >= 0", o.ParallelMinVertices)
+	}
+	if o.NCuts < 0 {
+		bad("NCuts = %d, want >= 0", o.NCuts)
+	}
+	if o.CoarsenWorkers < 0 {
+		bad("CoarsenWorkers = %d, want >= 0", o.CoarsenWorkers)
+	}
+	if o.MaxClusterWeight < 0 {
+		bad("MaxClusterWeight = %d, want >= 0", o.MaxClusterWeight)
+	}
+	if o.LPRounds < 0 {
+		bad("LPRounds = %d, want >= 0", o.LPRounds)
 	}
 	if !o.Preset.Valid() {
-		return fmt.Errorf("multilevel: invalid preset %d", int(o.Preset))
+		bad("invalid preset %d", int(o.Preset))
 	}
 	if o.Cycles < 0 {
-		return fmt.Errorf("multilevel: Cycles = %d, want >= 0", o.Cycles)
+		bad("Cycles = %d, want >= 0", o.Cycles)
+	}
+	if o.RefineWorkers < 0 {
+		bad("RefineWorkers = %d, want >= 0", o.RefineWorkers)
+	}
+	if err := errlist.Join(errs...); err != nil {
+		return fmt.Errorf("multilevel: %w", err)
 	}
 	return nil
 }

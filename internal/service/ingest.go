@@ -183,9 +183,7 @@ func (s *jsonScanner) skipString() bool {
 	return false
 }
 
-// graph parses a WireGraph object. When xadj comes first (as
-// json.Marshal writes it), adjncy and adjwgt are presized from xadj[n]
-// and vwgt from n.
+// graph parses a WireGraph object.
 func (s *jsonScanner) graph() (wg mlpart.WireGraph, ok bool) {
 	if !s.consume('{') {
 		return wg, false
@@ -194,7 +192,6 @@ func (s *jsonScanner) graph() (wg mlpart.WireGraph, ok bool) {
 		return wg, true
 	}
 	var seen [4]bool
-	n, edges := 0, 0
 	for {
 		key, kok := s.key()
 		if !kok {
@@ -203,17 +200,16 @@ func (s *jsonScanner) graph() (wg mlpart.WireGraph, ok bool) {
 		var (
 			dst  *[]int
 			slot int
-			hint int
 		)
 		switch string(key) {
 		case "xadj":
 			dst, slot = &wg.Xadj, 0
 		case "adjncy":
-			dst, slot, hint = &wg.Adjncy, 1, edges
+			dst, slot = &wg.Adjncy, 1
 		case "adjwgt":
-			dst, slot, hint = &wg.Adjwgt, 2, edges
+			dst, slot = &wg.Adjwgt, 2
 		case "vwgt":
-			dst, slot, hint = &wg.Vwgt, 3, n
+			dst, slot = &wg.Vwgt, 3
 		default:
 			return wg, false
 		}
@@ -221,11 +217,8 @@ func (s *jsonScanner) graph() (wg mlpart.WireGraph, ok bool) {
 			return wg, false
 		}
 		seen[slot] = true
-		if *dst, ok = s.ints(hint); !ok {
+		if *dst, ok = s.ints(); !ok {
 			return wg, false
-		}
-		if slot == 0 && len(wg.Xadj) > 0 {
-			n, edges = len(wg.Xadj)-1, wg.Xadj[len(wg.Xadj)-1]
 		}
 		if s.consume(',') {
 			continue
@@ -234,11 +227,11 @@ func (s *jsonScanner) graph() (wg mlpart.WireGraph, ok bool) {
 	}
 }
 
-// ints parses null or an array of plain integers. hint presizes the
-// slice, capped by what the bytes left could hold (every element takes at
-// least a digit and a separator), so a small body cannot force a large
-// allocation.
-func (s *jsonScanner) ints(hint int) ([]int, bool) {
+// ints parses null or an array of plain integers. The slice is sized
+// by counting the elements first, as one more than the commas before the
+// next closing bracket, capped by what the bytes left could hold (every
+// element takes at least a digit and a separator).
+func (s *jsonScanner) ints() ([]int, bool) {
 	s.ws()
 	if bytes.HasPrefix(s.data[s.i:], []byte("null")) {
 		s.i += len("null")
@@ -247,10 +240,12 @@ func (s *jsonScanner) ints(hint int) ([]int, bool) {
 	if !s.consume('[') {
 		return nil, false
 	}
-	if limit := (len(s.data)-s.i)/2 + 1; hint > limit {
-		hint = limit
+	end := bytes.IndexByte(s.data[s.i:], ']')
+	if end < 0 {
+		return nil, false
 	}
-	xs := make([]int, 0, max(hint, 0))
+	size := bytes.Count(s.data[s.i:s.i+end], []byte{','}) + 1
+	xs := make([]int, 0, min(size, (len(s.data)-s.i)/2+1))
 	if s.consume(']') {
 		return xs, true
 	}

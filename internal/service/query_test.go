@@ -239,6 +239,30 @@ func TestQueryErrorsDeterministic(t *testing.T) {
 	}
 }
 
+// TestBadOptionsNameEveryField sends JSON bodies with bad options: one
+// with three bad fields gets one 400 naming all three, and a single bad
+// field keeps the text it had when validation stopped at the first.
+func TestBadOptionsNameEveryField(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct{ options, want string }{
+		{`{"refinement":"FMPP","ncuts":-1,"coarsen_to":-5}`, `bad options: mlpart: refine: unknown refinement policy "FMPP" (want NONE, GR, KLR, BGR, BKLR, BKLGR or BKWAY); ` +
+			`multilevel: CoarsenTo = -5, want >= 0; NCuts = -1, want >= 0`},
+		{`{"ncuts":-1}`, `bad options: mlpart: multilevel: NCuts = -1, want >= 0`},
+	} {
+		body := `{"graph":{"xadj":[0,0],"adjncy":[]},"k":1,"options":` + tc.options + `}`
+		resp, err := ts.Client().Post(ts.URL+"/v1/partition", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er mlpart.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || er.Error != tc.want {
+			t.Errorf("%s: status %d, error %q (%v); want 400, %q", tc.options, resp.StatusCode, er.Error, err, tc.want)
+		}
+	}
+}
+
 // TestQueryRejectsWhatJSONCannotCarry pins the values a query may not set
 // because a JSON body could not carry them either.
 func TestQueryRejectsWhatJSONCannotCarry(t *testing.T) {

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"mlpart/internal/coarsen"
+	"mlpart/internal/errlist"
 	"mlpart/internal/faults"
 	"mlpart/internal/graph"
 	"mlpart/internal/initpart"
@@ -444,7 +445,9 @@ func (o *Options) EffectiveCoarsening() (CoarseningOptions, error) {
 	return eff, nil
 }
 
-// toML converts public options to the internal configuration.
+// toML converts public options to the internal configuration. Every
+// name that does not parse is reported, in field order, joined with "; ";
+// its field keeps the engine default.
 func (o *Options) toML() (multilevel.Options, error) {
 	ml := multilevel.Options{}
 	if o == nil {
@@ -460,52 +463,46 @@ func (o *Options) toML() (multilevel.Options, error) {
 	ml.NCuts = o.NCuts
 	ml.CoarsenWorkers = o.CoarsenWorkers
 	ml.RefineWorkers = o.RefineWorkers
+	ml.Cycles = o.Cycles
 	ml.Tracer = o.Tracer
+	var errs []error
+	parsed := func(err error) bool {
+		if err != nil {
+			errs = append(errs, err)
+		}
+		return err == nil
+	}
+	if co, err := o.EffectiveCoarsening(); parsed(err) && (o.Matching != "" || o.Coarsening != nil) {
+		s, err := coarsen.ParseScheme(co.Scheme)
+		if parsed(err) {
+			ml = ml.WithMatching(s)
+			ml.MaxClusterWeight = co.MaxClusterWeight
+			ml.LPRounds = co.LPRounds
+		}
+	}
+	if o.InitPart != "" {
+		if m, err := initpart.ParseMethod(o.InitPart); parsed(err) {
+			ml.InitMethod = m
+		}
+	}
+	if o.Refinement != "" {
+		if p, err := refine.ParsePolicy(o.Refinement); parsed(err) {
+			ml = ml.WithRefinement(p)
+		}
+	}
+	if o.Preset != "" {
+		if p, err := multilevel.ParsePreset(o.Preset); parsed(err) {
+			ml.Preset = p
+		}
+	}
 	if o.FaultInjector != nil {
 		ml.Injector = o.FaultInjector
 	} else if o.FaultPlan != "" {
-		inj, err := faults.Parse(o.FaultPlan)
-		if err != nil {
-			return ml, err
+		if inj, err := faults.Parse(o.FaultPlan); parsed(err) {
+			ml.Injector = inj
 		}
-		ml.Injector = inj
 	}
-	co, err := o.EffectiveCoarsening()
-	if err != nil {
-		return ml, err
-	}
-	if o.Matching != "" || o.Coarsening != nil {
-		s, err := coarsen.ParseScheme(co.Scheme)
-		if err != nil {
-			return ml, err
-		}
-		ml = ml.WithMatching(s)
-		ml.MaxClusterWeight = co.MaxClusterWeight
-		ml.LPRounds = co.LPRounds
-	}
-	if o.InitPart != "" {
-		m, err := initpart.ParseMethod(o.InitPart)
-		if err != nil {
-			return ml, err
-		}
-		ml.InitMethod = m
-	}
-	if o.Refinement != "" {
-		p, err := refine.ParsePolicy(o.Refinement)
-		if err != nil {
-			return ml, err
-		}
-		ml = ml.WithRefinement(p)
-	}
-	if o.Preset != "" {
-		p, err := multilevel.ParsePreset(o.Preset)
-		if err != nil {
-			return ml, err
-		}
-		ml.Preset = p
-	}
-	ml.Cycles = o.Cycles
-	return ml, nil
+	return ml, errlist.Join(errs...)
 }
 
 // EffectiveCycles resolves Preset and Cycles into the number of multilevel
@@ -549,9 +546,11 @@ func (o *Options) ResultKey() (string, error) {
 
 // Validate reports whether the options are well-formed without running
 // anything: unknown algorithm names, negative counts, imbalance factors
-// below 1 and invalid FaultPlan strings are rejected with the same error
-// the entry points would return. A nil receiver (the default
-// configuration) is always valid. Servers should call it before accepting
+// below 1 and invalid FaultPlan strings are rejected. Every problem is
+// reported, joined with "; ": the names that do not parse, then the
+// values out of range, each group in field order, then the ordering. A
+// single problem gets the error the entry points would return. A nil
+// receiver (the default configuration) is always valid. Servers should call it before accepting
 // a request so a malformed configuration is a client error, never an
 // internal one.
 func (o *Options) Validate() error {
@@ -559,13 +558,8 @@ func (o *Options) Validate() error {
 		return nil
 	}
 	ml, err := o.toML()
-	if err != nil {
-		return fmt.Errorf("mlpart: %w", err)
-	}
-	if err := ml.Validate(); err != nil {
-		return fmt.Errorf("mlpart: %w", err)
-	}
-	if _, err := graph.ParseOrdering(o.Ordering); err != nil {
+	_, oerr := graph.ParseOrdering(o.Ordering)
+	if err := errlist.Join(err, ml.Validate(), oerr); err != nil {
 		return fmt.Errorf("mlpart: %w", err)
 	}
 	return nil
