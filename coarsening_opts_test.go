@@ -62,6 +62,13 @@ func TestEffectiveCoarsening(t *testing.T) {
 				Scheme: "GCLP", LPRounds: -2,
 			}},
 			wantErr: "lp_rounds"},
+		{name: "every bad field named in field order",
+			opts: mlpart.Options{Matching: "HXM", Coarsening: &mlpart.CoarseningOptions{
+				Scheme: "GCL", MaxClusterWeight: -1, LPRounds: -2,
+			}},
+			wantErr: `coarsen: unknown coarsening scheme "HXM" (want RM, HEM, LEM, HCM or GCLP); ` +
+				`coarsen: unknown coarsening scheme "GCL" (want RM, HEM, LEM, HCM or GCLP); ` +
+				`coarsening.max_cluster_weight = -1, want >= 0; coarsening.lp_rounds = -2, want >= 0`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,8 +4,10 @@
 // (LEM) and heavy-clique matching (HCM) — and the contraction that collapses
 // each matched pair into a multinode of the next-coarser graph. A second
 // coarsening family, GCLP (size-constrained label-propagation clustering,
-// gclp.go), contracts arbitrary-size clusters instead of pairs, which keeps
-// shrinking power-law graphs where maximal matchings stall.
+// gclp.go), groups vertices into arbitrary-size clusters instead of pairs,
+// which keeps shrinking power-law graphs where maximal matchings stall. A
+// matching is the size-2 case of a clustering, so one kernel (contract)
+// contracts both.
 //
 // Contraction preserves the evaluation invariant the paper relies on: a
 // partition of the coarse graph has exactly the same edge-cut as the
@@ -222,32 +224,64 @@ func mergedDensity(g *graph.Graph, cew []int, u, v, w int) float64 {
 	return 2 * float64(inner) / (float64(size) * float64(size-1))
 }
 
-// ContractWS builds the next-coarser graph induced by a matching. It
-// returns the coarse graph, the vertex map cmap (fine vertex -> coarse
-// vertex), and the coarse contracted-edge-weight array (needed by HCM at
-// deeper levels). cew may be nil, meaning all-zero. Scratch and the
-// returned graph, cmap and cew arrays come from ws and are owned by the
-// caller (Coarsen releases them through Hierarchy.Release); with a nil ws
-// they are freshly allocated. Either way the arrays have their exact sizes.
+// ContractWS builds the next-coarser graph induced by a matching, the
+// size-2 case of contract, and returns it with the vertex map cmap (fine
+// vertex -> coarse vertex) and the coarse contracted-edge-weight array
+// (needed by HCM at deeper levels); cew may be nil, meaning all-zero. An
+// unmatched vertex is spelled match[v] == v or match[v] < 0.
+//
+// ContractWS consumes match: it rewrites it in place into contract's member
+// chain, so a caller that still needs the matching passes a copy. Scratch
+// and the returned arrays come from ws and are owned by the caller (Coarsen
+// releases them through Hierarchy.Release); a nil ws allocates. Either way
+// the arrays have their exact sizes.
 func ContractWS(g *graph.Graph, match []int, cew []int, ws *workspace.Workspace) (*graph.Graph, []int, []int) {
-	n := g.NumVertices()
-	cmap := ws.Int(n)
+	cmap, cn := pairClusters(match, ws)
+	cg, ccew := contract(g, cmap, cn, match, cew, ws)
+	return cg, cmap, ccew
+}
+
+// pairClusters numbers a matching's multinodes in representative order,
+// which is first-member order, and rewrites match in place into their
+// member chain: a representative keeps its partner, every other vertex
+// becomes -1. It returns the cluster map (from ws) and the count.
+func pairClusters(match []int, ws *workspace.Workspace) ([]int, int) {
+	cmap := ws.Int(len(match))
 	cn := 0
-	for v := 0; v < n; v++ {
-		if match[v] >= v || match[v] < 0 {
-			// v is the representative of its pair (or unmatched).
+	for v, m := range match {
+		switch {
+		case m > v:
+			cmap[v], cmap[m] = cn, cn
+			cn++
+		case m >= 0 && m < v:
+			match[v] = -1 // numbered with its representative m
+		default:
 			cmap[v] = cn
 			cn++
+			match[v] = -1
 		}
 	}
-	for v := 0; v < n; v++ {
-		if match[v] >= 0 && match[v] < v {
-			cmap[v] = cmap[match[v]]
-		}
-	}
+	return cmap, cn
+}
 
+// contract is the one contraction kernel behind every coarsening scheme: it
+// collapses each cluster of a clustering into one multinode of the
+// next-coarser graph. cmap maps every fine vertex to its cluster in
+// [0,cn), numbered in first-member order (cluster c's smallest member comes
+// before cluster c+1's), and next chains each cluster's members in
+// ascending order (next[v] is the next larger member of v's cluster, or
+// -1). A multinode weighs the sum of its members, lists its coarse
+// neighbours in the order the sweep over its members first meets them with
+// parallel edges summed, and its contracted edge weight is its members'
+// plus the weight of the edges inside the cluster.
+//
+// It returns the coarse graph and the coarse contracted-edge-weight array;
+// cew may be nil, meaning all-zero. Scratch and the returned arrays come
+// from ws (a nil ws allocates) and have their exact sizes.
+func contract(g *graph.Graph, cmap []int, cn int, next, cew []int, ws *workspace.Workspace) (*graph.Graph, []int) {
+	n := g.NumVertices()
 	cvwgt := ws.Int(cn)
-	ccew := ws.IntFilled(cn, 0)
+	ccew := ws.Int(cn)
 	// Stage the coarse adjacency at its upper bound — the fine graph's total
 	// degree — dedup in place, and trim afterwards.
 	ub := len(g.Adjncy)
@@ -259,47 +293,27 @@ func ContractWS(g *graph.Graph, match []int, cew []int, ws *workspace.Workspace)
 	// already built, so c is in the current vertex's list exactly when
 	// htable[c] >= start, and the table needs no reset between vertices.
 	htable := ws.IntFilled(cn, -1)
-	pos := 0
 	cxadj := ws.Int(cn + 1)
-	cv := 0
+	cxadj[0] = 0
+	pos, cv := 0, 0
 	for v := 0; v < n; v++ {
-		if match[v] >= 0 && match[v] < v {
-			continue // handled with its representative
+		if cmap[v] != cv {
+			continue // a later member, built with its cluster's first
 		}
 		start := pos
-		cxadj[cv] = start
-		if cew != nil {
-			ccew[cv] = cew[v]
-		}
-		mv := match[v]
-		cvwgt[cv] = g.Vwgt[v]
-		if mv != v && mv >= 0 {
-			cvwgt[cv] += g.Vwgt[mv]
+		vw, ce, internal := 0, 0, 0
+		for u := v; u >= 0; u = next[u] {
+			vw += g.Vwgt[u]
 			if cew != nil {
-				ccew[cv] += cew[mv]
+				ce += cew[u]
 			}
-		}
-		// inner is the weight of the first v->mv entry of v's list, the
-		// multinode's internal edge weight as Graph.EdgeWeight reads it;
-		// -1 until the sweep meets it.
-		inner := -1
-		for j := 0; j < 2; j++ {
-			u := v
-			if j == 1 {
-				if mv == v || mv < 0 {
-					break
-				}
-				u = mv
-			}
-			adj := g.Neighbors(u)
 			wgt := g.EdgeWeights(u)
-			for i, w := range adj {
+			for i, w := range g.Neighbors(u) {
 				c := cmap[w]
 				if c == cv {
-					// Internal edge of the multinode.
-					if j == 0 && w == mv && inner < 0 {
-						inner = wgt[i]
-					}
+					// Internal edge of the multinode, seen from both
+					// endpoints and halved below.
+					internal += wgt[i]
 					continue
 				}
 				if p := htable[c]; p >= start {
@@ -312,11 +326,13 @@ func ContractWS(g *graph.Graph, match []int, cew []int, ws *workspace.Workspace)
 				}
 			}
 		}
-		if inner > 0 {
-			ccew[cv] += inner
-		}
+		cvwgt[cv] = vw
+		ccew[cv] = ce + internal/2
 		cv++
 		cxadj[cv] = pos
+	}
+	if cv != cn {
+		panic(fmt.Sprintf("coarsen: %d of %d clusters are not numbered in first-member order", cn-cv, cn))
 	}
 	ws.PutInt(htable)
 
@@ -327,7 +343,7 @@ func ContractWS(g *graph.Graph, match []int, cew []int, ws *workspace.Workspace)
 		Adjwgt: cadjwgt,
 		Vwgt:   cvwgt,
 	}
-	return cg, cmap, ccew
+	return cg, ccew
 }
 
 // trimAdjacency copies the used prefix pos of an upper-bound staging pair
@@ -517,21 +533,26 @@ func buildHierarchy(g *graph.Graph, opts Options, rng *rand.Rand, workers int, m
 		lpRounds = defaultLPRounds
 	}
 	ws := opts.Workspace
-	// step contracts one level under the given scheme: cluster contraction
-	// for GCLP, matching contraction for the paper's four schemes.
+	// step contracts one level under the given scheme. Every scheme yields
+	// a clustering in first-member order with its member chain — GCLP's
+	// label-propagation clusters, or the pairs of the paper's four
+	// matchings — and one contraction kernel builds the coarse graph.
 	step := func(cur *graph.Graph, scheme Scheme, cew, respect []int) (*graph.Graph, []int, []int) {
+		var cmap, chain []int
+		var cn int
 		if scheme == GCLP {
-			cmap, cn := clusterLPWS(cur, respect, lpConfig{
+			cmap, cn = clusterLPWS(cur, respect, lpConfig{
 				maxWeight: maxClusterW,
 				rounds:    lpRounds,
 				workers:   workers,
 			}, rng, ws)
-			next, ccew := ContractClustersWS(cur, cmap, cn, cew, ws)
-			return next, cmap, ccew
+			chain = clusterChain(cmap, cn, ws)
+		} else {
+			chain = matchLevel(cur, scheme, cew, respect)
+			cmap, cn = pairClusters(chain, ws)
 		}
-		match := matchLevel(cur, scheme, cew, respect)
-		next, cmap, ccew := ContractWS(cur, match, cew, ws)
-		ws.PutInt(match)
+		next, ccew := contract(cur, cmap, cn, chain, cew, ws)
+		ws.PutInt(chain)
 		return next, cmap, ccew
 	}
 	h := &Hierarchy{pooled: ws != nil}

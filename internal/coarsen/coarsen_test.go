@@ -2,6 +2,7 @@ package coarsen
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -113,7 +114,7 @@ func TestContractInvariants(t *testing.T) {
 	g := matgen.FE3DTetra(8, 8, 8, 2)
 	for _, s := range allSchemes() {
 		match := MatchWS(g, s, nil, nil, rng(7), nil)
-		cg, cmap, ccew := ContractWS(g, match, nil, nil)
+		cg, cmap, ccew := ContractWS(g, slices.Clone(match), nil, nil)
 		if err := cg.Validate(); err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}

@@ -175,7 +175,7 @@ func FuzzContract(f *testing.F) {
 		g, match, cew := fuzzContractInput(data, nn, hub, pairs, seed)
 		want, wantCmap, wantCew := referenceContract(g, match, cew)
 		for _, ws := range []*workspace.Workspace{nil, new(workspace.Workspace)} {
-			got, cmap, ccew := ContractWS(g, match, cew, ws)
+			got, cmap, ccew := ContractWS(g, slices.Clone(match), cew, ws)
 			switch {
 			case !slices.Equal(got.Xadj, want.Xadj):
 				t.Fatalf("Xadj differs from the reference")
@@ -187,6 +187,120 @@ func FuzzContract(f *testing.F) {
 				t.Fatalf("Vwgt differs from the reference")
 			case !slices.Equal(cmap, wantCmap):
 				t.Fatalf("cmap differs from the reference")
+			case !slices.Equal(ccew, wantCew):
+				t.Fatalf("contracted edge weights differ from the reference")
+			}
+		}
+	})
+}
+
+// referenceContractClusters is the contraction ContractClustersWS must
+// reproduce, written with member lists and a map: cluster c becomes coarse
+// vertex c, which lists its neighbours in the order a sweep over its
+// members, in ascending order, first meets them, with parallel edges
+// summed. A multinode's contracted edge weight is the sum of its members'
+// plus the weight of the edges between its members (half the weight of
+// the entries that join two of them).
+func referenceContractClusters(g *graph.Graph, cmap []int, cn int, cew []int) (*graph.Graph, []int) {
+	members := make([][]int, cn)
+	for v, c := range cmap {
+		members[c] = append(members[c], v)
+	}
+	cg := &graph.Graph{Xadj: []int{0}, Adjncy: []int{}, Adjwgt: []int{}, Vwgt: make([]int, cn)}
+	ccew := make([]int, cn)
+	at := map[int]int{}
+	for cv, ms := range members {
+		clear(at)
+		internal := 0
+		for _, u := range ms {
+			cg.Vwgt[cv] += g.Vwgt[u]
+			if cew != nil {
+				ccew[cv] += cew[u]
+			}
+			wgt := g.EdgeWeights(u)
+			for i, w := range g.Neighbors(u) {
+				c := cmap[w]
+				if c == cv {
+					internal += wgt[i]
+					continue
+				}
+				if p, ok := at[c]; ok {
+					cg.Adjwgt[p] += wgt[i]
+					continue
+				}
+				at[c] = len(cg.Adjncy)
+				cg.Adjncy = append(cg.Adjncy, c)
+				cg.Adjwgt = append(cg.Adjwgt, wgt[i])
+			}
+		}
+		ccew[cv] += internal / 2
+		cg.Xadj = append(cg.Xadj, len(cg.Adjncy))
+	}
+	return cg, ccew
+}
+
+// fuzzClusters draws a clustering of g from seed and numbers it in
+// first-member order, as clusterLPWS does. Each vertex, in ascending
+// order, joins the cluster of its first lower neighbour with probability
+// join/512, else that of a random lower vertex with probability join/512,
+// and otherwise starts a cluster of its own; so clusters grow well past
+// pairs, both along edges and across the graph.
+func fuzzClusters(g *graph.Graph, join uint8, seed int64) ([]int, int) {
+	n := g.NumVertices()
+	rng := rand.New(rand.NewSource(seed))
+	label := make([]int, n)
+	for v := range label {
+		label[v] = v
+		switch r := rng.Intn(512); {
+		case r < int(join):
+			for _, u := range g.Neighbors(v) {
+				if u < v {
+					label[v] = label[u]
+					break
+				}
+			}
+		case r < 2*int(join) && v > 0:
+			label[v] = label[rng.Intn(v)]
+		}
+	}
+	cmap := make([]int, n)
+	id := map[int]int{}
+	for v, l := range label {
+		if _, ok := id[l]; !ok {
+			id[l] = len(id)
+		}
+		cmap[v] = id[l]
+	}
+	return cmap, len(id)
+}
+
+// FuzzContractClusters checks ContractClustersWS against
+// referenceContractClusters on random first-member-ordered clusterings of
+// the FuzzContract graphs: the same Xadj, Adjncy, Adjwgt, Vwgt and
+// contracted edge weights, in the same order, with and without a
+// workspace. The seeds include one giant cluster, all singletons, a hub
+// and multinodes that share their coarse neighbours.
+func FuzzContractClusters(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 3, 1, 0, 2, 0, 5, 2, 0, 3, 0, 1}, uint16(6), uint16(0), uint8(200), int64(1))
+	f.Add(sharedEdges([][2]uint16{{100, 101}, {200, 201}, {300, 301}}, 40), uint16(400), uint16(0), uint8(120), int64(2))
+	f.Add(sharedEdges([][2]uint16{{1500, 1501}}, 300), uint16(2000), uint16(1200), uint8(60), int64(4))
+	f.Add([]byte{1, 0, 2, 0, 1}, uint16(2100), uint16(1100), uint8(255), int64(5))
+	f.Add([]byte{1, 0, 2, 0, 1}, uint16(300), uint16(50), uint8(0), int64(6))
+	f.Fuzz(func(t *testing.T, data []byte, nn, hub uint16, join uint8, seed int64) {
+		g, _, cew := fuzzContractInput(data, nn, hub, 0, seed)
+		cmap, cn := fuzzClusters(g, join, seed)
+		want, wantCew := referenceContractClusters(g, cmap, cn, cew)
+		for _, ws := range []*workspace.Workspace{nil, new(workspace.Workspace)} {
+			got, ccew := ContractClustersWS(g, cmap, cn, cew, ws)
+			switch {
+			case !slices.Equal(got.Xadj, want.Xadj):
+				t.Fatalf("Xadj differs from the reference")
+			case !slices.Equal(got.Adjncy, want.Adjncy):
+				t.Fatalf("Adjncy differs from the reference")
+			case !slices.Equal(got.Adjwgt, want.Adjwgt):
+				t.Fatalf("Adjwgt differs from the reference")
+			case !slices.Equal(got.Vwgt, want.Vwgt):
+				t.Fatalf("Vwgt differs from the reference")
 			case !slices.Equal(ccew, wantCew):
 				t.Fatalf("contracted edge weights differ from the reference")
 			}

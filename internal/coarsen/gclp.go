@@ -227,101 +227,36 @@ func clusterLPWS(g *graph.Graph, respect []int, cfg lpConfig, rng *rand.Rand, ws
 	return label, cn
 }
 
-// ContractClusters builds the next-coarser graph induced by an
-// arbitrary-clusters map, the aggregation counterpart of ContractWS:
-// multinode weights are the sums of their members, parallel edges collapse by summing
-// weights, and intra-cluster edges vanish — so a partition of the coarse
-// graph keeps exactly the fine partition's cut, the same invariant matching
-// contraction guarantees. cmap must map every vertex to a cluster in
-// [0,cn). It returns the coarse graph and the coarse contracted-edge-weight
-// array (member cews plus the weight of the edges internal to each
-// cluster); cew may be nil, meaning all-zero.
-func ContractClusters(g *graph.Graph, cmap []int, cn int, cew []int) (*graph.Graph, []int) {
-	return ContractClustersWS(g, cmap, cn, cew, nil)
+// ContractClustersWS builds the next-coarser graph induced by an
+// arbitrary-size clustering, the aggregation counterpart of ContractWS:
+// multinode weights are the sums of their members, parallel edges collapse
+// by summing weights, and intra-cluster edges vanish — so a partition of
+// the coarse graph keeps exactly the fine partition's cut. cmap must map
+// every vertex to a cluster in [0,cn), numbered in first-member order as
+// clusterLPWS numbers them. It returns the coarse graph and the coarse
+// contracted-edge-weight array (member cews plus the weight of the edges
+// internal to each cluster); cew may be nil, meaning all-zero. The
+// returned arrays come from ws (a nil ws allocates) and are exact-size.
+func ContractClustersWS(g *graph.Graph, cmap []int, cn int, cew []int, ws *workspace.Workspace) (*graph.Graph, []int) {
+	next := clusterChain(cmap, cn, ws)
+	cg, ccew := contract(g, cmap, cn, next, cew, ws)
+	ws.PutInt(next)
+	return cg, ccew
 }
 
-// ContractClustersWS is ContractClusters drawing its scratch and the coarse
-// graph's arrays from ws, mirroring ContractWS: the returned arrays are
-// pooled buffers owned by the caller, a nil ws allocates fresh ones, and
-// both are exact-size.
-func ContractClustersWS(g *graph.Graph, cmap []int, cn int, cew []int, ws *workspace.Workspace) (*graph.Graph, []int) {
-	n := g.NumVertices()
-	// Bucket members by cluster (counting sort) so each coarse vertex's
-	// adjacency is assembled in one contiguous scan.
-	coff := ws.IntFilled(cn+1, 0)
-	for v := 0; v < n; v++ {
-		coff[cmap[v]+1]++
-	}
-	for c := 0; c < cn; c++ {
-		coff[c+1] += coff[c]
-	}
-	members := ws.Int(n)
-	fill := ws.Int(cn)
-	copy(fill, coff[:cn])
-	for v := 0; v < n; v++ {
-		c := cmap[v]
-		members[fill[c]] = v
-		fill[c]++
-	}
-	ws.PutInt(fill)
-
-	cvwgt := ws.IntFilled(cn, 0)
-	ccew := ws.IntFilled(cn, 0)
-	// Stage the coarse adjacency at its upper bound — the fine graph's total
-	// degree — dedup in place, and trim afterwards, exactly like ContractWS.
-	ub := len(g.Adjncy)
-	cadjncy := ws.Int(ub)
-	cadjwgt := ws.Int(ub)
-
-	// htable[c] is the position at which coarse neighbour c was last
-	// listed, or -1; c is in the current vertex's list exactly when
-	// htable[c] >= start, as in ContractWS.
-	htable := ws.IntFilled(cn, -1)
-	cxadj := ws.Int(cn + 1)
-	pos := 0
-	for cv := 0; cv < cn; cv++ {
-		start := pos
-		cxadj[cv] = start
-		internal := 0
-		for mi := coff[cv]; mi < coff[cv+1]; mi++ {
-			u := members[mi]
-			cvwgt[cv] += g.Vwgt[u]
-			if cew != nil {
-				ccew[cv] += cew[u]
-			}
-			adj := g.Neighbors(u)
-			wgt := g.EdgeWeights(u)
-			for i, w := range adj {
-				c := cmap[w]
-				if c == cv {
-					// Internal edge of the cluster; each undirected edge is
-					// seen from both endpoints, halved below.
-					internal += wgt[i]
-					continue
-				}
-				if p := htable[c]; p >= start {
-					cadjwgt[p] += wgt[i]
-				} else {
-					htable[c] = pos
-					cadjncy[pos] = c
-					cadjwgt[pos] = wgt[i]
-					pos++
-				}
-			}
+// clusterChain links each cluster's members in ascending order, the member
+// chain contract walks: next[v] is the next larger vertex in v's cluster,
+// or -1. The chain comes from ws.
+func clusterChain(cmap []int, cn int, ws *workspace.Workspace) []int {
+	next := ws.Int(len(cmap))
+	last := ws.IntFilled(cn, -1)
+	for v, c := range cmap {
+		if l := last[c]; l >= 0 {
+			next[l] = v
 		}
-		ccew[cv] += internal / 2
-		cxadj[cv+1] = pos
+		last[c] = v
+		next[v] = -1
 	}
-	ws.PutInt(htable)
-	ws.PutInt(members)
-	ws.PutInt(coff)
-
-	cadjncy, cadjwgt = trimAdjacency(cadjncy, cadjwgt, pos, ws)
-	cg := &graph.Graph{
-		Xadj:   cxadj,
-		Adjncy: cadjncy,
-		Adjwgt: cadjwgt,
-		Vwgt:   cvwgt,
-	}
-	return cg, ccew
+	ws.PutInt(last)
+	return next
 }

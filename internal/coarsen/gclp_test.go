@@ -93,7 +93,7 @@ func TestContractClustersInvariants(t *testing.T) {
 	g := matgen.FE3DTetra(8, 8, 8, 2)
 	maxW := g.TotalVertexWeight() / 40
 	cmap, cn := clusterLPWS(g, nil, lpConfig{maxWeight: maxW, rounds: defaultLPRounds, workers: 1}, rng(7), nil)
-	cg, ccew := ContractClusters(g, cmap, cn, nil)
+	cg, ccew := ContractClustersWS(g, cmap, cn, nil, nil)
 	if err := cg.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestContractClustersPreservesCut(t *testing.T) {
 	g := matgen.Mesh2DTri(15, 15, 0, 3)
 	maxW := g.TotalVertexWeight() / 30
 	cmap, cn := clusterLPWS(g, nil, lpConfig{maxWeight: maxW, rounds: defaultLPRounds, workers: 1}, rng(5), nil)
-	cg, _ := ContractClusters(g, cmap, cn, nil)
+	cg, _ := ContractClustersWS(g, cmap, cn, nil, nil)
 	r := rng(9)
 	cwhere := make([]int, cn)
 	for i := range cwhere {

@@ -332,3 +332,26 @@ func TestJobsBatchCap(t *testing.T) {
 		t.Fatalf("jobs varz: max_batch_jobs %d, batch_oversize %d", v.Jobs.MaxBatchJobs, v.Jobs.BatchOversize)
 	}
 }
+
+// TestSessionCreateRejectsAsymmetricGraph: the session manager trusts the
+// decoders to validate a graph, so an asymmetric graph must get its 400
+// from decoding, in JSON and in csrb alike.
+func TestSessionCreateRejectsAsymmetricGraph(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	// 0-1 weighs 1 one way and 2 the other; 1-2 is symmetric.
+	wg := mlpart.WireGraph{Xadj: []int{0, 1, 3, 4}, Adjncy: []int{1, 0, 2, 1}, Adjwgt: []int{1, 2, 1, 1}}
+	resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/graphs", mlpart.SessionCreateRequest{Graph: wg, K: 2})
+	if want := "bad graph: graph: asymmetric edge (0,1): 1 vs 2"; resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), want) {
+		t.Errorf("json: status %d, body %s; want 400 naming %q", resp.StatusCode, data, want)
+	}
+
+	var buf bytes.Buffer
+	g := &mlpart.Graph{Xadj: wg.Xadj, Adjncy: wg.Adjncy, Adjwgt: wg.Adjwgt, Vwgt: []int{1, 1, 1}}
+	if err := mlpart.WriteBinaryGraph(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	resp, data = postBinary(t, ts.Client(), ts.URL+"/v1/graphs?k=2", buf.Bytes())
+	if want := "bad graph: graph: adjacency is not symmetric"; resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), want) {
+		t.Errorf("csrb: status %d, body %s; want 400 naming %q", resp.StatusCode, data, want)
+	}
+}

@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"mlpart/internal/enum"
+	"mlpart/internal/errlist"
 	"mlpart/internal/faults"
 	"mlpart/internal/graph"
 	"mlpart/internal/kway"
@@ -160,13 +161,18 @@ type Config struct {
 	Ubfactor float64
 }
 
-// Validate rejects configs the repair ladder cannot honor.
+// Validate rejects configs the repair ladder cannot honor, naming every
+// bad field in field order, joined with "; ".
 func (c Config) Validate() error {
+	var errs []error
 	if c.K < 2 {
-		return fmt.Errorf("sessions: k must be >= 2, got %d", c.K)
+		errs = append(errs, fmt.Errorf("k must be >= 2, got %d", c.K))
 	}
 	if err := metrics.ValidateUbfactor(c.Ubfactor); err != nil {
-		return fmt.Errorf("sessions: ubfactor = %v, %w", c.Ubfactor, err)
+		errs = append(errs, fmt.Errorf("ubfactor = %v, %w", c.Ubfactor, err))
+	}
+	if err := errlist.Join(errs...); err != nil {
+		return fmt.Errorf("sessions: %w", err)
 	}
 	return nil
 }
@@ -257,8 +263,10 @@ func (o Options) withDefaults() Options {
 
 // Validate rejects option values the ladder cannot act on coherently:
 // non-finite or sub-1 thresholds, an escalation order that would skip
-// rungs, and non-positive budgets.
+// rungs, and non-positive budgets. Every problem is reported, in field
+// order, joined with "; ".
 func (o Options) Validate() error {
+	var errs []error
 	for _, f := range []struct {
 		name string
 		v    float64
@@ -268,10 +276,9 @@ func (o Options) Validate() error {
 		{"max_imbalance", o.MaxImbalance},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("sessions: %s must be finite", f.name)
-		}
-		if f.v != 0 && f.v <= 1 {
-			return fmt.Errorf("sessions: %s must be > 1 (or 0 for default), got %v", f.name, f.v)
+			errs = append(errs, fmt.Errorf("%s must be finite", f.name))
+		} else if f.v != 0 && f.v <= 1 {
+			errs = append(errs, fmt.Errorf("%s must be > 1 (or 0 for default), got %v", f.name, f.v))
 		}
 	}
 	cd, vd := o.CutDriftRatio, o.VCycleDriftRatio
@@ -282,25 +289,28 @@ func (o Options) Validate() error {
 		vd = 1.5
 	}
 	if vd < cd {
-		return fmt.Errorf("sessions: vcycle_drift_ratio (%v) must be >= cut_drift_ratio (%v)", vd, cd)
+		errs = append(errs, fmt.Errorf("vcycle_drift_ratio (%v) must be >= cut_drift_ratio (%v)", vd, cd))
 	}
 	if o.MaxSessions < 0 {
-		return errors.New("sessions: max_sessions must be >= 0")
+		errs = append(errs, errors.New("max_sessions must be >= 0"))
 	}
 	if o.MaxSessionBytes < 0 || o.MaxResidentBytes < 0 {
-		return errors.New("sessions: memory budgets must be >= 0")
+		errs = append(errs, errors.New("memory budgets must be >= 0"))
 	}
 	if o.MaxSessionBytes != 0 && o.MaxResidentBytes != 0 && o.MaxResidentBytes < o.MaxSessionBytes {
-		return errors.New("sessions: max_resident_bytes must be >= max_session_bytes")
+		errs = append(errs, errors.New("max_resident_bytes must be >= max_session_bytes"))
 	}
 	if o.MaxDeltaOps < 0 {
-		return errors.New("sessions: max_delta_ops must be >= 0")
+		errs = append(errs, errors.New("max_delta_ops must be >= 0"))
 	}
 	if o.IdleTTL < 0 {
-		return errors.New("sessions: idle_ttl must be >= 0")
+		errs = append(errs, errors.New("idle_ttl must be >= 0"))
 	}
 	if o.SnapshotEvery < 0 {
-		return errors.New("sessions: snapshot_every must be >= 0")
+		errs = append(errs, errors.New("snapshot_every must be >= 0"))
+	}
+	if err := errlist.Join(errs...); err != nil {
+		return fmt.Errorf("sessions: %w", err)
 	}
 	return nil
 }
@@ -468,11 +478,13 @@ func estimateCreateBytes(g *graph.Graph) int64 {
 // Create admits a new resident graph, computes its initial k-way
 // partition with a full multilevel V-cycle, persists the first snapshot
 // and returns its state.
+//
+// g must be a valid graph (g.Validate() == nil); Create does not check it
+// again. The service's JSON and csrb decoders validate every graph they
+// return, and a second O(n + m) pass would cost a large create tens of
+// milliseconds and a transpose of scratch.
 func (m *Manager) Create(g *graph.Graph, cfg Config) (*State, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, &OpError{Reason: err.Error()}
-	}
-	if err := g.Validate(); err != nil {
 		return nil, &OpError{Reason: err.Error()}
 	}
 	if g.NumVertices() < cfg.K {

@@ -334,6 +334,13 @@ func TestConfigAndOptionsValidation(t *testing.T) {
 			t.Errorf("options %d validated", i)
 		}
 	}
+	// Several bad fields are all named, in field order, after one prefix.
+	o := Options{MaxImbalance: 0.5, MaxDeltaOps: -1, SnapshotEvery: -1}
+	want := "sessions: max_imbalance must be > 1 (or 0 for default), got 0.5; " +
+		"max_delta_ops must be >= 0; snapshot_every must be >= 0"
+	if err := o.Validate(); err == nil || err.Error() != want {
+		t.Errorf("Validate() = %v, want %s", err, want)
+	}
 }
 
 func TestChaosApplyFault(t *testing.T) {

@@ -399,50 +399,50 @@ func NewJSONTracer(w io.Writer) Tracer { return trace.NewJSONTracer(w) }
 // Matching and Coarsening.Scheme are set they must agree (after
 // normalization); disagreeing fields are an error, not a silent
 // precedence. GCLP-only knobs (MaxClusterWeight, LPRounds) must be zero
-// for the matching-family schemes and never negative.
+// for the matching-family schemes and never negative. Every problem is
+// reported, in field order, joined with "; ".
 func (o *Options) EffectiveCoarsening() (CoarseningOptions, error) {
 	var eff CoarseningOptions
-	name := ""
+	matching := ""
 	if o != nil {
-		name = o.Matching
+		matching = o.Matching
 		if o.Coarsening != nil {
 			eff = *o.Coarsening
-			if eff.Scheme != "" {
-				name = eff.Scheme
-			}
-			if o.Matching != "" && o.Coarsening.Scheme != "" {
-				ms, err := coarsen.ParseScheme(o.Matching)
-				if err != nil {
-					return eff, err
-				}
-				cs, err := coarsen.ParseScheme(o.Coarsening.Scheme)
-				if err != nil {
-					return eff, err
-				}
-				if ms != cs {
-					return eff, fmt.Errorf("matching %q and coarsening.scheme %q disagree; set only coarsening", o.Matching, o.Coarsening.Scheme)
-				}
-			}
 		}
 	}
-	if name == "" {
-		name = MatchHEM
+	var errs []error
+	parse := func(name string) (coarsen.Scheme, bool) {
+		s, err := coarsen.ParseScheme(name)
+		if err != nil {
+			errs = append(errs, err)
+		}
+		return s, err == nil
 	}
-	s, err := coarsen.ParseScheme(name)
-	if err != nil {
-		return eff, err
+	// A set coarsening.scheme wins over the matching alias, which must
+	// then agree with it.
+	s, ok := coarsen.HEM, true
+	if matching != "" {
+		s, ok = parse(matching)
 	}
-	eff.Scheme = s.String()
+	if eff.Scheme != "" {
+		ms, mok := s, ok && matching != ""
+		if s, ok = parse(eff.Scheme); mok && ok && ms != s {
+			errs = append(errs, fmt.Errorf("matching %q and coarsening.scheme %q disagree; set only coarsening", matching, eff.Scheme))
+		}
+	}
+	if ok {
+		eff.Scheme = s.String()
+	}
 	if eff.MaxClusterWeight < 0 {
-		return eff, fmt.Errorf("coarsening.max_cluster_weight = %d, want >= 0", eff.MaxClusterWeight)
+		errs = append(errs, fmt.Errorf("coarsening.max_cluster_weight = %d, want >= 0", eff.MaxClusterWeight))
 	}
 	if eff.LPRounds < 0 {
-		return eff, fmt.Errorf("coarsening.lp_rounds = %d, want >= 0", eff.LPRounds)
+		errs = append(errs, fmt.Errorf("coarsening.lp_rounds = %d, want >= 0", eff.LPRounds))
 	}
-	if s != coarsen.GCLP && (eff.MaxClusterWeight != 0 || eff.LPRounds != 0) {
-		return eff, fmt.Errorf("coarsening knobs max_cluster_weight/lp_rounds apply only to %s, not %s", MatchGCLP, eff.Scheme)
+	if ok && s != coarsen.GCLP && (eff.MaxClusterWeight != 0 || eff.LPRounds != 0) {
+		errs = append(errs, fmt.Errorf("coarsening knobs max_cluster_weight/lp_rounds apply only to %s, not %s", MatchGCLP, eff.Scheme))
 	}
-	return eff, nil
+	return eff, errlist.Join(errs...)
 }
 
 // toML converts public options to the internal configuration. Every
@@ -602,6 +602,16 @@ func Partition(g *Graph, k int, opts *Options) (*Partitioning, error) {
 // and a wrapped ctx.Err() is returned once it fires. With a
 // never-cancelled ctx the result is identical to Partition's.
 func PartitionCtx(ctx context.Context, g *Graph, k int, opts *Options) (*Partitioning, error) {
+	return partitionWith(ctx, g, opts, func(gp *Graph, ml multilevel.Options) (*multilevel.Result, error) {
+		return multilevel.Partition(gp, k, ml)
+	})
+}
+
+// partitionWith is the one body behind the partitioning entry points: it
+// resolves opts, attaches ctx, applies the requested vertex ordering, runs
+// the engine call on the reordered graph and maps the result back to g's
+// vertex ids.
+func partitionWith(ctx context.Context, g *Graph, opts *Options, run func(*Graph, multilevel.Options) (*multilevel.Result, error)) (*Partitioning, error) {
 	ml, err := optsOrDefault(opts)
 	if err != nil {
 		return nil, err
@@ -611,7 +621,7 @@ func PartitionCtx(ctx context.Context, g *Graph, k int, opts *Options) (*Partiti
 	if err != nil {
 		return nil, err
 	}
-	res, err := multilevel.Partition(gp, k, ml)
+	res, err := run(gp, ml)
 	if err != nil {
 		return nil, err
 	}
@@ -635,26 +645,9 @@ func PartitionWeighted(g *Graph, fractions []float64, opts *Options) (*Partition
 // PartitionWeightedCtx is PartitionWeighted with cancellation, mirroring
 // PartitionCtx.
 func PartitionWeightedCtx(ctx context.Context, g *Graph, fractions []float64, opts *Options) (*Partitioning, error) {
-	ml, err := optsOrDefault(opts)
-	if err != nil {
-		return nil, err
-	}
-	ml.Context = ctx
-	gp, perm, err := applyOrdering(g, opts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := multilevel.PartitionWeighted(gp, fractions, ml)
-	if err != nil {
-		return nil, err
-	}
-	return &Partitioning{
-		Where:        unpermuteWhere(res.Where, perm),
-		EdgeCut:      res.EdgeCut,
-		PartWeights:  res.PartWeights,
-		Cycles:       res.Stats.Cycles,
-		Degradations: res.Stats.Degradations,
-	}, nil
+	return partitionWith(ctx, g, opts, func(gp *Graph, ml multilevel.Options) (*multilevel.Result, error) {
+		return multilevel.PartitionWeighted(gp, fractions, ml)
+	})
 }
 
 // PartitionDirectKWay divides g into k parts with the direct multilevel
@@ -669,26 +662,9 @@ func PartitionDirectKWay(g *Graph, k int, opts *Options) (*Partitioning, error) 
 // PartitionDirectKWayCtx is PartitionDirectKWay with cancellation,
 // mirroring PartitionCtx.
 func PartitionDirectKWayCtx(ctx context.Context, g *Graph, k int, opts *Options) (*Partitioning, error) {
-	ml, err := optsOrDefault(opts)
-	if err != nil {
-		return nil, err
-	}
-	ml.Context = ctx
-	gp, perm, err := applyOrdering(g, opts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := multilevel.PartitionKWay(gp, k, ml)
-	if err != nil {
-		return nil, err
-	}
-	return &Partitioning{
-		Where:        unpermuteWhere(res.Where, perm),
-		EdgeCut:      res.EdgeCut,
-		PartWeights:  res.PartWeights,
-		Cycles:       res.Stats.Cycles,
-		Degradations: res.Stats.Degradations,
-	}, nil
+	return partitionWith(ctx, g, opts, func(gp *Graph, ml multilevel.Options) (*multilevel.Result, error) {
+		return multilevel.PartitionKWay(gp, k, ml)
+	})
 }
 
 // Bisect splits g into two parts of equal target weight and returns the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mlpart/internal/errlist"
 	"mlpart/internal/kway"
 	"mlpart/internal/metrics"
 	"mlpart/internal/refine"
@@ -27,20 +28,24 @@ type RepartitionOptions struct {
 // Validate rejects option values that would silently misbehave inside the
 // rebalancing sweeps (an Ubfactor below 1 makes every part overweight; a
 // negative MigrationWeight rewards churn). A nil receiver (the default
-// configuration) is always valid; like (*Options).Validate it lets servers
+// configuration) is always valid; like (*Options).Validate it reports
+// every bad field, in field order, joined with "; ", and lets servers
 // classify a malformed configuration as a client error up front.
 func (o *RepartitionOptions) Validate() error {
 	if o == nil {
 		return nil
 	}
+	var errs []error
 	if err := metrics.ValidateUbfactor(o.Ubfactor); err != nil {
-		return fmt.Errorf("mlpart: RepartitionOptions.Ubfactor = %v, %w", o.Ubfactor, err)
+		errs = append(errs, fmt.Errorf("RepartitionOptions.Ubfactor = %v, %w", o.Ubfactor, err))
 	}
 	if math.IsNaN(o.MigrationWeight) || math.IsInf(o.MigrationWeight, 0) {
-		return fmt.Errorf("mlpart: RepartitionOptions.MigrationWeight = %v, want a finite value", o.MigrationWeight)
+		errs = append(errs, fmt.Errorf("RepartitionOptions.MigrationWeight = %v, want a finite value", o.MigrationWeight))
+	} else if o.MigrationWeight < 0 {
+		errs = append(errs, fmt.Errorf("RepartitionOptions.MigrationWeight = %v, want >= 0 (0 means the default 1.0)", o.MigrationWeight))
 	}
-	if o.MigrationWeight < 0 {
-		return fmt.Errorf("mlpart: RepartitionOptions.MigrationWeight = %v, want >= 0 (0 means the default 1.0)", o.MigrationWeight)
+	if err := errlist.Join(errs...); err != nil {
+		return fmt.Errorf("mlpart: %w", err)
 	}
 	return nil
 }

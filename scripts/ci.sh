@@ -49,12 +49,13 @@ echo "== perfbench (own module, so root go test ./... never compiles it)"
 echo "== benchmark smoke (every benchmark once; fails if any of them fails)"
 go test -run '^$' -bench . -benchtime 1x ./...
 
-echo "== fuzz smoke (graph readers + binary + Validate, contraction, JSON and query request decoders + session delta log + BKWAY connectivity + projection + Repartition)"
+echo "== fuzz smoke (graph readers + binary + Validate, matching and cluster contraction, JSON and query request decoders + session delta log + BKWAY connectivity + projection + Repartition)"
 go test -fuzz '^FuzzRead$' -fuzztime 10s -run '^$' ./internal/graph/
 go test -fuzz '^FuzzReadMatrixMarket$' -fuzztime 10s -run '^$' ./internal/graph/
 go test -fuzz '^FuzzDecodeBinary$' -fuzztime 10s -run '^$' ./internal/graph/
 go test -fuzz '^FuzzValidate$' -fuzztime 10s -run '^$' ./internal/graph/
 go test -fuzz '^FuzzContract$' -fuzztime 10s -run '^$' ./internal/coarsen/
+go test -fuzz '^FuzzContractClusters$' -fuzztime 10s -run '^$' ./internal/coarsen/
 go test -fuzz '^FuzzDecodeJSONRequest$' -fuzztime 10s -run '^$' ./internal/service/
 go test -fuzz '^FuzzQueryDecode$' -fuzztime 10s -run '^$' ./internal/service/
 go test -fuzz '^FuzzDeltaLog$' -fuzztime 10s -run '^$' ./internal/sessions/
