@@ -37,7 +37,6 @@ func main() {
 	k := flag.Int("k", 32, "parts for Tables 2-4")
 	figK := flag.Int("figk", 64, "parts for Figure 4 run-time comparison")
 	ncuts := flag.Int("ncuts", 0, "best-of-N bisections for Figure 4's \"ours\" (quality for time)")
-	workers := flag.Int("workers", 0, "parallel coarsening workers for Figure 4's \"ours\" (>1 enables)")
 	parallel := flag.Bool("parallel", false, "run Figure 4's \"ours\" with concurrent subgraphs and NCuts trials")
 	preset := flag.String("preset", "", "quality preset for -levels and Figure 4's \"ours\": "+strings.Join(multilevel.PresetNames(), ", "))
 	ablation := flag.Bool("ablation", false, "run the design-choice ablation sweeps of DESIGN.md")
@@ -106,11 +105,10 @@ func main() {
 		banner(fmt.Sprintf("Figure 4: run time relative to ours (%d-way)", *figK))
 		ws := matgen.Suite(experiments.FigureNames(), *scale)
 		opts := multilevel.Options{
-			Seed:           *seed,
-			NCuts:          *ncuts,
-			CoarsenWorkers: *workers,
-			Parallel:       *parallel,
-			Preset:         mustPreset(*preset),
+			Seed:     *seed,
+			NCuts:    *ncuts,
+			Parallel: *parallel,
+			Preset:   mustPreset(*preset),
 		}
 		experiments.PrintRuntimes(os.Stdout, experiments.RuntimesOpts(ws, *figK, opts))
 	}

@@ -437,6 +437,12 @@ type Options struct {
 	// GCLP runs per level (<= 0 means 8). Propagation also stops early the
 	// first round no vertex moves. Ignored by the matching schemes.
 	LPRounds int
+	// Workers chunks GCLP's label-propagation propose phase over that many
+	// goroutines (<= 1 runs it inline). It is scheduling only: proposals
+	// read the previous round's labels and commits are serial, so the
+	// hierarchy is bit-identical for every worker count. The matching
+	// schemes are sequential and ignore it.
+	Workers int
 	// MaxLevels bounds the number of coarsening levels (safety net for
 	// graphs that barely contract); <=0 means no bound.
 	MaxLevels int
@@ -491,46 +497,25 @@ func emitLevel(tr trace.Tracer, level int, fine, cur *graph.Graph, scheme Scheme
 	tr.Event(ev)
 }
 
-// Coarsen builds the full hierarchy for g. Coarsening stops when the graph
-// has at most opts.CoarsenTo vertices, when a level shrinks the graph by
-// less than 10% (matchings have become ineffective, e.g. star graphs), or
-// when the graph has no edges left. A stalled HCM or GCLP level is retried
-// once per level with HEM (recorded in opts.Degradations); only if HEM
-// stalls too does coarsening stop early.
+// Coarsen builds the full hierarchy for g: cluster or match, contract,
+// check for stalls, consult the fault injector at each level boundary.
+// Coarsening stops when the graph has at most opts.CoarsenTo vertices, when
+// a level shrinks the graph by less than 10% (matchings have become
+// ineffective, e.g. star graphs), or when the graph has no edges left. A
+// stalled HCM or GCLP level is retried once per level with HEM (recorded in
+// opts.Degradations); only if HEM stalls too does coarsening stop early.
 func Coarsen(g *graph.Graph, opts Options, rng *rand.Rand) *Hierarchy {
-	return buildHierarchy(g, opts, rng, 1, func(cur *graph.Graph, scheme Scheme, cew, respect []int) []int {
-		return MatchWS(cur, scheme, cew, respect, rng, opts.Workspace)
-	})
-}
-
-// matchFunc computes one level's matching under a matching-family scheme;
-// Coarsen and ParallelCoarsen differ only in which matcher they plug in.
-// GCLP levels bypass it: label propagation is propose-parallel/
-// commit-serial by construction, so one implementation serves both paths
-// bit-identically (see clusterLPWS).
-type matchFunc func(cur *graph.Graph, scheme Scheme, cew, respect []int) []int
-
-// buildHierarchy is the shared coarsening loop behind Coarsen and
-// ParallelCoarsen: cluster or match, contract, check for stalls (with the
-// HCM/GCLP -> HEM fallback), consult the fault injector at each level
-// boundary. workers only affects how GCLP's propose phase is chunked,
-// never the result.
-func buildHierarchy(g *graph.Graph, opts Options, rng *rand.Rand, workers int, matchLevel matchFunc) *Hierarchy {
 	if opts.CoarsenTo <= 0 {
 		opts.CoarsenTo = 100
 	}
-	maxClusterW := opts.MaxClusterWeight
-	if maxClusterW <= 0 {
+	lp := lpConfig{maxWeight: opts.MaxClusterWeight, rounds: opts.LPRounds, workers: opts.Workers}
+	if lp.maxWeight <= 0 {
 		// Derived cap: clusters of at most total/CoarsenTo weight keep at
 		// least ~CoarsenTo coarse vertices however fast GCLP aggregates.
-		maxClusterW = g.TotalVertexWeight() / opts.CoarsenTo
-		if maxClusterW < 1 {
-			maxClusterW = 1
-		}
+		lp.maxWeight = max(g.TotalVertexWeight()/opts.CoarsenTo, 1)
 	}
-	lpRounds := opts.LPRounds
-	if lpRounds <= 0 {
-		lpRounds = defaultLPRounds
+	if lp.rounds <= 0 {
+		lp.rounds = defaultLPRounds
 	}
 	ws := opts.Workspace
 	// step contracts one level under the given scheme. Every scheme yields
@@ -541,14 +526,10 @@ func buildHierarchy(g *graph.Graph, opts Options, rng *rand.Rand, workers int, m
 		var cmap, chain []int
 		var cn int
 		if scheme == GCLP {
-			cmap, cn = clusterLPWS(cur, respect, lpConfig{
-				maxWeight: maxClusterW,
-				rounds:    lpRounds,
-				workers:   workers,
-			}, rng, ws)
+			cmap, cn = clusterLPWS(cur, respect, lp, rng, ws)
 			chain = clusterChain(cmap, cn, ws)
 		} else {
-			chain = matchLevel(cur, scheme, cew, respect)
+			chain = MatchWS(cur, scheme, cew, respect, rng, ws)
 			cmap, cn = pairClusters(chain, ws)
 		}
 		next, ccew := contract(cur, cmap, cn, chain, cew, ws)
@@ -591,10 +572,8 @@ func buildHierarchy(g *graph.Graph, opts Options, rng *rand.Rand, workers int, m
 			// neighboring cluster is full. Fall back to HEM for this and
 			// all deeper levels rather than abandoning the hierarchy at a
 			// coarse size the initial partitioner handles poorly.
-			if ws != nil {
-				next.Release(ws)
-				ws.PutInt(cmap)
-			}
+			next.Release(ws)
+			ws.PutInt(cmap)
 			ws.PutInt(ccew)
 			reason := "matching stalled"
 			if stallErr != nil {
@@ -617,10 +596,8 @@ func buildHierarchy(g *graph.Graph, opts Options, rng *rand.Rand, workers int, m
 		}
 		if stalled {
 			// Coarsening stalled; further levels would waste time.
-			if ws != nil {
-				next.Release(ws)
-				ws.PutInt(cmap)
-			}
+			next.Release(ws)
+			ws.PutInt(cmap)
 			ws.PutInt(ccew)
 			break
 		}

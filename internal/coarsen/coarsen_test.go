@@ -302,3 +302,40 @@ func TestHCMUsesDensity(t *testing.T) {
 		t.Fatal("HCM failed to coarsen")
 	}
 }
+
+// BenchmarkMatchHEM times one heavy-edge matching of a 3D stiffness matrix.
+func BenchmarkMatchHEM(b *testing.B) {
+	b.ReportAllocs()
+	g := matgen.Stiffness3D(20, 20, 20)
+	r := rand.New(rand.NewSource(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatchWS(g, HEM, nil, nil, r, nil)
+	}
+}
+
+// BenchmarkContract times the contraction kernel on one level of a 3D
+// stiffness matrix, fed by each adapter: an HEM matching, and a GCLP
+// clustering whose clusters hold up to 1% of the vertex weight.
+func BenchmarkContract(b *testing.B) {
+	g := matgen.Stiffness3D(16, 16, 16)
+	b.Run("HEM", func(b *testing.B) {
+		b.ReportAllocs()
+		match := MatchWS(g, HEM, nil, nil, rand.New(rand.NewSource(1)), nil)
+		chain := make([]int, len(match))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(chain, match) // ContractWS consumes its matching
+			ContractWS(g, chain, nil, nil)
+		}
+	})
+	b.Run("GCLP", func(b *testing.B) {
+		b.ReportAllocs()
+		cfg := lpConfig{maxWeight: g.TotalVertexWeight() / 100, rounds: defaultLPRounds, workers: 1}
+		cmap, cn := clusterLPWS(g, nil, cfg, rand.New(rand.NewSource(1)), nil)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ContractClustersWS(g, cmap, cn, nil, nil)
+		}
+	})
+}

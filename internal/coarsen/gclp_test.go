@@ -218,17 +218,16 @@ func TestGCLPStarVsHEM(t *testing.T) {
 // snapshot and the commit is serial.
 func TestGCLPParallelBitIdentical(t *testing.T) {
 	g := matgen.SocialNetwork(8192, 4, 23)
-	ref := ParallelCoarsen(g, Options{Scheme: GCLP, CoarsenTo: 80}, rng(9), 1)
+	ref := Coarsen(g, Options{Scheme: GCLP, CoarsenTo: 80, Workers: 1}, rng(9))
 	for _, workers := range []int{2, 4, 8} {
-		got := ParallelCoarsen(g, Options{Scheme: GCLP, CoarsenTo: 80}, rng(9), workers)
+		got := Coarsen(g, Options{Scheme: GCLP, CoarsenTo: 80, Workers: workers}, rng(9))
 		sameHierarchy(t, "GCLP", ref, got)
 	}
 }
 
-// TestGCLPSequentialParallelAgree pins the stronger half of the contract:
-// while GCLP is active (no fallback has demoted the run to HEM, whose
-// sequential and handshake matchers legitimately differ), ParallelCoarsen is
-// bit-identical to sequential Coarsen — they share clusterLPWS outright.
+// TestGCLPSequentialParallelAgree pins the same contract on levels that GCLP
+// itself built (no fallback has demoted the run to HEM): the default
+// Workers and explicit worker counts give the same hierarchy.
 func TestGCLPSequentialParallelAgree(t *testing.T) {
 	g := matgen.SocialNetwork(8192, 4, 23)
 	var degs []trace.Degradation
@@ -238,7 +237,9 @@ func TestGCLPSequentialParallelAgree(t *testing.T) {
 		t.Fatalf("fallback fired within %d levels: %+v", opts.MaxLevels, degs)
 	}
 	for _, workers := range []int{1, 4} {
-		got := ParallelCoarsen(g, opts, rng(9), workers)
+		wopts := opts
+		wopts.Workers = workers
+		got := Coarsen(g, wopts, rng(9))
 		sameHierarchy(t, "GCLP seq/par", ref, got)
 	}
 }

@@ -26,15 +26,38 @@ func sameHierarchy(t *testing.T, label string, ref, got *Hierarchy) {
 }
 
 // TestParallelCoarsenIdenticalAcrossWorkers pins the determinism contract of
-// the handshake matching: the entire hierarchy — every level's graph and
-// cmap — is bit-identical for any worker count, for every scheme.
+// Options.Workers: the entire hierarchy — every level's graph and cmap — is
+// bit-identical for any worker count, for every scheme. Workers only
+// chunks GCLP's propose phase (one chunk per 1024 vertices at most); the
+// matchings are sequential.
 func TestParallelCoarsenIdenticalAcrossWorkers(t *testing.T) {
-	g := matgen.Mesh2DTri(22, 22, 0.02, 7)
-	for _, s := range allSchemes() {
-		ref := ParallelCoarsen(g, Options{Scheme: s, CoarsenTo: 60}, rng(9), 1)
-		for _, workers := range []int{2, 8} {
-			got := ParallelCoarsen(g, Options{Scheme: s, CoarsenTo: 60}, rng(9), workers)
+	g := matgen.Mesh2DTri(64, 64, 0.02, 7)
+	for _, s := range append(allSchemes(), GCLP) {
+		ref := Coarsen(g, Options{Scheme: s, CoarsenTo: 60}, rng(9))
+		for _, workers := range []int{1, 2, 8} {
+			got := Coarsen(g, Options{Scheme: s, CoarsenTo: 60, Workers: workers}, rng(9))
 			sameHierarchy(t, s.String(), ref, got)
+		}
+	}
+}
+
+// TestParallelCoarsenHierarchy checks that a hierarchy built with workers
+// is a valid one: every level is a valid graph with the finest graph's
+// total vertex weight, and the graph really coarsens.
+func TestParallelCoarsenHierarchy(t *testing.T) {
+	g := matgen.Stiffness3D(16, 16, 16)
+	for _, s := range append(allSchemes(), GCLP) {
+		h := Coarsen(g, Options{Scheme: s, CoarsenTo: 100, Workers: 4}, rng(6))
+		if len(h.Levels) < 2 {
+			t.Fatalf("%v: no coarsening", s)
+		}
+		for i, lv := range h.Levels {
+			if err := lv.Graph.Validate(); err != nil {
+				t.Fatalf("%v: level %d: %v", s, i, err)
+			}
+			if lv.Graph.TotalVertexWeight() != g.TotalVertexWeight() {
+				t.Fatalf("%v: level %d: vertex weight changed", s, i)
+			}
 		}
 	}
 }

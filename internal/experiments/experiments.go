@@ -241,9 +241,9 @@ func Runtimes(workloads []matgen.Named, k int, seed int64) []RuntimeRow {
 }
 
 // RuntimesOpts is Runtimes with full control over the multilevel options of
-// "our" algorithm (NCuts, Parallel, CoarsenWorkers, ...); the baselines
-// always run their standard sequential configuration, so speedup knobs show
-// up directly in the relative columns.
+// "our" algorithm (NCuts, Parallel, Preset, ...); the baselines always run
+// their standard sequential configuration, so the time these options cost
+// or save shows up directly in the relative columns.
 func RuntimesOpts(workloads []matgen.Named, k int, opts multilevel.Options) []RuntimeRow {
 	seed := opts.Seed
 	var rows []RuntimeRow

@@ -326,9 +326,11 @@ func asymMix(u, v, w int) uint64 {
 
 // validateFused checks the Graph invariants in one fused pass over the CSR
 // arrays — the ingest-path replacement for Validate, whose transpose
-// allocates O(m) scratch. Structure (Xadj monotone and
-// consistent, neighbors in range, no self loops, positive weights) is
-// checked exactly; edge symmetry is checked probabilistically: every
+// allocates O(m) scratch; it needs only an n-byte mark array. Structure
+// (Xadj monotone and consistent, neighbors in range, no self loops,
+// positive weights, no neighbor listed twice in one list) is checked
+// exactly, in Validate's order and words; edge symmetry is checked
+// probabilistically: every
 // stored edge (u,v,w) contributes asymMix(u,v,w) − asymMix(v,u,w) to a
 // running sum, which is zero iff (modulo a vanishing 2^-64-scale collision
 // chance) every edge appears in both endpoint lists with equal weight.
@@ -353,6 +355,7 @@ func (g *Graph) validateFused() error {
 		return fmt.Errorf("graph: odd number of directed edges %d", len(g.Adjncy))
 	}
 	var residue uint64
+	listed := make([]bool, n) // the neighbors of u seen so far
 	for u := 0; u < n; u++ {
 		lo, hi := g.Xadj[u], g.Xadj[u+1]
 		if hi < lo {
@@ -375,7 +378,14 @@ func (g *Graph) validateFused() error {
 			if w <= 0 {
 				return fmt.Errorf("graph: edge (%d,%d) weight %d, want > 0", u, v, w)
 			}
+			if listed[v] {
+				return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
+			}
+			listed[v] = true
 			residue += asymMix(u, v, w) - asymMix(v, u, w)
+		}
+		for _, v := range g.Adjncy[lo:hi] {
+			listed[v] = false
 		}
 	}
 	if residue != 0 {

@@ -289,10 +289,10 @@ func TestOpenBinaryFile(t *testing.T) {
 	}
 }
 
-// TestFromCSRMatchesBinaryVerdict checks that FromCSR, the path of JSON
-// bodies, accepts exactly the arrays the csrb decoder accepts, multigraphs
-// included: parallel edges whose weights pair up across the two directions
-// pass, and a duplicate entry with no partner fails.
+// TestFromCSRMatchesBinaryVerdict checks that Validate, FromCSR (the path
+// of JSON bodies) and the csrb decoder give one verdict on the same arrays.
+// A list that names one neighbour twice fails all three, whether or not
+// the weights pair up across the two directions.
 func TestFromCSRMatchesBinaryVerdict(t *testing.T) {
 	for _, g := range []*Graph{
 		path(6),
@@ -304,10 +304,11 @@ func TestFromCSRMatchesBinaryVerdict(t *testing.T) {
 		if err := EncodeBinary(&buf, g); err != nil {
 			t.Fatal(err)
 		}
+		valErr := g.Validate()
 		_, binErr := DecodeBinary(buf.Bytes())
 		_, csrErr := FromCSR(g.Xadj, g.Adjncy, g.Adjwgt, g.Vwgt)
-		if (binErr == nil) != (csrErr == nil) {
-			t.Errorf("%v: csrb says %v, FromCSR says %v", g.Adjncy, binErr, csrErr)
+		if (binErr == nil) != (valErr == nil) || (csrErr == nil) != (valErr == nil) {
+			t.Errorf("%v: Validate says %v, csrb says %v, FromCSR says %v", g.Adjncy, valErr, binErr, csrErr)
 		}
 	}
 }

@@ -122,7 +122,7 @@ func (b *Builder) MustBuild() *Graph {
 // FromCSR wraps pre-built CSR arrays in a Graph after validating them.
 // The slices are retained, not copied. vwgt may be nil for unit weights,
 // and adjwgt may be nil for unit edge weights. Validation is the one
-// linear, allocation-free pass of the binary decoder (validateFused);
+// linear pass of the binary decoder (validateFused, n bytes of scratch);
 // Validate, which allocates a transpose, runs only on arrays that fail
 // it, so the error names the first violation in Validate's words.
 func FromCSR(xadj, adjncy, adjwgt, vwgt []int) (*Graph, error) {

@@ -142,11 +142,12 @@ func (g *Graph) String() string {
 
 // Validate checks all structural invariants and returns a descriptive error
 // for the first violation found, scanning the entries vertex by vertex in
-// list order. It is O(n + m): instead of searching v's list for its first
-// u for every entry (u,v,w), it transposes the adjacency once, so each
-// entry finds that weight in O(1). The transpose costs O(m) scratch; the
-// ingest paths check with the allocation-free validateFused and call
-// Validate only to word an error.
+// list order: range, self loop, weight, a neighbour listed twice in one
+// list, then symmetry. It is O(n + m): instead of searching v's list for
+// its first u for every entry (u,v,w), it transposes the adjacency once, so
+// each entry finds that weight in O(1). The transpose costs O(m) scratch;
+// the ingest paths check with validateFused, which needs only n bytes, and
+// call Validate only to word an error.
 func (g *Graph) Validate() error {
 	n := g.NumVertices()
 	if n < 0 {
@@ -202,6 +203,7 @@ func (g *Graph) Validate() error {
 	// if seen[v] == u+1; there is no u in v's list otherwise. Stamping the
 	// transpose backwards leaves the first entry's weight.
 	back, seen := next, make([]int, n)
+	listed := make([]bool, n) // the neighbours of u seen so far
 	for u := 0; u < n; u++ {
 		for i := start[u+1] - 1; i >= start[u]; i-- {
 			back[src[i]], seen[src[i]] = wgt[i], u+1
@@ -217,12 +219,19 @@ func (g *Graph) Validate() error {
 			if w <= 0 {
 				return fmt.Errorf("graph: edge (%d,%d) weight %d, want > 0", u, v, w)
 			}
+			if listed[v] {
+				return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
+			}
+			listed[v] = true
 			if seen[v] != u+1 {
 				return fmt.Errorf("graph: asymmetric edge (%d,%d): %d vs 0", u, v, w)
 			}
 			if back[v] != w {
 				return fmt.Errorf("graph: asymmetric edge (%d,%d): %d vs %d", u, v, w, back[v])
 			}
+		}
+		for _, v := range g.Adjncy[g.Xadj[u]:g.Xadj[u+1]] {
+			listed[v] = false
 		}
 	}
 	return nil

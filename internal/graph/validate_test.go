@@ -3,13 +3,15 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // validateQuadratic is the reference definition of Validate: every entry
 // (u,v,w), in scan order, is checked for range, self loop and weight, then
-// v's list is searched for its first u, whose weight (0 when absent) must
-// equal w. It costs O(Σ deg²).
+// u's list before it is searched for another v, then v's list is searched
+// for its first u, whose weight (0 when absent) must equal w. It costs
+// O(Σ deg²).
 func validateQuadratic(g *Graph) error {
 	n := g.NumVertices()
 	if n < 0 {
@@ -50,6 +52,9 @@ func validateQuadratic(g *Graph) error {
 			}
 			if wgt[i] <= 0 {
 				return fmt.Errorf("graph: edge (%d,%d) weight %d, want > 0", u, v, wgt[i])
+			}
+			if slices.Contains(adj[:i], v) {
+				return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
 			}
 			if back := g.EdgeWeight(v, u); back != wgt[i] {
 				return fmt.Errorf("graph: asymmetric edge (%d,%d): %d vs %d", u, v, wgt[i], back)
@@ -110,7 +115,7 @@ func encodeFuzzGraph(n int, lists [][][2]int) []byte {
 }
 
 // validateSeeds are the fuzz seeds, one per way a graph can fail the
-// entry checks, plus valid graphs with and without duplicate entries.
+// entry checks, plus a valid graph.
 var validateSeeds = []struct {
 	name  string
 	n     int
@@ -121,6 +126,7 @@ var validateSeeds = []struct {
 	{"unequal-back-weight", 2, [][][2]int{{{1, 2}}, {{0, 3}}}},
 	{"duplicate-entries", 2, [][][2]int{{{1, 2}, {1, 2}}, {{0, 2}, {0, 5}}}},
 	{"duplicate-unequal-first", 2, [][][2]int{{{1, 2}, {1, 2}}, {{0, 5}, {0, 2}}}},
+	{"duplicate-without-partner", 4, [][][2]int{{{1, 1}, {1, 1}}, {{0, 1}}, {{3, 1}, {3, 1}}, {{2, 1}}}},
 	{"self-loop", 2, [][][2]int{{{0, 1}, {1, 1}}, {{0, 1}, {1, 1}}}},
 	{"out-of-range", 2, [][][2]int{{{5, 1}}, {{0, 1}}}},
 	{"negative-neighbour", 2, [][][2]int{{{-1, 1}}, {{0, 1}}}},

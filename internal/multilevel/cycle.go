@@ -33,8 +33,8 @@ const cycleBranch int64 = 0x5EED
 // least 15*k coarse vertices, so the coarsest graph can host k parts.
 func (e *engine) kwayCoarsenTo(k int) int { return max(e.opts.CoarsenTo, 15*k) }
 
-// phaseCoarsen builds a hierarchy down to coarsenTo vertices, serially or
-// with CoarsenWorkers, and adds its time, levels and size to stats. Both
+// phaseCoarsen builds a hierarchy down to coarsenTo vertices and adds its
+// time, levels and size to stats. Both
 // the bisection V-cycle and the k-way cycles coarsen through it. respect,
 // when non-nil, makes the coarsening partition-respecting (matchings never
 // cross parts).
@@ -45,18 +45,14 @@ func (e *engine) phaseCoarsen(g *graph.Graph, coarsenTo int, respect []int, rng 
 		CoarsenTo:        coarsenTo,
 		MaxClusterWeight: e.opts.MaxClusterWeight,
 		LPRounds:         e.opts.LPRounds,
+		Workers:          e.opts.CoarsenWorkers,
 		Respect:          respect,
 		Workspace:        ws,
 		Tracer:           tr,
 		Injector:         e.inj,
 		Degradations:     &stats.Degradations,
 	}
-	var h *coarsen.Hierarchy
-	if e.opts.CoarsenWorkers > 1 {
-		h = coarsen.ParallelCoarsen(g, copts, rng, e.opts.CoarsenWorkers)
-	} else {
-		h = coarsen.Coarsen(g, copts, rng)
-	}
+	h := coarsen.Coarsen(g, copts, rng)
 	stats.CoarsenTime += time.Since(t0)
 	stats.Levels += len(h.Levels)
 	if n := h.Coarsest().NumVertices(); n > stats.CoarsestN {

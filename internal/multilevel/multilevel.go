@@ -138,11 +138,12 @@ type Options struct {
 	// independent seeds and keeps the smallest cut (quality for time, the
 	// same trade the paper's GGP/GGGP trial counts make); <=1 means once.
 	NCuts int
-	// CoarsenWorkers > 1 computes each level's matching with the parallel
-	// handshake algorithm on that many workers. The matching differs from
-	// the sequential one but is deterministic for a fixed seed regardless
-	// of the worker count. The paper observes that coarsening is the easy
-	// phase to parallelize; this is that observation for shared memory.
+	// CoarsenWorkers > 1 fans GCLP's label-propagation propose phase out
+	// over that many workers. It never changes the result: proposals read
+	// the previous round's labels and commits are serial, so the hierarchy
+	// is bit-identical for every worker count. The matching schemes (RM,
+	// HEM, LEM, HCM) are sequential, as in the paper, and ignore it. <= 1
+	// coarsens serially.
 	CoarsenWorkers int
 	// MaxClusterWeight caps one GCLP cluster's total vertex weight; <= 0
 	// derives the cap from the graph (total weight / CoarsenTo). Ignored
@@ -164,7 +165,7 @@ type Options struct {
 	Cycles int
 	// RefineWorkers > 1 fans the propose phase of boundary k-way
 	// refinement — every k-way refinement of PartitionKWay, the KWayRefine
-	// pass and the extra cycles — out over that many workers. Unlike
+	// pass and the extra cycles — out over that many workers. Like
 	// CoarsenWorkers it never changes the result: proposals are
 	// chunk-independent and commits are serial, so the partition is
 	// bit-identical for every worker count. <= 1 refines serially.
@@ -219,9 +220,6 @@ func (o Options) withDefaults() Options {
 	o.Ubfactor = metrics.Ubfactor(o.Ubfactor)
 	if o.NCuts < 1 {
 		o.NCuts = 1
-	}
-	if o.CoarsenWorkers < 1 {
-		o.CoarsenWorkers = 1
 	}
 	if o.ParallelDepth <= 0 {
 		o.ParallelDepth = 4
@@ -301,9 +299,10 @@ func (o Options) Validate() error {
 // result: every default applied, the preset folded into Cycles, BKWAY
 // folded into BKLGR (the two refine identically on every path), and the
 // knobs that are parity-tested never to change a result (Parallel,
-// ParallelDepth, ParallelMinVertices, RefineWorkers) cleared along with
-// the per-run Context, Tracer and Injector. Options with equal plans
-// produce identical partitions; the service cache key is built from it.
+// ParallelDepth, ParallelMinVertices, CoarsenWorkers, RefineWorkers)
+// cleared along with the per-run Context, Tracer and Injector. Options
+// with equal plans produce identical partitions; the service cache key is
+// built from it.
 func (o Options) Plan() Options {
 	o = o.withDefaults()
 	o.matchingSet, o.refinementSet = true, true
@@ -311,7 +310,8 @@ func (o Options) Plan() Options {
 		o.Refinement = refine.BKLGR
 	}
 	o.Cycles, o.Preset = o.CycleCount(), PresetFast
-	o.Parallel, o.ParallelDepth, o.ParallelMinVertices, o.RefineWorkers = false, 0, 0, 0
+	o.Parallel, o.ParallelDepth, o.ParallelMinVertices = false, 0, 0
+	o.CoarsenWorkers, o.RefineWorkers = 0, 0
 	o.Context, o.Tracer, o.Injector = nil, nil, nil
 	return o
 }

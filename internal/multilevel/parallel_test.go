@@ -4,6 +4,8 @@ import (
 	"slices"
 	"testing"
 
+	"mlpart/internal/coarsen"
+	"mlpart/internal/graph"
 	"mlpart/internal/matgen"
 )
 
@@ -43,6 +45,75 @@ func TestNCutsParallelPartition(t *testing.T) {
 	}
 	if !slices.Equal(par.Where, serial.Where) {
 		t.Fatal("parallel partition differs from serial")
+	}
+}
+
+// TestWorkerKnobsNeverChangeResult pins the determinism contract of every
+// worker knob: for each coarsening scheme and each entry point, a run with
+// CoarsenWorkers, Parallel (with NCuts trials) or RefineWorkers returns the
+// partition, cut, part weights and level count of the all-serial run.
+func TestWorkerKnobsNeverChangeResult(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"mesh", matgen.Mesh2DTri(36, 40, 0.02, 5)},
+		{"soc", matgen.SocialNetwork(2048, 4, 23)},
+	}
+	paths := []struct {
+		name string
+		opts Options
+		run  func(*graph.Graph, int, Options) (*Result, error)
+	}{
+		{"partition", Options{}, Partition},
+		{"partition+kway", Options{KWayRefine: true}, Partition},
+		{"kway eco", Options{Preset: PresetEco}, PartitionKWay},
+	}
+	// Each knob turns the serial options o into a run that must agree with
+	// them; ncuts sets the trial count on both sides and only fans it out
+	// on one.
+	knobs := []struct {
+		name        string
+		serial, par func(*Options)
+	}{
+		{"coarsen_workers 2", nil, func(o *Options) { o.CoarsenWorkers = 2 }},
+		{"coarsen_workers 4", nil, func(o *Options) { o.CoarsenWorkers = 4 }},
+		{"parallel ncuts 3", func(o *Options) { o.NCuts = 3 }, func(o *Options) {
+			o.NCuts, o.Parallel, o.ParallelDepth, o.ParallelMinVertices = 3, true, 8, 1
+		}},
+		{"refine_workers 4", nil, func(o *Options) { o.RefineWorkers = 4 }},
+	}
+	for _, gc := range graphs {
+		for _, scheme := range []coarsen.Scheme{coarsen.RM, coarsen.HEM, coarsen.LEM, coarsen.HCM, coarsen.GCLP} {
+			for _, pc := range paths {
+				base := pc.opts.WithMatching(scheme)
+				base.Seed = 5
+				plain, err := pc.run(gc.g, 8, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, kc := range knobs {
+					name := gc.name + "/" + scheme.String() + "/" + pc.name + "/" + kc.name
+					want, serial, par := plain, base, base
+					if kc.serial != nil {
+						kc.serial(&serial)
+						if want, err = pc.run(gc.g, 8, serial); err != nil {
+							t.Fatalf("%s: serial: %v", name, err)
+						}
+					}
+					kc.par(&par)
+					got, err := pc.run(gc.g, 8, par)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if got.EdgeCut != want.EdgeCut || !slices.Equal(got.Where, want.Where) ||
+						!slices.Equal(got.PartWeights, want.PartWeights) || got.Stats.Levels != want.Stats.Levels {
+						t.Errorf("%s: cut %d, %d levels; serial cut %d, %d levels (or where/part weights differ)",
+							name, got.EdgeCut, got.Stats.Levels, want.EdgeCut, want.Stats.Levels)
+					}
+				}
+			}
+		}
 	}
 }
 

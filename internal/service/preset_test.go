@@ -81,6 +81,7 @@ func TestCanonicalOptionsCycles(t *testing.T) {
 		{NCuts: 1},
 		{CoarsenWorkers: 0},
 		{CoarsenWorkers: 1},
+		{CoarsenWorkers: 2},
 		{Ordering: ""},
 		{Ordering: mlpart.OrderingNone},
 		{RefineWorkers: 1},
@@ -95,7 +96,6 @@ func TestCanonicalOptionsCycles(t *testing.T) {
 	for name, o := range map[string]*mlpart.Options{
 		"seed":               {Seed: 1},
 		"ncuts 2":            {NCuts: 2},
-		"coarsen_workers 2":  {CoarsenWorkers: 2},
 		"cycles 3":           {Cycles: 3},
 		"ordering degree":    {Ordering: mlpart.OrderingDegree},
 		"GCLP":               {Coarsening: &mlpart.CoarseningOptions{Scheme: mlpart.MatchGCLP}},

@@ -361,7 +361,7 @@ func TestBadSessionAndRepartitionNameEveryField(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, tc := range []struct{ path, body, want string }{
 		{"/v1/graphs", `{"graph":{"xadj":[0,1,2],"adjncy":[1,0]},"k":1,"ubfactor":0.5}`,
-			`op 0: sessions: k must be >= 2, got 1; ubfactor = 0.5, want >= 1 (or 0 for the default 1.05)`},
+			`sessions: k must be >= 2, got 1; ubfactor = 0.5, want >= 1 (or 0 for the default 1.05)`},
 		{"/v1/repartition", `{"graph":{"xadj":[0,1,2],"adjncy":[1,0]},"k":2,"where":[0,1],"options":{"ubfactor":0.5,"migration_weight":-1}}`,
 			`bad options: mlpart: RepartitionOptions.Ubfactor = 0.5, want >= 1 (or 0 for the default 1.05); ` +
 				`RepartitionOptions.MigrationWeight = -1, want >= 0 (0 means the default 1.0)`},

@@ -374,8 +374,8 @@ func TestCacheCanonicalization(t *testing.T) {
 	}
 	// Every spelling of a default the engine resolves the same way hits
 	// the entry above: ubfactor 1 runs as 1.05, BKWAY refines as BKLGR,
-	// and ncuts, coarsen_workers and refine_workers of 1 or less all run
-	// serially.
+	// ncuts of 1 or less runs once, and coarsen_workers and refine_workers
+	// are scheduling that never changes a result.
 	for _, o := range []*mlpart.Options{
 		{InitPart: mlpart.InitGGGP, Refinement: mlpart.RefineBKLGR},
 		{Refinement: mlpart.RefineBKWAY},
@@ -384,6 +384,7 @@ func TestCacheCanonicalization(t *testing.T) {
 		{Ubfactor: 1.05},
 		{NCuts: 1},
 		{CoarsenWorkers: 1},
+		{CoarsenWorkers: 4},
 		{Ordering: mlpart.OrderingNone},
 		{RefineWorkers: 8},
 	} {

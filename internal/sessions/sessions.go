@@ -113,7 +113,7 @@ func parseMode(mode string) (Tier, error) {
 	if t, ok := tierNames.Parse(mode); ok {
 		return t, nil
 	}
-	return TierNone, &OpError{Reason: fmt.Sprintf("unknown repair mode %q (want %s or a tier: %v)", mode, modeAuto, tierNames)}
+	return TierNone, &OpError{Index: -1, Reason: fmt.Sprintf("unknown repair mode %q (want %s or a tier: %v)", mode, modeAuto, tierNames)}
 }
 
 // Typed failures the service maps to HTTP statuses.
@@ -137,14 +137,20 @@ var (
 	ErrBatchTooLarge = errors.New("delta batch exceeds op limit")
 )
 
-// OpError is a client-caused rejection of one op in a delta batch; the
-// whole batch was rolled back. The service maps it to a 400.
+// OpError is a client-caused rejection of a session request. Index >= 0
+// names the op of a delta batch that failed (the whole batch was rolled
+// back); Index < 0 marks a request rejected before any op ran (a bad
+// config or k on create, an empty batch, an unknown repair mode), whose
+// text carries no op prefix. The service maps it to a 400.
 type OpError struct {
 	Index  int
 	Reason string
 }
 
 func (e *OpError) Error() string {
+	if e.Index < 0 {
+		return e.Reason
+	}
 	return fmt.Sprintf("op %d: %s", e.Index, e.Reason)
 }
 
@@ -485,10 +491,10 @@ func estimateCreateBytes(g *graph.Graph) int64 {
 // milliseconds and a transpose of scratch.
 func (m *Manager) Create(g *graph.Graph, cfg Config) (*State, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, &OpError{Reason: err.Error()}
+		return nil, &OpError{Index: -1, Reason: err.Error()}
 	}
 	if g.NumVertices() < cfg.K {
-		return nil, &OpError{Reason: fmt.Sprintf("k=%d exceeds vertex count %d", cfg.K, g.NumVertices())}
+		return nil, &OpError{Index: -1, Reason: fmt.Sprintf("k=%d exceeds vertex count %d", cfg.K, g.NumVertices())}
 	}
 	est := estimateCreateBytes(g)
 	if est > m.opts.MaxSessionBytes {
@@ -680,7 +686,7 @@ func estimateGrowth(ops []Op) int64 {
 // RepairFailed; the drift stays pending for the next batch.
 func (m *Manager) Apply(id string, ops []Op) (*State, error) {
 	if len(ops) == 0 {
-		return nil, &OpError{Reason: "empty delta batch"}
+		return nil, &OpError{Index: -1, Reason: "empty delta batch"}
 	}
 	if len(ops) > m.opts.MaxDeltaOps {
 		m.shedBatch.Add(1)

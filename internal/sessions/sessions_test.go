@@ -263,8 +263,14 @@ func TestOpValidation(t *testing.T) {
 	}
 	for i, ops := range cases {
 		var oe *OpError
-		if _, err := m.Apply(st.ID, ops); !errors.As(err, &oe) {
+		_, err := m.Apply(st.ID, ops)
+		if !errors.As(err, &oe) {
 			t.Errorf("case %d: got %v, want *OpError", i, err)
+			continue
+		}
+		// Only an error about an op names one: the empty batch has none.
+		if hasOp := strings.HasPrefix(err.Error(), "op 0: "); hasOp != (len(ops) > 0) {
+			t.Errorf("case %d: error %q, want an op prefix only for a bad op", i, err)
 		}
 	}
 }

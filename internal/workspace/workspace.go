@@ -63,9 +63,8 @@ const minSplit = 4096
 
 // Workspace is a per-goroutine free list of scratch buffers.
 type Workspace struct {
-	ints   [][]int
-	int64s [][]int64
-	bools  [][]bool
+	ints  [][]int
+	bools [][]bool
 }
 
 var pool = sync.Pool{New: func() any { return new(Workspace) }}
@@ -106,21 +105,6 @@ func (ws *Workspace) IntFilled(n, v int) []int {
 func (ws *Workspace) PutInt(s []int) {
 	if ws != nil {
 		put(&ws.ints, s)
-	}
-}
-
-// Int64 returns a length-n []int64 with arbitrary contents.
-func (ws *Workspace) Int64(n int) []int64 {
-	if ws == nil {
-		return make([]int64, n)
-	}
-	return take(&ws.int64s, n)
-}
-
-// PutInt64 returns a buffer obtained from Int64 to the free list.
-func (ws *Workspace) PutInt64(s []int64) {
-	if ws != nil {
-		put(&ws.int64s, s)
 	}
 }
 

@@ -61,17 +61,6 @@ func TestBoolCleared(t *testing.T) {
 	}
 }
 
-func TestInt64Reuse(t *testing.T) {
-	ws := &Workspace{}
-	a := ws.Int64(32)
-	pa := &a[0]
-	ws.PutInt64(a)
-	b := ws.Int64(16)
-	if &b[0] != pa {
-		t.Error("expected int64 buffer reuse")
-	}
-}
-
 func TestNilWorkspace(t *testing.T) {
 	var ws *Workspace
 	if got := ws.Int(5); len(got) != 5 {
@@ -83,12 +72,8 @@ func TestNilWorkspace(t *testing.T) {
 	if got := ws.Bool(4); len(got) != 4 || got[0] {
 		t.Fatal("nil ws Bool wrong")
 	}
-	if got := ws.Int64(2); len(got) != 2 {
-		t.Fatal("nil ws Int64 wrong")
-	}
 	// Puts on a nil workspace are no-ops, not panics.
 	ws.PutInt([]int{1})
-	ws.PutInt64([]int64{1})
 	ws.PutBool([]bool{true})
 }
 
@@ -213,9 +198,6 @@ func TestExactSizeAllocation(t *testing.T) {
 	ws := &Workspace{}
 	if s := ws.Int(1000); cap(s) != 1000 {
 		t.Errorf("Int(1000) cap %d, want 1000", cap(s))
-	}
-	if s := ws.Int64(1000); cap(s) != 1000 {
-		t.Errorf("Int64(1000) cap %d, want 1000", cap(s))
 	}
 	if s := ws.Bool(1000); cap(s) != 1000 {
 		t.Errorf("Bool(1000) cap %d, want 1000", cap(s))

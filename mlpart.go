@@ -294,10 +294,10 @@ type Options struct {
 	// NCuts runs every bisection this many times with independent seeds
 	// and keeps the best cut, trading time for quality; <=1 means once.
 	NCuts int `json:"ncuts,omitempty"`
-	// CoarsenWorkers > 1 computes matchings with the parallel handshake
-	// algorithm on that many workers during coarsening; deterministic for
-	// a fixed seed regardless of worker count, but the matching differs
-	// from the sequential default.
+	// CoarsenWorkers > 1 fans the propose phase of GCLP coarsening out
+	// over that many workers. Pure scheduling: the partition is
+	// bit-identical for every worker count. The matching schemes (RM,
+	// HEM, LEM, HCM) are sequential and ignore it. <= 1 coarsens serially.
 	CoarsenWorkers int `json:"coarsen_workers,omitempty"`
 	// RefineWorkers > 1 fans the propose phase of boundary k-way
 	// refinement — PartitionDirectKWay, the KWayRefine post-pass and the

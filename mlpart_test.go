@@ -2,6 +2,7 @@ package mlpart
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -338,7 +339,11 @@ func TestCoarsenWorkersPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.EdgeCut != b.EdgeCut {
+	c, err := Partition(g, 8, &Options{Seed: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.EdgeCut != b.EdgeCut || a.EdgeCut != c.EdgeCut || !slices.Equal(a.Where, b.Where) || !slices.Equal(a.Where, c.Where) {
 		t.Fatal("worker count changed the partition")
 	}
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Local CI: the same steps, in the same order, as .github/workflows/ci.yml.
 # Fails on unformatted files, vet findings, build or test failures, data
-# races in the concurrent packages (parallel coarsening, parallel NCuts /
+# races in the concurrent packages (GCLP propose workers, parallel NCuts /
 # recursive bisection, k-way refinement, parallel nested dissection), a
 # failing benchmark, and fuzz findings. Performance gates are the
 # deterministic pinned tests (golden cuts, allocation bounds) inside go
@@ -50,17 +50,17 @@ echo "== benchmark smoke (every benchmark once; fails if any of them fails)"
 go test -run '^$' -bench . -benchtime 1x ./...
 
 echo "== fuzz smoke (graph readers + binary + Validate, matching and cluster contraction, JSON and query request decoders + session delta log + BKWAY connectivity + projection + Repartition)"
-go test -fuzz '^FuzzRead$' -fuzztime 10s -run '^$' ./internal/graph/
-go test -fuzz '^FuzzReadMatrixMarket$' -fuzztime 10s -run '^$' ./internal/graph/
-go test -fuzz '^FuzzDecodeBinary$' -fuzztime 10s -run '^$' ./internal/graph/
-go test -fuzz '^FuzzValidate$' -fuzztime 10s -run '^$' ./internal/graph/
-go test -fuzz '^FuzzContract$' -fuzztime 10s -run '^$' ./internal/coarsen/
-go test -fuzz '^FuzzContractClusters$' -fuzztime 10s -run '^$' ./internal/coarsen/
-go test -fuzz '^FuzzDecodeJSONRequest$' -fuzztime 10s -run '^$' ./internal/service/
-go test -fuzz '^FuzzQueryDecode$' -fuzztime 10s -run '^$' ./internal/service/
-go test -fuzz '^FuzzDeltaLog$' -fuzztime 10s -run '^$' ./internal/sessions/
-go test -fuzz '^FuzzRefineKWayConnectivity$' -fuzztime 10s -run '^$' ./internal/refine/
-go test -fuzz '^FuzzProject$' -fuzztime 10s -run '^$' ./internal/refine/
-go test -fuzz '^FuzzRepartition$' -fuzztime 10s -run '^$' .
+go test -fuzz '^FuzzRead$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/graph/
+go test -fuzz '^FuzzReadMatrixMarket$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/graph/
+go test -fuzz '^FuzzDecodeBinary$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/graph/
+go test -fuzz '^FuzzValidate$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/graph/
+go test -fuzz '^FuzzContract$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/coarsen/
+go test -fuzz '^FuzzContractClusters$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/coarsen/
+go test -fuzz '^FuzzDecodeJSONRequest$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/service/
+go test -fuzz '^FuzzQueryDecode$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/service/
+go test -fuzz '^FuzzDeltaLog$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/sessions/
+go test -fuzz '^FuzzRefineKWayConnectivity$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/refine/
+go test -fuzz '^FuzzProject$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/refine/
+go test -fuzz '^FuzzRepartition$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' .
 
 echo "CI OK"
