@@ -353,7 +353,7 @@ func BenchmarkAblationMatching(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				bis, _ := multilevel.Bisect(w.Graph, 0,
 					multilevel.Options{Seed: 1}.WithMatching(s),
-					rand.New(rand.NewSource(1)))
+					rand.New(rand.NewSource(1)), nil)
 				cut = bis.Cut
 			}
 			b.ReportMetric(float64(cut), "edgecut")
@@ -373,7 +373,7 @@ func BenchmarkAblationBoundary(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				bis, _ := multilevel.Bisect(w.Graph, 0,
 					multilevel.Options{Seed: 1}.WithRefinement(p),
-					rand.New(rand.NewSource(1)))
+					rand.New(rand.NewSource(1)), nil)
 				cut = bis.Cut
 			}
 			b.ReportMetric(float64(cut), "edgecut")

@@ -249,8 +249,7 @@ func TestGCLPSequentialParallelAgree(t *testing.T) {
 func TestGCLPWorkspaceParity(t *testing.T) {
 	g := matgen.SocialNetwork(2048, 4, 5)
 	ref := Coarsen(g, Options{Scheme: GCLP, CoarsenTo: 60}, rng(4))
-	ws := workspace.Get()
-	defer workspace.Put(ws)
+	ws := new(workspace.Workspace)
 	got := Coarsen(g, Options{Scheme: GCLP, CoarsenTo: 60, Workspace: ws}, rng(4))
 	sameHierarchy(t, "GCLP+ws", ref, got)
 	got.Release(ws)

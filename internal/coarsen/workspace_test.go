@@ -72,8 +72,7 @@ func TestCoarsenWorkspaceParity(t *testing.T) {
 	opts := Options{Scheme: HEM, CoarsenTo: 80}
 	ref := Coarsen(g, opts, rng(11))
 
-	ws := workspace.Get()
-	defer workspace.Put(ws)
+	ws := new(workspace.Workspace)
 	wopts := opts
 	wopts.Workspace = ws
 	for run := 0; run < 3; run++ {

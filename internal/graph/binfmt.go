@@ -32,6 +32,7 @@ package graph
 // property zero-copy aliasing relies on.
 
 import (
+	crand "crypto/rand"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -162,8 +163,8 @@ func intsAsBytes(xs []int) []byte {
 // are), the returned Graph's slices alias data directly — zero copies, so
 // the caller must keep data alive for the Graph's lifetime and must not
 // reuse the buffer. Mismatched widths fall back to a single widening pass
-// bounded by the input size. Validation is one fused pass (validateFused),
-// not the multi-pass Validate.
+// bounded by the input size. Validation is one fused pass
+// (validateIngest), not the multi-pass Validate.
 func DecodeBinary(data []byte) (*Graph, error) {
 	g, _, err := DecodeBinaryPart(data)
 	return g, err
@@ -256,7 +257,7 @@ func DecodeBinaryPart(data []byte) (*Graph, []int, error) {
 		vwgt = unitWeights(n)
 	}
 	g := &Graph{Xadj: xadj, Adjncy: adjncy, Adjwgt: adjwgt, Vwgt: vwgt}
-	if err := g.validateFused(); err != nil {
+	if err := g.validateIngest(); err != nil {
 		return nil, nil, err
 	}
 	if part != nil {
@@ -311,11 +312,55 @@ func unitWeights(n int) []int {
 	return w
 }
 
+// validateIngest is the one validation of FromCSR and the csrb decoder:
+// the linear validateFused pass (n bytes of scratch), then, only on arrays
+// that fail it, Validate, which allocates a transpose, so that the error
+// names the first violation in Validate's words.
+func (g *Graph) validateIngest() error {
+	err := g.validateFused()
+	if err != nil {
+		if verr := g.Validate(); verr != nil {
+			return verr
+		}
+	}
+	return err
+}
+
+// mixKey holds the multipliers of asymMix's pre-mix.
+type mixKey struct{ u, v, w uint64 }
+
+// residueKey keys the symmetry residue per process. With public
+// multipliers, anyone can compute edge terms offline and search for
+// one-way edges whose terms sum to zero — a generalized-birthday merge
+// finds sixteen in well under a second — and such a graph passes the
+// fused check. Secret multipliers leave nothing to compute offline.
+var residueKey = newMixKey()
+
+// newMixKey draws the multipliers from crypto/rand. All three are odd, so
+// each term is a bijection of u, v and w alike; u ≡ 1 and v ≡ 3 (mod 4)
+// make the multiplier of u−v ≡ 2 (mod 4), so an edge and its reverse mix
+// alike only if u ≡ v (mod 2^63), which no vertex pair is.
+func newMixKey() mixKey {
+	var b [24]byte
+	if _, err := crand.Read(b[:]); err != nil {
+		panic("graph: no randomness for the symmetry residue key: " + err.Error())
+	}
+	return mixKey{
+		u: binary.LittleEndian.Uint64(b[0:])&^3 | 1,
+		v: binary.LittleEndian.Uint64(b[8:]) | 3,
+		w: binary.LittleEndian.Uint64(b[16:]) | 1,
+	}
+}
+
 // asymMix is the direction-sensitive edge hash behind the fused symmetry
-// check: a splitmix64-style finalizer over (u, v, w) that does NOT commute
-// in u and v.
-func asymMix(u, v, w int) uint64 {
-	x := uint64(u)*0x9E3779B97F4A7C15 + uint64(v)*0xC2B2AE3D27D4EB4F + uint64(w)*0x165667B19E3779F9
+// check: a splitmix64-style finalizer over a keyed linear mix of (u, v, w)
+// that does NOT commute in u and v. The key sits in the multipliers, not
+// in a term added to their sum: an added key leaves every collision of the
+// sum itself key-independent, and with weights up to 2^63 such collisions
+// are easy — one-way edges (0,1,1) and (3,2,2444032092223129849) swap
+// their sums under fixed multipliers and cancel exactly.
+func (k mixKey) asymMix(u, v, w int) uint64 {
+	x := uint64(u)*k.u + uint64(v)*k.v + uint64(w)*k.w
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
@@ -330,10 +375,11 @@ func asymMix(u, v, w int) uint64 {
 // (Xadj monotone and consistent, neighbors in range, no self loops,
 // positive weights, no neighbor listed twice in one list) is checked
 // exactly, in Validate's order and words; edge symmetry is checked
-// probabilistically: every
-// stored edge (u,v,w) contributes asymMix(u,v,w) − asymMix(v,u,w) to a
-// running sum, which is zero iff (modulo a vanishing 2^-64-scale collision
-// chance) every edge appears in both endpoint lists with equal weight.
+// probabilistically: every stored edge (u,v,w) contributes
+// asymMix(u,v,w) − asymMix(v,u,w) under the process's residueKey to a
+// running sum, which is zero when every edge appears in both endpoint
+// lists with equal weight. An asymmetric graph leaves it zero only by a
+// collision, which nobody can aim for without the key.
 func (g *Graph) validateFused() error {
 	n := g.NumVertices()
 	if n < 0 {
@@ -355,6 +401,7 @@ func (g *Graph) validateFused() error {
 		return fmt.Errorf("graph: odd number of directed edges %d", len(g.Adjncy))
 	}
 	var residue uint64
+	key := residueKey
 	listed := make([]bool, n) // the neighbors of u seen so far
 	for u := 0; u < n; u++ {
 		lo, hi := g.Xadj[u], g.Xadj[u+1]
@@ -382,7 +429,7 @@ func (g *Graph) validateFused() error {
 				return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
 			}
 			listed[v] = true
-			residue += asymMix(u, v, w) - asymMix(v, u, w)
+			residue += key.asymMix(u, v, w) - key.asymMix(v, u, w)
 		}
 		for _, v := range g.Adjncy[lo:hi] {
 			listed[v] = false

@@ -292,7 +292,8 @@ func TestOpenBinaryFile(t *testing.T) {
 // TestFromCSRMatchesBinaryVerdict checks that Validate, FromCSR (the path
 // of JSON bodies) and the csrb decoder give one verdict on the same arrays.
 // A list that names one neighbour twice fails all three, whether or not
-// the weights pair up across the two directions.
+// the weights pair up across the two directions, and a failure reads the
+// same, in Validate's words, on all three.
 func TestFromCSRMatchesBinaryVerdict(t *testing.T) {
 	for _, g := range []*Graph{
 		path(6),
@@ -307,8 +308,47 @@ func TestFromCSRMatchesBinaryVerdict(t *testing.T) {
 		valErr := g.Validate()
 		_, binErr := DecodeBinary(buf.Bytes())
 		_, csrErr := FromCSR(g.Xadj, g.Adjncy, g.Adjwgt, g.Vwgt)
-		if (binErr == nil) != (valErr == nil) || (csrErr == nil) != (valErr == nil) {
+		if errText(binErr) != errText(valErr) || errText(csrErr) != errText(valErr) {
 			t.Errorf("%v: Validate says %v, csrb says %v, FromCSR says %v", g.Adjncy, valErr, binErr, csrErr)
 		}
+	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
+}
+
+// TestResidueKeyDefeatsSwappedSums: under fixed multipliers, the linear
+// mixes of one-way edges (0,1,1) and (3,2,2444032092223129849) are each
+// other's reverse, so their residue terms cancel for any key added to the
+// mix. Keyed multipliers break the swap, and the graph is rejected with
+// Validate's text by both ingest paths.
+func TestResidueKeyDefeatsSwappedSums(t *testing.T) {
+	unkeyed := mixKey{0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9}
+	g := &Graph{
+		Xadj:   []int{0, 1, 1, 1, 2},
+		Adjncy: []int{1, 2},
+		Adjwgt: []int{1, 2444032092223129849},
+		Vwgt:   []int{1, 1, 1, 1},
+	}
+	if r := unkeyed.asymMix(0, 1, 1) - unkeyed.asymMix(1, 0, 1) + unkeyed.asymMix(3, 2, g.Adjwgt[1]) - unkeyed.asymMix(2, 3, g.Adjwgt[1]); r != 0 {
+		t.Fatalf("unkeyed residue %#x, want 0", r)
+	}
+	const want = "graph: asymmetric edge (0,1): 1 vs 0"
+	if _, err := FromCSR(g.Xadj, g.Adjncy, g.Adjwgt, g.Vwgt); errText(err) != want {
+		t.Errorf("FromCSR = %v, want %q", err, want)
+	}
+	var buf bytes.Buffer
+	if err := EncodeBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeBinary(buf.Bytes()); errText(err) != want {
+		t.Errorf("DecodeBinary = %v, want %q", err, want)
+	}
+	if k := residueKey; k.u%4 != 1 || k.v%4 != 3 || k.w%2 != 1 {
+		t.Errorf("residueKey %#x: want u ≡ 1, v ≡ 3 (mod 4) and w odd", k)
 	}
 }

@@ -121,10 +121,8 @@ func (b *Builder) MustBuild() *Graph {
 
 // FromCSR wraps pre-built CSR arrays in a Graph after validating them.
 // The slices are retained, not copied. vwgt may be nil for unit weights,
-// and adjwgt may be nil for unit edge weights. Validation is the one
-// linear pass of the binary decoder (validateFused, n bytes of scratch);
-// Validate, which allocates a transpose, runs only on arrays that fail
-// it, so the error names the first violation in Validate's words.
+// and adjwgt may be nil for unit edge weights. Validation is the binary
+// decoder's (validateIngest).
 func FromCSR(xadj, adjncy, adjwgt, vwgt []int) (*Graph, error) {
 	n := len(xadj) - 1
 	if n < 0 {
@@ -143,10 +141,7 @@ func FromCSR(xadj, adjncy, adjwgt, vwgt []int) (*Graph, error) {
 		}
 	}
 	g := &Graph{Xadj: xadj, Adjncy: adjncy, Adjwgt: adjwgt, Vwgt: vwgt}
-	if err := g.validateFused(); err != nil {
-		if verr := g.Validate(); verr != nil {
-			return nil, verr
-		}
+	if err := g.validateIngest(); err != nil {
 		return nil, err
 	}
 	return g, nil

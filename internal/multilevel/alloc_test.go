@@ -44,9 +44,9 @@ func allocPerCall(f func()) uint64 {
 // measured 10,212 KB per call, and its bound sits 5% above that, the
 // alloc_mb_per_op tolerance of the benchmark.
 //
-// The fe3d-session shape has no row: its boundary repair borrows its
-// workspace from workspace.Get, a sync.Pool, so its per-op allocation
-// depends on when the GC empties the pool.
+// The fe3d-session shape has no row here: its boundary repair refines in
+// the session's own arena, and internal/sessions pins it
+// (TestApplyAllocBound).
 func TestEngineAllocBound(t *testing.T) {
 	g := matgen.FE3DTetra(20, 20, 20, 1)
 	soc := matgen.SocialNetwork(8192, 4, 1)

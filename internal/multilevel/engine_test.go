@@ -207,7 +207,7 @@ func TestCancellation(t *testing.T) {
 	if _, err := PartitionWeighted(g, []float64{1, 2}, opts); !errors.Is(err, context.Canceled) {
 		t.Errorf("PartitionWeighted: err = %v, want context.Canceled", err)
 	}
-	if b, _ := Bisect(g, 0, opts, rand.New(rand.NewSource(1))); b != nil {
+	if b, _ := Bisect(g, 0, opts, rand.New(rand.NewSource(1)), nil); b != nil {
 		t.Error("Bisect with cancelled context returned a bisection")
 	}
 }

@@ -402,12 +402,15 @@ func (s *Stats) add(o *Stats) {
 // wins. It returns the refined bisection of g and per-phase timing
 // statistics (summed over the NCuts runs). If opts.Context is cancelled
 // mid-run, the returned bisection is nil.
-func Bisect(g *graph.Graph, target0 int, opts Options, rng *rand.Rand) (*refine.Bisection, *Stats) {
+//
+// ws is the arena the bisection runs in; a caller that bisects repeatedly
+// (nested dissection) passes the same one each time, and nil means a
+// fresh one for this call. The returned bisection is detached from it.
+func Bisect(g *graph.Graph, target0 int, opts Options, rng *rand.Rand, ws *workspace.Workspace) (*refine.Bisection, *Stats) {
 	e := newEngine(opts)
-	// Bisect runs outside any engine call's arena, so it borrows a pooled
-	// workspace and detaches the bisection it returns from it.
-	ws := workspace.Get()
-	defer workspace.Put(ws)
+	if ws == nil {
+		ws = new(workspace.Workspace)
+	}
 	b, stats := e.bisect(g, target0, rng, opts.Seed, ws)
 	if b != nil {
 		b = b.Detach(ws)

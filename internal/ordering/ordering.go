@@ -19,6 +19,7 @@ import (
 	"mlpart/internal/multilevel"
 	"mlpart/internal/spectral"
 	"mlpart/internal/vcover"
+	"mlpart/internal/workspace"
 )
 
 // Options configures nested dissection.
@@ -59,11 +60,11 @@ func (o Options) cancelled() bool {
 // the caller needs the cancellation error.
 func MLND(g *graph.Graph, opts Options) []int {
 	opts = opts.withDefaults()
-	return dissect(g, opts, func(sub *graph.Graph, seed int64) []int {
+	return dissect(g, opts, func(sub *graph.Graph, seed int64, ws *workspace.Workspace) []int {
 		rng := rand.New(rand.NewSource(seed))
 		mlOpts := opts.ML
 		mlOpts.Seed = seed
-		b, _ := multilevel.Bisect(sub, 0, mlOpts, rng)
+		b, _ := multilevel.Bisect(sub, 0, mlOpts, rng, ws)
 		if b == nil {
 			// Context cancelled mid-bisection; the recursion unwinds.
 			return nil
@@ -89,14 +90,16 @@ func MLNDCtx(ctx context.Context, g *graph.Graph, opts Options) ([]int, error) {
 // using multilevel spectral bisection for each split.
 func SND(g *graph.Graph, opts Options) []int {
 	opts = opts.withDefaults()
-	return dissect(g, opts, func(sub *graph.Graph, seed int64) []int {
+	return dissect(g, opts, func(sub *graph.Graph, seed int64, _ *workspace.Workspace) []int {
 		rng := rand.New(rand.NewSource(seed))
 		return spectral.MSBisect(sub, spectral.MSBOptions{}, rng)
 	})
 }
 
-// bisector produces a two-way partition vector of sub using seed.
-type bisector func(sub *graph.Graph, seed int64) []int
+// bisector produces a two-way partition vector of sub using seed. ws is
+// the scratch arena of the recursion branch it runs on; the vector it
+// returns must not belong to it.
+type bisector func(sub *graph.Graph, seed int64, ws *workspace.Workspace) []int
 
 // panicBox holds the first panic captured on a dissection goroutine. A
 // panic cannot be recovered across goroutines, so each parallel branch
@@ -140,7 +143,7 @@ func dissect(g *graph.Graph, opts Options, bisect bisector) []int {
 	var mu sync.Mutex
 	out := make([]int, n)
 	opts.pbox = &panicBox{}
-	ndRecurse(g, ids, opts, bisect, opts.Seed, out, 0, &mu, 0)
+	ndRecurse(g, ids, opts, bisect, opts.Seed, out, 0, &mu, 0, new(workspace.Workspace))
 	if opts.pbox.pe != nil {
 		// All branches have joined; re-raise the captured panic where the
 		// caller's recover can see it.
@@ -152,7 +155,9 @@ func dissect(g *graph.Graph, opts Options, bisect bisector) []int {
 // ndRecurse orders the vertices of g (with original ids `ids`) into
 // out[offset : offset+len(ids)]: part A first, part B second, separator
 // last — so separators at every level are numbered after both halves.
-func ndRecurse(g *graph.Graph, ids []int, opts Options, bisect bisector, seed int64, out []int, offset int, mu *sync.Mutex, depth int) {
+// Every bisection of one recursion branch runs in ws; a spawned branch
+// gets an arena of its own, as in the multilevel engine's recursion.
+func ndRecurse(g *graph.Graph, ids []int, opts Options, bisect bisector, seed int64, out []int, offset int, mu *sync.Mutex, depth int, ws *workspace.Workspace) {
 	n := g.NumVertices()
 	if n == 0 || opts.cancelled() || opts.pbox.panicked() {
 		return
@@ -166,7 +171,7 @@ func ndRecurse(g *graph.Graph, ids []int, opts Options, bisect bisector, seed in
 		mu.Unlock()
 		return
 	}
-	where := bisect(g, seed)
+	where := bisect(g, seed, ws)
 	if where == nil {
 		// Bisection abandoned (context cancelled); stop recursing.
 		return
@@ -226,16 +231,16 @@ func ndRecurse(g *graph.Graph, ids []int, opts Options, bisect bisector, seed in
 		go func() {
 			defer wg.Done()
 			defer opts.pbox.capture()
-			ndRecurse(subA, idsA, opts, bisect, seedA, out, offset, mu, depth+1)
+			ndRecurse(subA, idsA, opts, bisect, seedA, out, offset, mu, depth+1, new(workspace.Workspace))
 		}()
 		func() {
 			defer opts.pbox.capture()
-			ndRecurse(subB, idsB, opts, bisect, seedB, out, offset+subA.NumVertices(), mu, depth+1)
+			ndRecurse(subB, idsB, opts, bisect, seedB, out, offset+subA.NumVertices(), mu, depth+1, ws)
 		}()
 		wg.Wait()
 	} else {
-		ndRecurse(subA, idsA, opts, bisect, seedA, out, offset, mu, depth+1)
-		ndRecurse(subB, idsB, opts, bisect, seedB, out, offset+subA.NumVertices(), mu, depth+1)
+		ndRecurse(subA, idsA, opts, bisect, seedA, out, offset, mu, depth+1, ws)
+		ndRecurse(subB, idsB, opts, bisect, seedB, out, offset+subA.NumVertices(), mu, depth+1, ws)
 	}
 }
 

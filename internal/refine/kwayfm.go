@@ -83,9 +83,11 @@ type KWayOptions struct {
 	// serial in snapshot order — so Workers is a scheduling knob, never a
 	// quality one.
 	Workers int
-	// Workspace, when non-nil, supplies pooled scratch for every array the
-	// engine needs; the move loop then runs allocation-free in steady
-	// state. Results are identical either way.
+	// Workspace supplies scratch for every array the engine needs; the
+	// move loop then runs allocation-free in steady state, and a caller
+	// that refines repeatedly (a session) keeps its arrays between calls.
+	// Nil means a fresh arena for this call. Results are identical either
+	// way.
 	Workspace *workspace.Workspace
 	// Level is the hierarchy level reported in trace events (engine-set).
 	Level int
@@ -377,8 +379,7 @@ func RefineKWay(p *kway.Partition, opts KWayOptions) int {
 
 	ws := opts.Workspace
 	if ws == nil {
-		ws = workspace.Get()
-		defer workspace.Put(ws)
+		ws = new(workspace.Workspace)
 	}
 	// r stays a stack value: the propose workers are named functions taking
 	// explicit arguments, never closures over r, so the serial move loop
@@ -443,10 +444,11 @@ func RefineKWay(p *kway.Partition, opts KWayOptions) int {
 // refinement, which respects the balance the rebalance established. It
 // returns the final cut. mlpart.Repartition and the sessions' full repair
 // tier both run it, so the two give one answer for one input. tr, when
-// non-nil, receives the refinement's pass events.
-func RepartitionKWay(p *kway.Partition, orig []int, opts kway.RebalanceOptions, tr trace.Tracer) int {
+// non-nil, receives the refinement's pass events; ws is the refinement's
+// arena (nil means a fresh one for this call).
+func RepartitionKWay(p *kway.Partition, orig []int, opts kway.RebalanceOptions, tr trace.Tracer, ws *workspace.Workspace) int {
 	kway.Rebalance(p, orig, opts)
-	return RefineKWay(p, KWayOptions{Ubfactor: opts.Ubfactor, Seed: opts.Seed, Tracer: tr})
+	return RefineKWay(p, KWayOptions{Ubfactor: opts.Ubfactor, Seed: opts.Seed, Tracer: tr, Workspace: ws})
 }
 
 // kwayLimit returns the part-weight bounds of a move at one level: a

@@ -192,8 +192,7 @@ func BenchmarkRefineKWay(b *testing.B) {
 				p := kway.NewPartition(in.g, in.k, slices.Clone(baseWhere))
 				basePwgt := slices.Clone(p.Pwgt)
 				baseCut := p.Cut
-				ws := workspace.Get()
-				defer workspace.Put(ws)
+				ws := new(workspace.Workspace)
 				opts := refine.KWayOptions{Seed: 9, Workers: workers, Workspace: ws}
 				refine.RefineKWay(p, opts) // warm the pooled buffers to full size
 				b.ResetTimer()

@@ -142,8 +142,7 @@ func TestRefineKWayPooledMatchesAllocating(t *testing.T) {
 	base := randomKWhere(g.NumVertices(), k, 17)
 	pooled := kway.NewPartition(g, k, append([]int(nil), base...))
 	plain := kway.NewPartition(g, k, append([]int(nil), base...))
-	ws := workspace.Get()
-	defer workspace.Put(ws)
+	ws := new(workspace.Workspace)
 	cutPooled := RefineKWay(pooled, KWayOptions{Seed: 5, Workspace: ws})
 	cutPlain := RefineKWay(plain, KWayOptions{Seed: 5})
 	if cutPooled != cutPlain {

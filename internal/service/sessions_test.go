@@ -351,7 +351,7 @@ func TestSessionCreateRejectsAsymmetricGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp, data = postBinary(t, ts.Client(), ts.URL+"/v1/graphs?k=2", buf.Bytes())
-	if want := "bad graph: graph: adjacency is not symmetric"; resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), want) {
+	if want := "bad graph: graph: asymmetric edge (0,1): 1 vs 2"; resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), want) {
 		t.Errorf("csrb: status %d, body %s; want 400 naming %q", resp.StatusCode, data, want)
 	}
 }

@@ -10,9 +10,12 @@ import (
 // repartitioning: on a 125k-vertex FE 3D mesh, a <=1% delta batch
 // repaired incrementally (the ladder's boundary rung) must beat
 // re-running a full multilevel V-cycle over the whole graph. The
-// batches are weight toggles on existing mesh edges, so the topology,
-// memory footprint and drift stay constant across iterations and the
-// two arms see identical work.
+// boundary and vcycle arms' batches are weight toggles on existing mesh
+// edges, so the topology, memory footprint and drift stay constant across
+// iterations and the two arms see identical work. The churn arm repairs
+// at the boundary tier too, but alternates churnBatches, which add and
+// remove edges, so each snapshot rebuild follows an entry count that
+// grows and shrinks.
 func BenchmarkDeltaRepair(b *testing.B) {
 	g := matgen.FE3DTetra(50, 50, 50, 3)
 	n := g.NumVertices()
@@ -39,12 +42,23 @@ func BenchmarkDeltaRepair(b *testing.B) {
 		return ops
 	}
 
+	churn := churnBatches(g, 11)
+
 	for _, arm := range []struct {
 		name string
 		run  func(b *testing.B, m *Manager, id string, iter int)
 	}{
 		{"boundary", func(b *testing.B, m *Manager, id string, iter int) {
 			st, err := m.Apply(id, batchFor(iter))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if st.LastRepair != "boundary" {
+				b.Fatalf("ladder escalated to %q; the benchmark premise broke", st.LastRepair)
+			}
+		}},
+		{"churn", func(b *testing.B, m *Manager, id string, iter int) {
+			st, err := m.Apply(id, churn[iter%2])
 			if err != nil {
 				b.Fatal(err)
 			}

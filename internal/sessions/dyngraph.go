@@ -1,7 +1,7 @@
 package sessions
 
 import (
-	"sort"
+	"slices"
 
 	"mlpart/internal/graph"
 )
@@ -11,7 +11,9 @@ import (
 // zero-copy decoders, fingerprints over the raw arrays), so sessions
 // keep a map-based undirected adjacency that absorbs delta batches in
 // O(1) per edge and lazily re-materializes a deterministic CSR snapshot
-// when a repair needs one.
+// when a repair needs one. The snapshot is rebuilt into the arrays of the
+// previous one, so a session holds one CSR and a repair allocates none
+// unless the adjacency outgrew it.
 type dynGraph struct {
 	vwgt []int
 	// adj[u] maps neighbor -> edge weight; every undirected edge appears
@@ -22,8 +24,11 @@ type dynGraph struct {
 	dir int
 	// totVwgt is the sum of vertex weights, maintained incrementally.
 	totVwgt int
-	// csr caches the materialized snapshot; nil after any mutation.
+	// csr is the materialized snapshot, nil until the first one. Its
+	// arrays outlive mutations: the next snapshot rebuilds them in place.
 	csr *graph.Graph
+	// fresh reports that csr matches the adjacency; mutations clear it.
+	fresh bool
 }
 
 // newDynGraph copies g into mutable form. g is not retained.
@@ -71,7 +76,7 @@ func (d *dynGraph) setEdge(u, v, w int) {
 	}
 	d.adj[u][v] = w
 	d.adj[v][u] = w
-	d.csr = nil
+	d.fresh = false
 }
 
 // delEdge removes the undirected edge (u,v). Callers validate it exists.
@@ -79,7 +84,7 @@ func (d *dynGraph) delEdge(u, v int) {
 	delete(d.adj[u], v)
 	delete(d.adj[v], u)
 	d.dir -= 2
-	d.csr = nil
+	d.fresh = false
 }
 
 // setVwgt replaces vertex u's weight. Callers validate w > 0.
@@ -87,38 +92,49 @@ func (d *dynGraph) setVwgt(u, w int) {
 	d.totVwgt += w - d.vwgt[u]
 	d.vwgt[u] = w
 	// CSR carries vertex weights too.
-	d.csr = nil
+	d.fresh = false
 }
 
 // snapshot materializes (and caches) the CSR form. Neighbor lists are
 // emitted in ascending vertex order so the same adjacency state always
 // yields the same CSR arrays — the determinism the delta-log replay and
 // the fingerprint both rely on.
+//
+// The returned graph is valid until the next mutation, which hands its
+// arrays to the following snapshot; callers must not keep it past one
+// repair or snapshot write. Adjncy and Adjwgt are reallocated, at exactly
+// the new size, only when the adjacency outgrew their capacity.
 func (d *dynGraph) snapshot() *graph.Graph {
-	if d.csr != nil {
+	if d.fresh {
 		return d.csr
 	}
 	n := len(d.vwgt)
-	g := &graph.Graph{
-		Xadj:   make([]int, n+1),
-		Adjncy: make([]int, 0, d.dir),
-		Adjwgt: make([]int, 0, d.dir),
-		Vwgt:   append([]int(nil), d.vwgt...),
+	g := d.csr
+	if g == nil {
+		g = &graph.Graph{Xadj: make([]int, n+1), Vwgt: make([]int, n)}
+		d.csr = g
 	}
-	nbrs := make([]int, 0, 64)
+	if cap(g.Adjncy) < d.dir {
+		g.Adjncy, g.Adjwgt = make([]int, d.dir), make([]int, d.dir)
+	}
+	g.Adjncy, g.Adjwgt = g.Adjncy[:d.dir], g.Adjwgt[:d.dir]
+	copy(g.Vwgt, d.vwgt)
+	at := 0
 	for u := 0; u < n; u++ {
-		nbrs = nbrs[:0]
+		nbrs := g.Adjncy[at : at+len(d.adj[u])]
+		i := 0
 		for v := range d.adj[u] {
-			nbrs = append(nbrs, v)
+			nbrs[i] = v
+			i++
 		}
-		sort.Ints(nbrs)
-		for _, v := range nbrs {
-			g.Adjncy = append(g.Adjncy, v)
-			g.Adjwgt = append(g.Adjwgt, d.adj[u][v])
+		slices.Sort(nbrs)
+		for i, v := range nbrs {
+			g.Adjwgt[at+i] = d.adj[u][v]
 		}
-		g.Xadj[u+1] = len(g.Adjncy)
+		at += len(nbrs)
+		g.Xadj[u+1] = at
 	}
-	d.csr = g
+	d.fresh = true
 	return g
 }
 
@@ -126,19 +142,21 @@ func (d *dynGraph) snapshot() *graph.Graph {
 // Go maps cost roughly 50 bytes per int->int entry once bucket overhead
 // and load factor are amortized; each undirected edge owns two entries.
 // The vertex figure covers the map header, the vwgt element and the
-// session's where slot. The CSR cache, when materialized, adds its
-// array bytes on top.
+// session's where slot. The CSR, once materialized, adds its array bytes
+// on top, at the current entry count: like map buckets, the capacity
+// that removals leave behind is not counted.
 const (
 	bytesPerVertex   = 96
 	bytesPerDirEntry = 56
 )
 
 // bytes estimates the resident heap footprint of the dynamic form plus
-// the cached CSR snapshot (if any).
+// the CSR snapshot (if one was ever materialized).
 func (d *dynGraph) bytes() int64 {
-	b := int64(len(d.vwgt))*bytesPerVertex + int64(d.dir)*bytesPerDirEntry
+	n, dir := int64(len(d.vwgt)), int64(d.dir)
+	b := n*bytesPerVertex + dir*bytesPerDirEntry
 	if d.csr != nil {
-		b += int64(len(d.csr.Xadj)+len(d.csr.Adjncy)+len(d.csr.Adjwgt)+len(d.csr.Vwgt)) * 8
+		b += (2*n + 1 + 2*dir) * 8
 	}
 	return b
 }

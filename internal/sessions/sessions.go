@@ -52,6 +52,7 @@ import (
 	"mlpart/internal/multilevel"
 	"mlpart/internal/refine"
 	"mlpart/internal/trace"
+	"mlpart/internal/workspace"
 )
 
 // Delta op names.
@@ -421,6 +422,10 @@ type session struct {
 	where []int
 	pwgt  []int
 	cut   int
+	// ws is the arena the boundary and full repair tiers refine in. It
+	// keeps their arrays, and the where vector a repair replaces, for the
+	// next repair, and is counted in bytes.
+	ws *workspace.Workspace
 
 	baselineCut int
 	seq         uint64
@@ -475,10 +480,24 @@ func (m *Manager) emit(e trace.Event) {
 // estimateCreateBytes predicts the resident footprint of a graph before
 // building the dynamic form, so admission can reject it allocation-free.
 func estimateCreateBytes(g *graph.Graph) int64 {
-	n := int64(g.NumVertices())
-	dir := int64(len(g.Adjncy))
-	// dynamic form + cached CSR + where/pwgt.
-	return n*bytesPerVertex + dir*bytesPerDirEntry + (n+1+2*dir+n)*8 + n*8
+	return estimateBytes(int64(g.NumVertices()), int64(len(g.Adjncy)))
+}
+
+// entryBytes is the estimated footprint of one directed entry: its map
+// entry, its Adjncy and Adjwgt words in the CSR snapshot, and one pair
+// (two words) in the repair arena's pair pools.
+const entryBytes = bytesPerDirEntry + 4*8
+
+// estimateBytes predicts the footprint of a session over n vertices and
+// dir directed entries once it has repaired: the dynamic form, the CSR
+// snapshot, where, and the repair arena. The arena holds the boundary
+// refinement's eight vertex arrays, the copy of where a repair refines and
+// a byte per vertex, plus pair pools that start at no more than one pair
+// per directed entry (entryBytes).
+func estimateBytes(n, dir int64) int64 {
+	csr := (2*n + 1) * 8
+	arena := n * (9*8 + 1)
+	return n*bytesPerVertex + dir*entryBytes + csr + n*8 + arena
 }
 
 // Create admits a new resident graph, computes its initial k-way
@@ -544,6 +563,7 @@ func (m *Manager) Create(g *graph.Graph, cfg Config) (*State, error) {
 		created:  now,
 		lastUsed: now,
 		lastTier: TierNone,
+		ws:       new(workspace.Workspace),
 	}
 	s.mu.Lock()
 	m.sessions[id] = s
@@ -672,7 +692,7 @@ func estimateGrowth(ops []Op) int64 {
 	var g int64
 	for _, op := range ops {
 		if op.Op == OpAdd {
-			g += 2 * bytesPerDirEntry
+			g += 2 * entryBytes
 		}
 	}
 	return g
@@ -1034,11 +1054,11 @@ func (s *session) repair(m *Manager, tier Tier, replay bool) error {
 		switch tier {
 		case TierBoundary:
 			p := s.partition(g)
-			refine.RefineKWay(p, refine.KWayOptions{Ubfactor: s.ubfactor, Seed: s.seed, Workers: 1, Tracer: m.opts.Tracer, Injector: inj})
+			refine.RefineKWay(p, refine.KWayOptions{Ubfactor: s.ubfactor, Seed: s.seed, Workers: 1, Workspace: s.ws, Tracer: m.opts.Tracer, Injector: inj})
 			s.adopt(p, false)
 		case TierFull:
 			p := s.partition(g)
-			refine.RepartitionKWay(p, s.where, kway.RebalanceOptions{Ubfactor: s.ubfactor, Seed: s.seed}, m.opts.Tracer)
+			refine.RepartitionKWay(p, s.where, kway.RebalanceOptions{Ubfactor: s.ubfactor, Seed: s.seed}, m.opts.Tracer, s.ws)
 			s.adopt(p, true)
 		case TierVCycle:
 			res, verr := multilevel.PartitionKWay(g, s.k, multilevel.Options{
@@ -1071,17 +1091,21 @@ func (s *session) repair(m *Manager, tier Tier, replay bool) error {
 }
 
 // partition returns the session's partition of g, its current graph, as
-// refinement state for a repair: a copy of where, with the part weights
-// and cut that every op keeps current (applyOp) rather than a recount. The
-// copies leave the session untouched until adopt, whatever the repair
-// does.
+// refinement state for a repair: a copy of where, drawn from the session's
+// arena, with the part weights and cut that every op keeps current
+// (applyOp) rather than a recount. The copies leave the session untouched
+// until adopt, whatever the repair does.
 func (s *session) partition(g *graph.Graph) *kway.Partition {
-	return &kway.Partition{G: g, K: s.k, Where: slices.Clone(s.where), Pwgt: slices.Clone(s.pwgt), Cut: s.cut}
+	where := s.ws.Int(len(s.where))
+	copy(where, s.where)
+	return &kway.Partition{G: g, K: s.k, Where: where, Pwgt: slices.Clone(s.pwgt), Cut: s.cut}
 }
 
-// adopt commits a repaired partition; tiers that rebuild globally reset
-// the drift baseline.
+// adopt commits a repaired partition, returning the where vector it
+// replaces to the session's arena for the next repair's copy; tiers that
+// rebuild globally reset the drift baseline.
 func (s *session) adopt(p *kway.Partition, resetBaseline bool) {
+	s.ws.PutInt(s.where)
 	s.where = p.Where
 	s.pwgt = p.Pwgt
 	s.cut = p.Cut
@@ -1116,10 +1140,10 @@ func (s *session) state(withWhere bool) *State {
 	return st
 }
 
-// refreshBytes re-derives the session's footprint and settles the
-// difference into the manager's resident total.
+// refreshBytes re-derives the session's footprint, its repair arena
+// included, and settles the difference into the manager's resident total.
 func (s *session) refreshBytes(m *Manager) {
-	nb := s.dg.bytes() + int64(len(s.where)+len(s.pwgt))*8
+	nb := s.dg.bytes() + int64(len(s.where)+len(s.pwgt))*8 + s.ws.Bytes()
 	m.resident.Add(nb - s.bytes)
 	s.bytes = nb
 }
@@ -1280,6 +1304,7 @@ func (m *Manager) loadFromDisk(id string) (*session, error) {
 		seq:         meta.Seq,
 		lastTier:    TierNone,
 		recovered:   true,
+		ws:          new(workspace.Workspace),
 	}
 	wcopy := append([]int(nil), where...)
 	p := kway.NewPartition(g, meta.K, wcopy)

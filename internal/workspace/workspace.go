@@ -10,7 +10,10 @@
 // through every bisection, coarsening hierarchy, refinement pass and extra
 // cycle of the call, and drop it when the call returns; each goroutine the
 // call spawns (a parallel recursion branch, a parallel NCuts trial) gets
-// its own. A buffer released anywhere in the call is reused by every later
+// its own. Nested dissection threads one arena through the bisections of
+// a recursion branch (multilevel.Bisect), and refine.RefineKWay, called
+// without one, makes its own. A buffer released anywhere in the call is
+// reused by every later
 // request it can hold: partitioning a 125k-vertex FE3D mesh at k=32
 // allocates 87 MB, where one pooled workspace per bisection allocated
 // 658 MB.
@@ -27,17 +30,17 @@
 // allocated less still, but idle arenas are live heap that the garbage
 // collector's pacing then doubles: on the daemon benchmark it raised peak
 // RSS by 49-63% on fe3d-json, 40-77% on soc-csrb-eco and 46-59% on
-// fe3d-session, against about +9% for the per-call arena. Get and Put, backed
-// by a sync.Pool, remain for the few callers that run outside an engine
-// call: refine.RefineKWay without a workspace and multilevel.Bisect.
+// fe3d-session, against about +9% for the per-call arena. The one arena
+// that does outlive a call is a graph session's: it refines its resident
+// graph at every delta batch, and counts Bytes in its resident footprint.
 //
 // Invariants:
 //
 //   - A buffer obtained from a Workspace must be returned (PutInt etc.) or
 //     abandoned to the garbage collector — never both retained by a caller
-//     AND returned. No buffer may outlive the call that owns the arena;
-//     results that do are copied into fresh allocations (see
-//     refine.(*Bisection).Detach).
+//     AND returned. No buffer may outlive the owner of the arena (the
+//     call, or the session); results that do are copied into fresh
+//     allocations (see refine.(*Bisection).Detach).
 //   - Buffers come back with arbitrary contents unless the getter says
 //     otherwise (IntFilled, Bool); callers must fully initialize whatever
 //     they read.
@@ -47,10 +50,7 @@
 //     goroutine start or a WaitGroup.
 package workspace
 
-import (
-	"math/rand"
-	"sync"
-)
+import "math/rand"
 
 // maxFree bounds the number of idle buffers retained per type so a
 // pathological size mix cannot pin unbounded memory. One FE3D partition
@@ -67,17 +67,19 @@ type Workspace struct {
 	bools [][]bool
 }
 
-var pool = sync.Pool{New: func() any { return new(Workspace) }}
-
-// Get borrows a Workspace from the global pool.
-func Get() *Workspace { return pool.Get().(*Workspace) }
-
-// Put returns ws (and every buffer it holds) to the global pool. ws must
-// not be used afterwards.
-func Put(ws *Workspace) {
-	if ws != nil {
-		pool.Put(ws)
+// Bytes returns the capacity, in bytes, of the buffers ws holds free.
+func (ws *Workspace) Bytes() int64 {
+	if ws == nil {
+		return 0
 	}
+	var b int64
+	for _, s := range ws.ints {
+		b += int64(cap(s)) * 8
+	}
+	for _, s := range ws.bools {
+		b += int64(cap(s))
+	}
+	return b
 }
 
 // Int returns a length-n []int with arbitrary contents. A nil Workspace

@@ -97,14 +97,27 @@ func TestMaxFreeBound(t *testing.T) {
 	}
 }
 
-func TestGetPut(t *testing.T) {
-	ws := Get()
-	if ws == nil {
-		t.Fatal("Get returned nil")
+// TestBytes: Bytes counts the free buffers at their full capacity, and a
+// lent buffer stops counting until it is returned.
+func TestBytes(t *testing.T) {
+	var nilWS *Workspace
+	if b := nilWS.Bytes(); b != 0 {
+		t.Fatalf("nil workspace holds %d bytes", b)
 	}
-	ws.PutInt(ws.Int(10))
-	Put(ws)
-	Put(nil) // must not panic
+	ws := &Workspace{}
+	ws.PutInt(make([]int, 10, 16))
+	ws.PutBool(make([]bool, 100))
+	if b := ws.Bytes(); b != 16*8+100 {
+		t.Fatalf("Bytes = %d, want %d", b, 16*8+100)
+	}
+	s := ws.Int(12)
+	if b := ws.Bytes(); b != 100 {
+		t.Fatalf("Bytes with the int buffer lent = %d, want 100", b)
+	}
+	ws.PutInt(s)
+	if b := ws.Bytes(); b != 16*8+100 {
+		t.Fatalf("Bytes after return = %d, want %d", b, 16*8+100)
+	}
 }
 
 func TestSplitPiecesDisjoint(t *testing.T) {

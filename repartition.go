@@ -109,7 +109,7 @@ func Repartition(g *Graph, k int, oldWhere []int, opts *RepartitionOptions) (*Re
 	ro := opts.rebalance()
 	where := append([]int(nil), oldWhere...)
 	p := kway.NewPartition(g, k, where)
-	refine.RepartitionKWay(p, oldWhere, ro, nil)
+	refine.RepartitionKWay(p, oldWhere, ro, nil, nil)
 	migrated := 0
 	for v, w := range p.Where {
 		if w != oldWhere[v] {

@@ -49,7 +49,7 @@ echo "== perfbench (own module, so root go test ./... never compiles it)"
 echo "== benchmark smoke (every benchmark once; fails if any of them fails)"
 go test -run '^$' -bench . -benchtime 1x ./...
 
-echo "== fuzz smoke (graph readers + binary + Validate, matching and cluster contraction, JSON and query request decoders + session delta log + BKWAY connectivity + projection + Repartition)"
+echo "== fuzz smoke (graph readers + binary + Validate, matching and cluster contraction, JSON and query request decoders + session delta log and snapshot reuse + BKWAY connectivity + projection + Repartition)"
 go test -fuzz '^FuzzRead$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/graph/
 go test -fuzz '^FuzzReadMatrixMarket$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/graph/
 go test -fuzz '^FuzzDecodeBinary$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/graph/
@@ -59,6 +59,7 @@ go test -fuzz '^FuzzContractClusters$' -fuzztime 10s -fuzzminimizetime 100x -run
 go test -fuzz '^FuzzDecodeJSONRequest$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/service/
 go test -fuzz '^FuzzQueryDecode$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/service/
 go test -fuzz '^FuzzDeltaLog$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/sessions/
+go test -fuzz '^FuzzSnapshotReuse$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/sessions/
 go test -fuzz '^FuzzRefineKWayConnectivity$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/refine/
 go test -fuzz '^FuzzProject$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/refine/
 go test -fuzz '^FuzzRepartition$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' .
