@@ -318,7 +318,9 @@ func BenchmarkFigure5Ordering(b *testing.B) {
 		b.ReportAllocs()
 		var perm []int
 		for i := 0; i < b.N; i++ {
-			perm = ordering.MLND(w.Graph, ordering.Options{Seed: 1})
+			if perm, err = ordering.MLND(w.Graph, ordering.Options{ML: multilevel.Options{Seed: 1}}); err != nil {
+				b.Fatal(err)
+			}
 		}
 		report(b, perm)
 	})
@@ -334,7 +336,9 @@ func BenchmarkFigure5Ordering(b *testing.B) {
 		b.ReportAllocs()
 		var perm []int
 		for i := 0; i < b.N; i++ {
-			perm = ordering.SND(w.Graph, ordering.Options{Seed: 1})
+			if perm, err = ordering.SND(w.Graph, ordering.Options{ML: multilevel.Options{Seed: 1}}); err != nil {
+				b.Fatal(err)
+			}
 		}
 		report(b, perm)
 	})
@@ -351,7 +355,7 @@ func BenchmarkAblationMatching(b *testing.B) {
 			b.ReportAllocs()
 			var cut int
 			for i := 0; i < b.N; i++ {
-				bis, _ := multilevel.Bisect(w.Graph, 0,
+				bis, _, _ := multilevel.Bisect(w.Graph, 0,
 					multilevel.Options{Seed: 1}.WithMatching(s),
 					rand.New(rand.NewSource(1)), nil)
 				cut = bis.Cut
@@ -371,7 +375,7 @@ func BenchmarkAblationBoundary(b *testing.B) {
 			b.ReportAllocs()
 			var cut int
 			for i := 0; i < b.N; i++ {
-				bis, _ := multilevel.Bisect(w.Graph, 0,
+				bis, _, _ := multilevel.Bisect(w.Graph, 0,
 					multilevel.Options{Seed: 1}.WithRefinement(p),
 					rand.New(rand.NewSource(1)), nil)
 				cut = bis.Cut

@@ -6,6 +6,7 @@ import (
 	"mlpart"
 	"mlpart/internal/matgen"
 	"mlpart/internal/mmd"
+	"mlpart/internal/multilevel"
 	"mlpart/internal/ordering"
 	"mlpart/internal/sparse"
 )
@@ -78,9 +79,18 @@ func TestOrderingConsistencyAcrossAlgorithms(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.NumVertices()
+	seeded := ordering.Options{ML: multilevel.Options{Seed: 1}}
+	mlndPerm, err := ordering.MLND(g, seeded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sndPerm, err := ordering.SND(g, seeded)
+	if err != nil {
+		t.Fatal(err)
+	}
 	perms := map[string][]int{
-		"MLND": ordering.MLND(g, ordering.Options{Seed: 1}),
-		"SND":  ordering.SND(g, ordering.Options{Seed: 1}),
+		"MLND": mlndPerm,
+		"SND":  sndPerm,
 		"RCM":  ordering.RCM(g),
 		"MMD":  mmd.Order(g),
 	}

@@ -5,6 +5,7 @@ import (
 
 	"mlpart/internal/matgen"
 	"mlpart/internal/mmd"
+	"mlpart/internal/multilevel"
 	"mlpart/internal/ordering"
 	"mlpart/internal/sparse"
 )
@@ -33,12 +34,16 @@ type OrderingRow struct {
 // the symbolic Cholesky operation counts are compared.
 func Ordering(workloads []matgen.Named, seed int64) []OrderingRow {
 	var rows []OrderingRow
+	opts := ordering.Options{ML: multilevel.Options{Seed: seed}}
 	for _, w := range workloads {
 		g := w.Graph
 		row := OrderingRow{Graph: w.Name, N: g.NumVertices()}
 
 		t0 := time.Now()
-		mlndPerm := ordering.MLND(g, ordering.Options{Seed: seed})
+		mlndPerm, err := ordering.MLND(g, opts)
+		if err != nil {
+			panic(err)
+		}
 		row.MLNDTime = time.Since(t0)
 		mlnd, err := sparse.Analyze(g, mlndPerm)
 		if err != nil {
@@ -58,7 +63,10 @@ func Ordering(workloads []matgen.Named, seed int64) []OrderingRow {
 		row.MMDHeight = md.Height
 
 		t0 = time.Now()
-		sndPerm := ordering.SND(g, ordering.Options{Seed: seed})
+		sndPerm, err := ordering.SND(g, opts)
+		if err != nil {
+			panic(err)
+		}
 		row.SNDTime = time.Since(t0)
 		snd, err := sparse.Analyze(g, sndPerm)
 		if err != nil {

@@ -188,13 +188,7 @@ func (e *engine) vCycle(g *graph.Graph, k int, seedWhere []int, seed int64, ws *
 	fw, cut, ok := e.phaseUncoarsenKWay(h, k, cw, seed, ws, stats, tr)
 	if !ok {
 		h.Release(ws)
-		if cerr := e.ctx.Err(); cerr != nil {
-			return nil, 0, stats, cerr
-		}
-		e.mu.Lock()
-		ferr := e.err
-		e.mu.Unlock()
-		return nil, 0, stats, ferr
+		return nil, 0, stats, e.Err()
 	}
 	h.Release(ws)
 	return fw, cut, stats, nil
@@ -229,12 +223,12 @@ func (e *engine) iterate(g *graph.Graph, k int, res *Result, cut int, ws *worksp
 			break
 		}
 		t0 := time.Now()
-		where, cut, cstats, err := e.vCycle(g, k, res.Where, deriveSeed(e.opts.Seed, cycleBranch+int64(c)), ws)
+		where, cut, cstats, err := e.vCycle(g, k, res.Where, DeriveSeed(e.opts.Seed, cycleBranch+int64(c)), ws)
 		if err != nil {
 			if e.ctx.Err() != nil {
 				break
 			}
-			e.noteDegradation(&res.Stats, tr, trace.Degradation{
+			noteDegradation(&res.Stats, tr, trace.Degradation{
 				Phase:  "cycle",
 				From:   fmt.Sprintf("cycle-%d", c),
 				To:     "best-completed",

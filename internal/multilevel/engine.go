@@ -1,7 +1,6 @@
 package multilevel
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -78,52 +77,25 @@ func (s weightedSplit) halves() (splitSpec, splitSpec) {
 // PartitionKWay and PartitionWeighted. It owns the recursion, the NCuts
 // trial selection, derived seeds, the call's workspace arena, trace
 // emission and context cancellation, so every entry point behaves
-// identically.
+// identically. Its Recursion holds the context, the fan-out rule and the
+// first failure of any branch.
 type engine struct {
+	*Recursion
 	opts   Options // defaults already applied
-	ctx    context.Context
 	tracer trace.Tracer
 	inj    *faults.Injector // never consulted when nil beyond a nil check
 
-	mu  sync.Mutex // guards Result fields and err during parallel recursion
-	err error      // first cancellation or failure error observed
+	mu sync.Mutex // guards Result fields during parallel recursion
 }
 
 func newEngine(opts Options) *engine {
 	opts = opts.withDefaults()
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
+	return &engine{
+		Recursion: NewRecursion(opts, faults.SiteEngineBisect),
+		opts:      opts,
+		tracer:    opts.Tracer,
+		inj:       opts.Injector,
 	}
-	return &engine{opts: opts, ctx: ctx, tracer: opts.Tracer, inj: opts.Injector}
-}
-
-// fail records the first error; later calls keep the original.
-func (e *engine) fail(err error) {
-	e.mu.Lock()
-	if e.err == nil {
-		e.err = err
-	}
-	e.mu.Unlock()
-}
-
-// failed reports whether any branch of the run has already failed; the
-// recursion stops descending once it has.
-func (e *engine) failed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err != nil
-}
-
-// cancelled reports (and records) whether the engine's context is done.
-// It is the only cancellation probe: callers check it at level boundaries
-// and recursion steps, never inside refinement passes.
-func (e *engine) cancelled() bool {
-	if err := e.ctx.Err(); err != nil {
-		e.fail(err)
-		return true
-	}
-	return false
 }
 
 // run builds a k-way partition of g by recursive bisection according to
@@ -152,8 +124,8 @@ func (e *engine) run(g *graph.Graph, sp splitSpec, kwayRefine bool) (res *Result
 		ids[i] = i
 	}
 	e.recurse(g, ids, sp, 0, e.opts.Seed, 0, res, ws)
-	if e.err != nil {
-		return nil, fmt.Errorf("multilevel: %w", e.err)
+	if err := e.Err(); err != nil {
+		return nil, fmt.Errorf("multilevel: %w", err)
 	}
 	cut := -1 // res.Where's edge-cut, once a k-way refinement keeps it
 	if kwayRefine && k >= 2 {
@@ -196,10 +168,11 @@ func (e *engine) recurse(g *graph.Graph, ids []int, sp splitSpec, base int, seed
 		}
 		ws.PutInt(ids)
 	}
-	if e.cancelled() || e.failed() {
+	if e.Stop() {
 		return
 	}
-	if sp.parts() <= 1 || g.NumVertices() == 0 {
+	n := g.NumVertices()
+	if sp.parts() <= 1 || n == 0 {
 		e.mu.Lock()
 		for _, id := range ids {
 			res.Where[id] = base
@@ -220,40 +193,24 @@ func (e *engine) recurse(g *graph.Graph, ids []int, sp splitSpec, base int, seed
 	res.Stats.add(stats)
 	e.mu.Unlock()
 	if b == nil {
-		// Cancelled mid-bisection; e.err is already set.
+		// Cancelled or failed mid-bisection; the failure is recorded.
 		return
 	}
 
 	left, idsL := splitHalf(g, b.Where, 0, ids, ws)
 	right, idsR := splitHalf(g, b.Where, 1, ids, ws)
-	// Fan out the top few levels of the recursion tree; deeper subproblems
-	// are small enough that goroutine overhead dominates.
-	fanOut := e.opts.Parallel && depth < e.opts.ParallelDepth && g.NumVertices() > e.opts.ParallelMinVertices
 	b.Release(ws)
 	release()
 	kl := sp.parts() / 2
 	spL, spR := sp.halves()
-	seedL := deriveSeed(seed, 2)
-	seedR := deriveSeed(seed, 3)
-	if fanOut {
-		// Both branches run guarded: a panic on either one is captured
-		// into e.err rather than unwinding past wg.Wait, which would
-		// leak the sibling goroutine (and, on the spawned side, kill the
-		// process — recover never runs on a foreign goroutine's stack).
-		// The spawned branch gets its own arena; the left half's arrays
-		// move into it with the goroutine start.
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e.recurseGuarded(left, idsL, spL, base, seedL, depth+1, res, new(workspace.Workspace))
-		}()
-		e.recurseGuarded(right, idsR, spR, base+kl, seedR, depth+1, res, ws)
-		wg.Wait()
-	} else {
+	seedL, seedR := DeriveSeed(seed, 2), DeriveSeed(seed, 3)
+	// A spawned left half gets its own arena; its arrays move into it with
+	// the goroutine start.
+	e.Fork(depth, n, ws, func(ws *workspace.Workspace) {
 		e.recurse(left, idsL, spL, base, seedL, depth+1, res, ws)
+	}, func(ws *workspace.Workspace) {
 		e.recurse(right, idsR, spR, base+kl, seedR, depth+1, res, ws)
-	}
+	})
 }
 
 // splitHalf extracts the subgraph of g induced by where == part, drawing
@@ -265,17 +222,6 @@ func splitHalf(g *graph.Graph, where []int, part int, ids []int, ws *workspace.W
 		childIDs[i] = ids[v]
 	}
 	return sub, childIDs
-}
-
-// recurseGuarded is recurse with a panic boundary: any panic in the
-// branch is recorded as the engine's failure and the branch abandoned.
-func (e *engine) recurseGuarded(g *graph.Graph, ids []int, sp splitSpec, base int, seed int64, depth int, res *Result, ws *workspace.Workspace) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.fail(faults.AsPanic(faults.SiteEngineBisect, r))
-		}
-	}()
-	e.recurse(g, ids, sp, base, seed, depth, res, ws)
 }
 
 // bisect dispatches between the single V-cycle and the NCuts best-of-N
@@ -303,7 +249,7 @@ func (e *engine) bisectNCuts(g *graph.Graph, target0 int, rng *rand.Rand, ws *wo
 	bs := make([]*refine.Bisection, n)
 	ss := make([]*Stats, n)
 	trial := func(i int, tws *workspace.Workspace) {
-		seed := deriveSeed(base, int64(i))
+		seed := DeriveSeed(base, int64(i))
 		trng := rand.New(rand.NewSource(seed))
 		bs[i], ss[i] = e.bisectOnce(g, target0, trng, seed, tws)
 	}
@@ -332,14 +278,8 @@ func (e *engine) bisectNCuts(g *graph.Graph, target0 int, rng *rand.Rand, ws *wo
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				// Capture trial panics here, on the panicking goroutine:
-				// a worker panic must fail this bisection, not the process.
-				defer func() {
-					if r := recover(); r != nil {
-						e.fail(faults.AsPanic(faults.SiteEngineBisect, r))
-					}
-				}()
-				trial(i, new(workspace.Workspace))
+				// A trial panic must fail this bisection, not the process.
+				e.Guard(func() { trial(i, new(workspace.Workspace)) })
 			}(i)
 		}
 		wg.Wait()
@@ -353,7 +293,7 @@ func (e *engine) bisectNCuts(g *graph.Graph, target0 int, rng *rand.Rand, ws *wo
 		}
 	}
 	total.Bisections = 1
-	if e.failed() || best < 0 {
+	if e.Err() != nil || best < 0 {
 		// A trial panicked (or hit an injected fault), or every trial was
 		// cancelled. Sibling trials may have finished, but a poisoned
 		// bisection must fail as a whole: the panic marks an invariant
@@ -373,7 +313,7 @@ func (e *engine) bisectOnce(g *graph.Graph, target0 int, rng *rand.Rand, seed in
 	}
 	stats := &Stats{Bisections: 1}
 	tr := trace.WithSeed(e.tracer, seed)
-	if e.cancelled() {
+	if e.Stop() {
 		return nil, stats
 	}
 	// All scratch for this bisection — hierarchy arrays, trial bisections,
@@ -381,7 +321,7 @@ func (e *engine) bisectOnce(g *graph.Graph, target0 int, rng *rand.Rand, seed in
 	// Bisection. On a panic anywhere below, buffers still checked out of ws
 	// are simply never returned, which is safe (ws allocates on demand).
 	if ierr := e.inj.Fire(faults.SiteEngineBisect); ierr != nil {
-		e.fail(ierr)
+		e.Fail(ierr)
 		return nil, stats
 	}
 	ropts := refine.Options{
@@ -396,14 +336,14 @@ func (e *engine) bisectOnce(g *graph.Graph, target0 int, rng *rand.Rand, seed in
 
 	h := e.phaseCoarsen(g, opts.CoarsenTo, nil, rng, ws, tr, stats)
 	emitDegraded(tr, stats.Degradations, 0)
-	if e.cancelled() {
+	if e.Stop() {
 		h.Release(ws)
 		return nil, stats
 	}
 
 	if ierr := e.inj.Fire(faults.SiteInitPart); ierr != nil {
 		h.Release(ws)
-		e.fail(ierr)
+		e.Fail(ierr)
 		return nil, stats
 	}
 	degBase := len(stats.Degradations)
@@ -456,7 +396,7 @@ func (e *engine) bisectOnce(g *graph.Graph, target0 int, rng *rand.Rand, seed in
 // them. It returns false as soon as the engine's context is cancelled.
 func (e *engine) uncoarsen(h *coarsen.Hierarchy, ws *workspace.Workspace, stats *Stats, tr trace.Tracer, project func(li int) int, refineLevel func(li int)) bool {
 	for li := len(h.Levels) - 2; li >= 0; li-- {
-		if e.cancelled() {
+		if e.Stop() {
 			return false
 		}
 		t0 := time.Now()
@@ -499,18 +439,9 @@ func emitPhases(tr trace.Tracer, stats *Stats) {
 
 // noteDegradation records a fallback in the run's stats and, when tracing,
 // emits the matching KindDegraded event.
-func (e *engine) noteDegradation(stats *Stats, tr trace.Tracer, d trace.Degradation) {
+func noteDegradation(stats *Stats, tr trace.Tracer, d trace.Degradation) {
 	stats.Degradations = append(stats.Degradations, d)
-	if tr != nil {
-		tr.Event(trace.Event{
-			Kind:       trace.KindDegraded,
-			Level:      d.Level,
-			Phase:      d.Phase,
-			Algorithm:  d.From,
-			FallbackTo: d.To,
-			Reason:     d.Reason,
-		})
-	}
+	emitDegraded(tr, stats.Degradations, len(stats.Degradations)-1)
 }
 
 // emitDegraded emits KindDegraded events for ds[from:] — degradations the
@@ -532,35 +463,44 @@ func emitDegraded(tr trace.Tracer, ds []trace.Degradation, from int) {
 	}
 }
 
-// guardedRefine runs one level's refinement behind a fault boundary: an
-// injected error skips the pass, and a panic (injected or organic)
-// abandons it. Either way the level keeps its projected partition —
-// refinement is an improvement step, never a correctness requirement. The
-// recover is installed before the fault site fires, so an injected panic
-// is caught here too. After a panic the bisection's state is recounted
-// from Where, because a move may have been half applied and the next
-// projection carries the state upward, and the balance tolerance is
-// restored.
-func (e *engine) guardedRefine(b *refine.Bisection, policy refine.Policy, ropts refine.Options, stats *Stats, tr trace.Tracer) {
+// guardLevel runs one level's refinement behind the fault boundary at
+// site: an injected error skips the pass, and a panic (injected or
+// organic) abandons it, after which restore rebuilds the state a half
+// applied move may have left inconsistent, since the next projection
+// carries it upward. Either way the level keeps its projected partition —
+// refinement is an improvement step, never a correctness requirement —
+// and the fallback from algorithm from is recorded as a degradation of
+// phase. The recover is installed before the site fires, so an injected
+// panic is caught here too.
+func (e *engine) guardLevel(site, phase, from string, level int, stats *Stats, tr trace.Tracer, run, restore func()) {
+	degrade := func(reason string) {
+		noteDegradation(stats, tr, trace.Degradation{
+			Phase: phase, From: from, To: "projected", Level: level, Reason: reason,
+		})
+	}
 	defer func() {
 		if r := recover(); r != nil {
-			pe := faults.AsPanic(faults.SiteRefineLevel, r)
-			e.noteDegradation(stats, tr, trace.Degradation{
-				Phase: "refine", From: policy.String(), To: "projected",
-				Level: ropts.Level, Reason: pe.Error(),
-			})
-			b.Recount()
-			rebalance(b, ropts)
+			degrade(faults.AsPanic(site, r).Error())
+			restore()
 		}
 	}()
-	if ierr := e.inj.Fire(faults.SiteRefineLevel); ierr != nil {
-		e.noteDegradation(stats, tr, trace.Degradation{
-			Phase: "refine", From: policy.String(), To: "projected",
-			Level: ropts.Level, Reason: ierr.Error(),
-		})
+	if ierr := e.inj.Fire(site); ierr != nil {
+		degrade(ierr.Error())
 		return
 	}
-	refine.Refine(b, policy, ropts)
+	run()
+}
+
+// guardedRefine runs one level's 2-way refinement behind guardLevel.
+// After a panic the bisection's state is recounted from Where and the
+// balance tolerance is restored.
+func (e *engine) guardedRefine(b *refine.Bisection, policy refine.Policy, ropts refine.Options, stats *Stats, tr trace.Tracer) {
+	e.guardLevel(faults.SiteRefineLevel, "refine", policy.String(), ropts.Level, stats, tr,
+		func() { refine.Refine(b, policy, ropts) },
+		func() {
+			b.Recount()
+			rebalance(b, ropts)
+		})
 }
 
 // rebalance restores the part-weight tolerance after an abandoned
@@ -572,30 +512,16 @@ func rebalance(b *refine.Bisection, ropts refine.Options) {
 	refine.ForceBalance(b, ropts)
 }
 
-// guardedKWayRefine is guardedRefine's direct k-way counterpart: a faulted
-// or panicking k-way pass leaves the level's projected partition in place,
-// its part weights and cut recounted from Where after a panic. It runs the
-// boundary k-way kernel, refine.RefineKWay, with the engine's
-// RefineWorkers propose fan-out and fault injector.
+// guardedKWayRefine is guardedRefine's direct k-way counterpart: it runs
+// the boundary k-way kernel, refine.RefineKWay, with the engine's
+// RefineWorkers propose fan-out and fault injector behind guardLevel, and
+// after a panic recounts the part weights and cut from Where.
 func (e *engine) guardedKWayRefine(p *kway.Partition, kopts refine.KWayOptions, stats *Stats, tr trace.Tracer) {
-	defer func() {
-		if r := recover(); r != nil {
-			pe := faults.AsPanic(faults.SiteKWayLevel, r)
-			e.noteDegradation(stats, tr, trace.Degradation{
-				Phase: "kway", From: "BKWAY", To: "projected",
-				Level: kopts.Level, Reason: pe.Error(),
-			})
-			*p = *kway.NewPartition(p.G, p.K, p.Where)
-		}
-	}()
-	if ierr := e.inj.Fire(faults.SiteKWayLevel); ierr != nil {
-		e.noteDegradation(stats, tr, trace.Degradation{
-			Phase: "kway", From: "BKWAY", To: "projected",
-			Level: kopts.Level, Reason: ierr.Error(),
-		})
-		return
-	}
-	kopts.Workers = e.opts.RefineWorkers
-	kopts.Injector = e.inj
-	refine.RefineKWay(p, kopts)
+	e.guardLevel(faults.SiteKWayLevel, "kway", "BKWAY", kopts.Level, stats, tr,
+		func() {
+			kopts.Workers = e.opts.RefineWorkers
+			kopts.Injector = e.inj
+			refine.RefineKWay(p, kopts)
+		},
+		func() { *p = *kway.NewPartition(p.G, p.K, p.Where) })
 }

@@ -191,7 +191,7 @@ func TestKWayTraceEvents(t *testing.T) {
 }
 
 // TestCancellation checks every driver returns a wrapped context error when
-// its context is already cancelled, and that Bisect reports nil.
+// its context is already cancelled, and that Bisect returns no bisection.
 func TestCancellation(t *testing.T) {
 	g := matgen.Mesh2DTri(30, 30, 0.02, 4)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -207,8 +207,8 @@ func TestCancellation(t *testing.T) {
 	if _, err := PartitionWeighted(g, []float64{1, 2}, opts); !errors.Is(err, context.Canceled) {
 		t.Errorf("PartitionWeighted: err = %v, want context.Canceled", err)
 	}
-	if b, _ := Bisect(g, 0, opts, rand.New(rand.NewSource(1)), nil); b != nil {
-		t.Error("Bisect with cancelled context returned a bisection")
+	if b, _, err := Bisect(g, 0, opts, rand.New(rand.NewSource(1)), nil); b != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("Bisect: bisection %v, err = %v; want nil, context.Canceled", b != nil, err)
 	}
 }
 

@@ -20,12 +20,12 @@ func TestGoldenBisect(t *testing.T) {
 	g1 := matgen.Mesh2DTri(30, 30, 0.02, 4)
 	g2 := matgen.FE3DTetra(8, 8, 8, 2)
 
-	b, _ := Bisect(g1, 0, Options{Seed: 7}, rand.New(rand.NewSource(7)), nil)
+	b, _, _ := Bisect(g1, 0, Options{Seed: 7}, rand.New(rand.NewSource(7)), nil)
 	if b.Cut != 57 || b.Pwgt[0] != 440 || b.Pwgt[1] != 440 {
 		t.Errorf("Bisect(g1): cut=%d pwgt=%v, want cut=57 pwgt=[440 440]", b.Cut, b.Pwgt)
 	}
 
-	b, _ = Bisect(g2, 0, Options{Seed: 7, NCuts: 3}, rand.New(rand.NewSource(7)), nil)
+	b, _, _ = Bisect(g2, 0, Options{Seed: 7, NCuts: 3}, rand.New(rand.NewSource(7)), nil)
 	if b.Cut != 142 || b.Pwgt[0] != 256 || b.Pwgt[1] != 256 {
 		t.Errorf("Bisect(g2, NCuts=3): cut=%d pwgt=%v, want cut=142 pwgt=[256 256]", b.Cut, b.Pwgt)
 	}

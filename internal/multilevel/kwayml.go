@@ -61,9 +61,9 @@ func (e *engine) runKWay(g *graph.Graph, k int) (res *Result, err error) {
 	ws := new(workspace.Workspace)
 	h := e.phaseCoarsen(g, e.kwayCoarsenTo(k), nil, rng, ws, tr, &res.Stats)
 	emitDegraded(tr, res.Stats.Degradations, 0)
-	if e.cancelled() {
+	if e.Stop() {
 		h.Release(ws)
-		return nil, fmt.Errorf("multilevel: %w", e.err)
+		return nil, fmt.Errorf("multilevel: %w", e.Err())
 	}
 
 	where, err := e.phaseInitial(h, k, tr, &res.Stats)
@@ -78,7 +78,7 @@ func (e *engine) runKWay(g *graph.Graph, k int) (res *Result, err error) {
 	where, cut, ok := e.phaseUncoarsenKWay(h, k, where, opts.Seed, ws, &res.Stats, tr)
 	if !ok {
 		h.Release(ws)
-		return nil, fmt.Errorf("multilevel: %w", e.err)
+		return nil, fmt.Errorf("multilevel: %w", e.Err())
 	}
 
 	copy(res.Where, where)

@@ -6,9 +6,10 @@
 //
 // Every driver — Bisect, Partition, PartitionKWay, PartitionWeighted — is a
 // thin parameterization of the single V-cycle engine in engine.go, which
-// owns depth-parallel recursion, NCuts trial selection, derived seeds,
-// workspace pooling, per-level trace events and context cancellation in
-// exactly one place.
+// owns NCuts trial selection, derived seeds, workspace pooling, per-level
+// trace events and context cancellation in exactly one place. Its
+// depth-parallel recursion runs on Recursion (recursion.go), which nested
+// dissection shares.
 package multilevel
 
 import (
@@ -117,14 +118,16 @@ type Options struct {
 	// partition, as the paper's "fixed seed" experiments require.
 	Seed int64
 	// Parallel partitions independent subgraphs of the recursive k-way
-	// decomposition on separate goroutines, and runs the NCuts > 1 trials
-	// of each bisection concurrently. Results are identical to the
-	// sequential run because every subproblem derives its own seed.
+	// decomposition (and of nested dissection) on separate goroutines,
+	// and runs the NCuts > 1 trials of each bisection concurrently.
+	// Results are identical to the sequential run because every
+	// subproblem derives its own seed.
 	Parallel bool
 	// ParallelDepth bounds how deep the recursion tree fans out onto new
 	// goroutines when Parallel is set: subproblems deeper than this run
 	// sequentially, because goroutine overhead dominates on the small
-	// graphs there. 0 means 4 (at most 2^4 concurrent branches).
+	// graphs there. 0 means 4 (at most 2^4 concurrent branches). The
+	// rule is Recursion's, so it bounds nested dissection too.
 	ParallelDepth int
 	// ParallelMinVertices is the smallest subgraph that still fans out
 	// when Parallel is set; smaller subproblems run sequentially.
@@ -400,30 +403,30 @@ func (s *Stats) add(o *Stats) {
 // weight of part 0 (0 means half the total). When opts.NCuts > 1, the
 // whole bisection is repeated with independent seeds and the smallest cut
 // wins. It returns the refined bisection of g and per-phase timing
-// statistics (summed over the NCuts runs). If opts.Context is cancelled
-// mid-run, the returned bisection is nil.
+// statistics (summed over the NCuts runs). A cancelled opts.Context, an
+// injected fault or a recovered panic is returned as the error, with a
+// nil bisection.
 //
 // ws is the arena the bisection runs in; a caller that bisects repeatedly
 // (nested dissection) passes the same one each time, and nil means a
 // fresh one for this call. The returned bisection is detached from it.
-func Bisect(g *graph.Graph, target0 int, opts Options, rng *rand.Rand, ws *workspace.Workspace) (*refine.Bisection, *Stats) {
+func Bisect(g *graph.Graph, target0 int, opts Options, rng *rand.Rand, ws *workspace.Workspace) (b *refine.Bisection, stats *Stats, err error) {
+	// Bisect is an outermost boundary like run: a panic comes back as an
+	// error, never as a crashed caller.
+	defer func() {
+		if r := recover(); r != nil {
+			b, err = nil, fmt.Errorf("multilevel: %w", faults.AsPanic("engine/run", r))
+		}
+	}()
 	e := newEngine(opts)
 	if ws == nil {
 		ws = new(workspace.Workspace)
 	}
-	b, stats := e.bisect(g, target0, rng, opts.Seed, ws)
-	if b != nil {
-		b = b.Detach(ws)
+	b, stats = e.bisect(g, target0, rng, opts.Seed, ws)
+	if err := e.Err(); err != nil {
+		return nil, stats, fmt.Errorf("multilevel: %w", err)
 	}
-	if b == nil && e.err != nil && e.ctx.Err() == nil {
-		// Bisect's contract is "nil means cancelled" (nested dissection
-		// stops recursing on nil and leaves a valid partial ordering). A
-		// worker panic or injected fault is not cancellation, so escalate
-		// it to the caller's recovery boundary rather than returning a nil
-		// that would be silently misread as a clean stop.
-		panic(e.err)
-	}
-	return b, stats
+	return b.Detach(ws), stats, nil
 }
 
 // Result is the outcome of a k-way partition.
@@ -450,12 +453,4 @@ func Partition(g *graph.Graph, k int, opts Options) (*Result, error) {
 	}
 	e := newEngine(opts)
 	return e.run(g, uniformSplit(k), e.opts.KWayRefine)
-}
-
-// deriveSeed produces a child RNG seed from the parent seed and the branch
-// path, keeping parallel and sequential runs identical.
-func deriveSeed(seed int64, branch int64) int64 {
-	x := uint64(seed)*0x9E3779B97F4A7C15 + uint64(branch)*0xBF58476D1CE4E5B9 + 0x94D049BB133111EB
-	x ^= x >> 31
-	return int64(x)
 }

@@ -18,7 +18,7 @@ func TestBisectGridQuality(t *testing.T) {
 	// 32x32 grid: optimal bisection cuts 32 edges; the multilevel scheme
 	// should land within 2x of optimal.
 	g := matgen.Grid2D(32, 32)
-	b, stats := Bisect(g, 0, Options{Seed: 1}, rng(1), nil)
+	b, stats, _ := Bisect(g, 0, Options{Seed: 1}, rng(1), nil)
 	if err := b.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestBisectAllPhaseCombos(t *testing.T) {
 		for _, ip := range []initpart.Method{initpart.GGGP, initpart.GGP, initpart.SBP} {
 			for _, rp := range []refine.Policy{refine.NoRefine, refine.GR, refine.KLR, refine.BGR, refine.BKLR, refine.BKLGR} {
 				opts := Options{Seed: 3, InitMethod: ip}.WithMatching(m).WithRefinement(rp)
-				b, _ := Bisect(g, 0, opts, rng(3), nil)
+				b, _, _ := Bisect(g, 0, opts, rng(3), nil)
 				if err := b.Verify(); err != nil {
 					t.Fatalf("%v/%v/%v: %v", m, ip, rp, err)
 				}
@@ -53,8 +53,8 @@ func TestBisectAllPhaseCombos(t *testing.T) {
 
 func TestRefinementImprovesOverNone(t *testing.T) {
 	g := matgen.FE3DTetra(10, 10, 10, 4)
-	none, _ := Bisect(g, 0, Options{Seed: 5}.WithRefinement(refine.NoRefine), rng(5), nil)
-	bklgr, _ := Bisect(g, 0, Options{Seed: 5}.WithRefinement(refine.BKLGR), rng(5), nil)
+	none, _, _ := Bisect(g, 0, Options{Seed: 5}.WithRefinement(refine.NoRefine), rng(5), nil)
+	bklgr, _, _ := Bisect(g, 0, Options{Seed: 5}.WithRefinement(refine.BKLGR), rng(5), nil)
 	if bklgr.Cut >= none.Cut {
 		t.Errorf("refined cut %d not better than unrefined %d", bklgr.Cut, none.Cut)
 	}
@@ -237,8 +237,8 @@ func TestNCutsImproves(t *testing.T) {
 	sum1, sum4 := 0, 0
 	for seed := int64(0); seed < 6; seed++ {
 		g := matgen.Mesh2DTri(20, 20, 0.03, seed)
-		a, _ := Bisect(g, 0, Options{Seed: seed}, rng(seed), nil)
-		b, _ := Bisect(g, 0, Options{Seed: seed, NCuts: 4}, rng(seed), nil)
+		a, _, _ := Bisect(g, 0, Options{Seed: seed}, rng(seed), nil)
+		b, _, _ := Bisect(g, 0, Options{Seed: seed, NCuts: 4}, rng(seed), nil)
 		sum1 += a.Cut
 		sum4 += b.Cut
 		if err := b.Verify(); err != nil {
@@ -252,8 +252,8 @@ func TestNCutsImproves(t *testing.T) {
 
 func TestNCutsStatsAccumulate(t *testing.T) {
 	g := matgen.Grid2D(20, 20)
-	_, s1 := Bisect(g, 0, Options{Seed: 1}, rng(1), nil)
-	_, s4 := Bisect(g, 0, Options{Seed: 1, NCuts: 4}, rng(1), nil)
+	_, s1, _ := Bisect(g, 0, Options{Seed: 1}, rng(1), nil)
+	_, s4, _ := Bisect(g, 0, Options{Seed: 1, NCuts: 4}, rng(1), nil)
 	// Each of the four trials coarsens the same grid, so the level and
 	// projection counts are summed four times over (deterministic counts,
 	// unlike the wall-clock phase times).
@@ -316,14 +316,14 @@ func TestPartitionWeightedErrors(t *testing.T) {
 
 func TestCoarsenWorkersOption(t *testing.T) {
 	g := matgen.FE3DTetra(8, 8, 8, 23)
-	a, _ := Bisect(g, 0, Options{Seed: 24, CoarsenWorkers: 4}, rng(24), nil)
+	a, _, _ := Bisect(g, 0, Options{Seed: 24, CoarsenWorkers: 4}, rng(24), nil)
 	if err := a.Verify(); err != nil {
 		t.Fatal(err)
 	}
 	// The worker count never changes the result: every count, including
 	// the serial default, gives the same bisection.
-	b, _ := Bisect(g, 0, Options{Seed: 24, CoarsenWorkers: 2}, rng(24), nil)
-	c, _ := Bisect(g, 0, Options{Seed: 24}, rng(24), nil)
+	b, _, _ := Bisect(g, 0, Options{Seed: 24, CoarsenWorkers: 2}, rng(24), nil)
+	c, _, _ := Bisect(g, 0, Options{Seed: 24}, rng(24), nil)
 	if a.Cut != b.Cut || a.Cut != c.Cut || !slices.Equal(a.Where, b.Where) || !slices.Equal(a.Where, c.Where) {
 		t.Fatalf("worker count changed the result: cuts %d, %d, serial %d", a.Cut, b.Cut, c.Cut)
 	}

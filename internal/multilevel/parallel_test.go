@@ -14,8 +14,8 @@ import (
 // pick the exact bisection (cut AND vector) the sequential loop picks.
 func TestNCutsParallelMatchesSerial(t *testing.T) {
 	g := matgen.FE3DTetra(9, 9, 9, 2)
-	serial, _ := Bisect(g, 0, Options{Seed: 7, NCuts: 4}, rng(7), nil)
-	par, _ := Bisect(g, 0, Options{Seed: 7, NCuts: 4, Parallel: true}, rng(7), nil)
+	serial, _, _ := Bisect(g, 0, Options{Seed: 7, NCuts: 4}, rng(7), nil)
+	par, _, _ := Bisect(g, 0, Options{Seed: 7, NCuts: 4, Parallel: true}, rng(7), nil)
 	if par.Cut != serial.Cut {
 		t.Fatalf("parallel NCuts cut %d, serial %d", par.Cut, serial.Cut)
 	}

@@ -1,7 +1,6 @@
 package ordering
 
 import (
-	"context"
 	"sort"
 
 	"mlpart/internal/graph"
@@ -26,6 +25,7 @@ func Compress(g *graph.Graph) (cg *graph.Graph, cmap []int, members [][]int, ok 
 		deg  int
 	}
 	buckets := make(map[bucketKey][]int, n)
+	keys := make([]bucketKey, n)
 	for v := 0; v < n; v++ {
 		var h uint64 = 1469598103934665603
 		mix := func(x int) {
@@ -46,8 +46,8 @@ func Compress(g *graph.Graph) (cg *graph.Graph, cmap []int, members [][]int, ok 
 		}
 		mix(int(sum))
 		mix(int(xor))
-		k := bucketKey{h, g.Degree(v) + 1}
-		buckets[k] = append(buckets[k], v)
+		keys[v] = bucketKey{h, g.Degree(v) + 1}
+		buckets[keys[v]] = append(buckets[keys[v]], v)
 	}
 
 	cmap = make([]int, n)
@@ -72,11 +72,13 @@ func Compress(g *graph.Graph) (cg *graph.Graph, cmap []int, members [][]int, ok 
 		return true
 	}
 	groupOf := make([]int, 0, n) // supervertex -> representative
-	for _, cand := range buckets {
-		if len(cand) == 1 {
+	// Visit each bucket once, at its smallest vertex (candidate lists are
+	// ascending), so supervertices are numbered the same on every run.
+	for r := 0; r < n; r++ {
+		cand := buckets[keys[r]]
+		if len(cand) == 1 || cand[0] != r {
 			continue
 		}
-		sort.Ints(cand)
 		// Partition the candidate list into exact-equality groups.
 		used := make([]bool, len(cand))
 		for i, v := range cand {
@@ -164,22 +166,12 @@ func ExpandPerm(cperm []int, members [][]int) []int {
 // MLNDCompressed runs indistinguishable-vertex compression, orders the
 // compressed graph with MLND, and expands the permutation. On graphs with
 // no duplicate structure it is equivalent to MLND on the original graph.
-func MLNDCompressed(g *graph.Graph, opts Options) []int {
+func MLNDCompressed(g *graph.Graph, opts Options) ([]int, error) {
 	cg, _, members, ok := Compress(g)
 	if !ok {
 		return MLND(g, opts)
 	}
-	return ExpandPerm(MLND(cg, opts), members)
-}
-
-// MLNDCompressedCtx is MLNDCompressed with explicit cancellation, mirroring
-// MLNDCtx: a wrapped ctx.Err() (and nil perm) is returned once ctx fires.
-func MLNDCompressedCtx(ctx context.Context, g *graph.Graph, opts Options) ([]int, error) {
-	cg, _, members, ok := Compress(g)
-	if !ok {
-		return MLNDCtx(ctx, g, opts)
-	}
-	cperm, err := MLNDCtx(ctx, cg, opts)
+	cperm, err := MLND(cg, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package ordering
 
 import (
+	"slices"
 	"testing"
 
 	"mlpart/internal/graph"
@@ -69,6 +70,18 @@ func TestCompressFindsDuplicates(t *testing.T) {
 	}
 }
 
+// TestCompressDeterministic: supervertex numbering must not depend on map
+// iteration order, or the compressed ordering changes from run to run.
+func TestCompressDeterministic(t *testing.T) {
+	g := duplicated(matgen.Grid2D(12, 12), 2)
+	_, want, _, _ := Compress(g)
+	for i := 0; i < 4; i++ {
+		if _, cmap, _, _ := Compress(g); !slices.Equal(cmap, want) {
+			t.Fatal("Compress numbered the supervertices differently on a rerun")
+		}
+	}
+}
+
 func TestCompressNoDuplicates(t *testing.T) {
 	g := matgen.Mesh2DTri(10, 10, 0.05, 1)
 	cg, cmap, members, ok := Compress(g)
@@ -97,14 +110,14 @@ func TestCompressNoDuplicates(t *testing.T) {
 func TestMLNDCompressedValidAndGood(t *testing.T) {
 	base := matgen.Grid2D(8, 8)
 	g := duplicated(base, 2)
-	perm := MLNDCompressed(g, Options{Seed: 1})
+	perm := run(t, MLNDCompressed, g, seeded(1))
 	checkPerm(t, perm, g.NumVertices())
 	a, err := sparse.Analyze(g, perm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Should be comparable to (or better than) plain MLND.
-	plain, _ := sparse.Analyze(g, MLND(g, Options{Seed: 1}))
+	plain, _ := sparse.Analyze(g, run(t, MLND, g, seeded(1)))
 	if a.Flops > 1.5*plain.Flops {
 		t.Errorf("compressed ordering flops %.3g much worse than plain %.3g", a.Flops, plain.Flops)
 	}

@@ -2,14 +2,29 @@ package ordering
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"mlpart/internal/graph"
 	"mlpart/internal/matgen"
 	"mlpart/internal/mmd"
+	"mlpart/internal/multilevel"
 	"mlpart/internal/sparse"
 )
+
+// run orders g with order under opts and fails the test on an error.
+func run(t testing.TB, order func(*graph.Graph, Options) ([]int, error), g *graph.Graph, opts Options) []int {
+	t.Helper()
+	perm, err := order(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return perm
+}
+
+// seeded is the default configuration with seed.
+func seeded(seed int64) Options { return Options{ML: multilevel.Options{Seed: seed}} }
 
 func checkPerm(t *testing.T, perm []int, n int) {
 	t.Helper()
@@ -33,21 +48,21 @@ func TestMLNDIsPermutation(t *testing.T) {
 		matgen.PowerNetwork(500, 3),
 		matgen.CircuitPowerLaw(500, 3, 4),
 	} {
-		perm := MLND(gen, Options{Seed: 5})
+		perm := run(t, MLND, gen, seeded(5))
 		checkPerm(t, perm, gen.NumVertices())
 	}
 }
 
 func TestSNDIsPermutation(t *testing.T) {
 	g := matgen.Mesh2DTri(18, 18, 0, 6)
-	perm := SND(g, Options{Seed: 7})
+	perm := run(t, SND, g, seeded(7))
 	checkPerm(t, perm, g.NumVertices())
 }
 
 func TestMLNDBeatsRandomOrder(t *testing.T) {
 	g := matgen.FE3DTetra(9, 9, 9, 8)
 	n := g.NumVertices()
-	perm := MLND(g, Options{Seed: 9})
+	perm := run(t, MLND, g, seeded(9))
 	nd, err := sparse.Analyze(g, perm)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +79,7 @@ func TestMLNDGridNearOptimalGrowth(t *testing.T) {
 	// MLND should clearly beat natural ordering on fill.
 	g := matgen.Grid2D(40, 40)
 	n := g.NumVertices()
-	nd, err := sparse.Analyze(g, MLND(g, Options{Seed: 11}))
+	nd, err := sparse.Analyze(g, run(t, MLND, g, seeded(11)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +93,7 @@ func TestMLNDMoreConcurrencyThanMMD(t *testing.T) {
 	// The paper's key claim for parallel factorization: nested dissection
 	// gives balanced, shallower elimination trees than minimum degree.
 	g := matgen.Grid2D(30, 30)
-	nd, _ := sparse.Analyze(g, MLND(g, Options{Seed: 12}))
+	nd, _ := sparse.Analyze(g, run(t, MLND, g, seeded(12)))
 	md, _ := sparse.Analyze(g, mmd.Order(g))
 	if nd.Height >= md.Height {
 		t.Errorf("MLND tree height %d not shallower than MMD %d", nd.Height, md.Height)
@@ -89,7 +104,7 @@ func TestMLNDCompetitiveWithMMDOnFE(t *testing.T) {
 	// On 3D FE problems the paper reports MLND beats MMD; at our scaled-down
 	// sizes require at least "within 1.5x".
 	g := matgen.FE3DTetra(10, 10, 10, 13)
-	nd, _ := sparse.Analyze(g, MLND(g, Options{Seed: 14}))
+	nd, _ := sparse.Analyze(g, run(t, MLND, g, seeded(14)))
 	md, _ := sparse.Analyze(g, mmd.Order(g))
 	if nd.Flops > 1.5*md.Flops {
 		t.Errorf("MLND flops %.3g much worse than MMD %.3g", nd.Flops, md.Flops)
@@ -98,8 +113,8 @@ func TestMLNDCompetitiveWithMMDOnFE(t *testing.T) {
 
 func TestMLNDDeterministic(t *testing.T) {
 	g := matgen.Mesh2DTri(15, 15, 0.02, 15)
-	a := MLND(g, Options{Seed: 16})
-	b := MLND(g, Options{Seed: 16})
+	a := run(t, MLND, g, seeded(16))
+	b := run(t, MLND, g, seeded(16))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("MLND not deterministic")
@@ -107,20 +122,46 @@ func TestMLNDDeterministic(t *testing.T) {
 	}
 }
 
+// TestMLNDParallelMatchesSequential pins the determinism contract of the
+// dissection's fan-out: every ordering, with the engine's default fan-out
+// rule and with one forced down to every split, numbers the vertices
+// exactly as the sequential run does.
 func TestMLNDParallelMatchesSequential(t *testing.T) {
-	g := matgen.FE3DTetra(8, 8, 8, 17)
-	seq := MLND(g, Options{Seed: 18})
-	par := MLND(g, Options{Seed: 18, Parallel: true})
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatal("parallel MLND differs from sequential")
+	mesh := matgen.FE3DTetra(8, 8, 8, 17)
+	dofs := duplicated(matgen.Grid2D(24, 24), 2)
+	algs := []struct {
+		name  string
+		order func(*graph.Graph, Options) ([]int, error)
+		g     *graph.Graph
+	}{
+		{"MLND", MLND, mesh},
+		{"SND", SND, mesh},
+		{"MLNDCompressed", MLNDCompressed, dofs},
+	}
+	schedules := []struct {
+		name string
+		ml   multilevel.Options
+	}{
+		{"parallel", multilevel.Options{Parallel: true}},
+		{"parallel every split", multilevel.Options{Parallel: true, ParallelDepth: 8, ParallelMinVertices: 1}},
+	}
+	for _, alg := range algs {
+		seq := run(t, alg.order, alg.g, seeded(18))
+		for _, sc := range schedules {
+			t.Run(alg.name+"/"+sc.name, func(t *testing.T) {
+				opts := Options{ML: sc.ml}
+				opts.ML.Seed = 18
+				if par := run(t, alg.order, alg.g, opts); !slices.Equal(par, seq) {
+					t.Fatal("parallel ordering differs from sequential")
+				}
+			})
 		}
 	}
 }
 
 func TestMLNDSmallGraphFallsBackToMMD(t *testing.T) {
 	g := matgen.Grid2D(5, 5)
-	perm := MLND(g, Options{Seed: 19, SmallLimit: 100})
+	perm := run(t, MLND, g, Options{ML: multilevel.Options{Seed: 19}, SmallLimit: 100})
 	checkPerm(t, perm, 25)
 	// Must equal plain MMD since n < SmallLimit.
 	md := mmd.Order(g)
@@ -141,7 +182,7 @@ func TestMLNDCompleteGraphTerminates(t *testing.T) {
 		}
 	}
 	g := b.MustBuild()
-	perm := MLND(g, Options{Seed: 20, SmallLimit: 10})
+	perm := run(t, MLND, g, Options{ML: multilevel.Options{Seed: 20}, SmallLimit: 10})
 	checkPerm(t, perm, 150)
 }
 
@@ -153,7 +194,7 @@ func TestMLNDDisconnectedGraph(t *testing.T) {
 		b.AddEdge(150+i, 150+i+1)
 	}
 	g := b.MustBuild()
-	perm := MLND(g, Options{Seed: 21, SmallLimit: 20})
+	perm := run(t, MLND, g, Options{ML: multilevel.Options{Seed: 21}, SmallLimit: 20})
 	checkPerm(t, perm, 300)
 }
 
@@ -162,7 +203,7 @@ func TestMLNDDisconnectedGraph(t *testing.T) {
 func TestMLNDPropertyQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		g := matgen.Mesh2DTri(10, 10, 0.05, seed)
-		perm := MLND(g, Options{Seed: seed, SmallLimit: 15})
+		perm := run(t, MLND, g, Options{ML: multilevel.Options{Seed: seed}, SmallLimit: 15})
 		n := g.NumVertices()
 		if len(perm) != n {
 			return false

@@ -183,6 +183,36 @@ func TestChaosInjectedError(t *testing.T) {
 	}
 }
 
+// TestChaosOrderInjectedError: an error injected into a bisection of
+// nested dissection is classified as an injected error, the same as on
+// /v1/partition: a 500 with an incident id, counted in errors but not as
+// a recovered panic.
+func TestChaosOrderInjectedError(t *testing.T) {
+	s, ts := newTestServer(t, Config{
+		FaultInjector: faults.MustParse("engine/bisect=error@1"),
+	})
+	req := mlpart.OrderRequest{Graph: gridGraph(16, 16), Options: &mlpart.Options{Seed: 3}}
+
+	resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/order", req)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500 (%s)", resp.StatusCode, data)
+	}
+	if resp.Header.Get("X-Incident-Id") == "" {
+		t.Error("missing X-Incident-Id header")
+	}
+	if got := s.met.panicsRecovered.Load(); got != 0 {
+		t.Errorf("panics_recovered = %d, want 0 (injected error is not a panic)", got)
+	}
+	if got := s.met.errors.Load(); got != 1 {
+		t.Errorf("errors = %d, want 1", got)
+	}
+
+	resp2, data2 := postJSON(t, ts.Client(), ts.URL+"/v1/order", req)
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("retry status %d, want 200 (%s)", resp2.StatusCode, data2)
+	}
+}
+
 // TestDegradedResultNotCached: a response produced through a degradation
 // fallback is valid but execution-specific; it must be counted and must
 // not be replayed from the cache once the fault plan stops firing.

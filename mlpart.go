@@ -280,12 +280,13 @@ type Options struct {
 	// nested dissection on separate goroutines, and the NCuts trials of
 	// each bisection concurrently; results are unchanged.
 	Parallel bool `json:"parallel,omitempty"`
-	// ParallelDepth bounds how many recursion levels fan out onto new
+	// ParallelDepth bounds how many recursion levels, of recursive
+	// bisection and of nested dissection alike, fan out onto new
 	// goroutines when Parallel is set (0 means 4, i.e. at most 16
 	// concurrent branches). Deeper subproblems run sequentially.
 	ParallelDepth int `json:"parallel_depth,omitempty"`
 	// ParallelMinVertices is the smallest subgraph that still fans out
-	// when Parallel is set (0 means 2000).
+	// when Parallel is set, in either recursion (0 means 2000).
 	ParallelMinVertices int `json:"parallel_min_vertices,omitempty"`
 	// KWayRefine runs an extra boundary k-way refinement over the
 	// assembled partition after recursive bisection (never worsens the
@@ -712,9 +713,9 @@ func NestedDissectionCtx(ctx context.Context, g *Graph, opts *Options) (perm, ip
 	if err != nil {
 		return nil, nil, err
 	}
-	// The dissection re-raises panics captured on its worker goroutines
-	// (and a failed bisection escalates as a panic); recover here so
-	// library callers always see an error, never a crash.
+	// The dissection returns its failures, recovered panics included, as
+	// errors; this recover is the last-resort boundary, so library callers
+	// never see a crash.
 	defer func() {
 		if r := recover(); r != nil {
 			perm, iperm, err = nil, nil, fmt.Errorf("mlpart: %w", faults.AsPanic("mlpart/ordering", r))
@@ -724,11 +725,12 @@ func NestedDissectionCtx(ctx context.Context, g *Graph, opts *Options) (perm, ip
 	if err != nil {
 		return nil, nil, err
 	}
-	o := ordering.Options{ML: ml, Seed: ml.Seed, Parallel: ml.Parallel}
+	ml.Context = ctx
+	o := ordering.Options{ML: ml}
 	if opts != nil && opts.CompressGraph {
-		perm, err = ordering.MLNDCompressedCtx(ctx, gp, o)
+		perm, err = ordering.MLNDCompressed(gp, o)
 	} else {
-		perm, err = ordering.MLNDCtx(ctx, gp, o)
+		perm, err = ordering.MLND(gp, o)
 	}
 	if err != nil {
 		return nil, nil, err

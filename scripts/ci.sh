@@ -1,5 +1,6 @@
 #!/bin/sh
-# Local CI: the same steps, in the same order, as .github/workflows/ci.yml.
+# The CI gate: .github/workflows/ci.yml runs this script, and it runs
+# locally as it is, so the step list lives here only.
 # Fails on unformatted files, vet findings, build or test failures, data
 # races in the concurrent packages (GCLP propose workers, parallel NCuts /
 # recursive bisection, k-way refinement, parallel nested dissection), a
@@ -37,7 +38,8 @@ echo "== chaos (fault-injection suite under -race, multiple seeds)"
 for seed in 1 7 42; do
     echo "-- CHAOS_SEED=$seed"
     CHAOS_SEED=$seed go test -race -run 'Chaos' -count=1 \
-        ./internal/service/ ./internal/multilevel/ ./internal/sessions/
+        ./internal/service/ ./internal/multilevel/ ./internal/sessions/ \
+        ./internal/ordering/
 done
 
 echo "== service smoke (live daemon vs CLI, async batch jobs, healthz, readyz drain, cache, SIGTERM, session kill-and-recover)"
