@@ -283,7 +283,8 @@ func contract(g *graph.Graph, cmap []int, cn int, next, cew []int, ws *workspace
 	cvwgt := ws.Int(cn)
 	ccew := ws.Int(cn)
 	// Stage the coarse adjacency at its upper bound — the fine graph's total
-	// degree — dedup in place, and trim afterwards.
+	// degree — dedup in place, and trim afterwards: the staging pair's tail
+	// goes back to ws, so a coarse graph pins only what it uses.
 	ub := len(g.Adjncy)
 	cadjncy := ws.Int(ub)
 	cadjwgt := ws.Int(ub)
@@ -336,28 +337,13 @@ func contract(g *graph.Graph, cmap []int, cn int, next, cew []int, ws *workspace
 	}
 	ws.PutInt(htable)
 
-	cadjncy, cadjwgt = trimAdjacency(cadjncy, cadjwgt, pos, ws)
 	cg := &graph.Graph{
 		Xadj:   cxadj,
-		Adjncy: cadjncy,
-		Adjwgt: cadjwgt,
+		Adjncy: ws.TrimInt(cadjncy, pos),
+		Adjwgt: ws.TrimInt(cadjwgt, pos),
 		Vwgt:   cvwgt,
 	}
 	return cg, ccew
-}
-
-// trimAdjacency copies the used prefix pos of an upper-bound staging pair
-// into exact-size arrays from ws and returns the staging pair to ws, so a
-// coarse graph does not pin ~2x its needed memory for the lifetime of the
-// hierarchy (or of the engine call's arena).
-func trimAdjacency(cadjncy, cadjwgt []int, pos int, ws *workspace.Workspace) ([]int, []int) {
-	ncy := ws.Int(pos)
-	copy(ncy, cadjncy[:pos])
-	wgt := ws.Int(pos)
-	copy(wgt, cadjwgt[:pos])
-	ws.PutInt(cadjncy)
-	ws.PutInt(cadjwgt)
-	return ncy, wgt
 }
 
 // Level is one rung of the coarsening hierarchy: the graph at this level

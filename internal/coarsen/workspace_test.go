@@ -1,6 +1,7 @@
 package coarsen
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -104,5 +105,41 @@ func TestContractTrimmedArrays(t *testing.T) {
 	}
 	if cap(cg.Adjwgt) != len(cg.Adjwgt) {
 		t.Errorf("cadjwgt cap %d != len %d", cap(cg.Adjwgt), len(cg.Adjwgt))
+	}
+}
+
+// TestHierarchyReleaseCoalesces: once a pooled hierarchy is released, the
+// pieces its levels were cut into have merged back, so a request as large
+// as the finest graph's adjacency, the size of the first level's staging
+// arrays, is served without allocating. It reads the allocation count
+// around the one request: testing.AllocsPerRun would warm up with a call
+// whose fresh buffer then serves the measured ones.
+func TestHierarchyReleaseCoalesces(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"HEM", Options{Scheme: HEM, CoarsenTo: 100}},
+		{"GCLP", Options{Scheme: GCLP, CoarsenTo: 100}},
+	} {
+		g := matgen.FE3DTetra(16, 16, 16, 3)
+		ws := new(workspace.Workspace)
+		tc.opts.Workspace = ws
+		h := Coarsen(g, tc.opts, rng(5))
+		for i, lv := range h.Levels[1:] {
+			if cap(lv.Graph.Adjncy) != len(lv.Graph.Adjncy) || cap(lv.Graph.Adjwgt) != len(lv.Graph.Adjwgt) {
+				t.Fatalf("%s: level %d adjacency keeps its staging capacity", tc.name, i+1)
+			}
+		}
+		h.Release(ws)
+		free := ws.Bytes()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s := ws.Int(len(g.Adjncy))
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 || ws.Bytes() >= free {
+			t.Errorf("%s: Int(%d) after Release made %d allocations (free bytes %d -> %d)", tc.name, len(g.Adjncy), n, free, ws.Bytes())
+		}
+		ws.PutInt(s)
 	}
 }

@@ -60,7 +60,7 @@ func (g *Graph) PartSubgraph(where []int, part int) (*Graph, []int) {
 // ws allocates fresh ones. One pass over where numbers the part's vertices
 // and sums their degrees, which bounds the subgraph's adjacency, so the
 // second pass reads each kept vertex's adjacency list once; the adjacency
-// arrays keep the bound as capacity.
+// arrays are trimmed to their length afterwards (workspace.TrimInt).
 func (g *Graph) PartSubgraphWS(where []int, part int, ws *workspace.Workspace) (*Graph, []int) {
 	n := g.NumVertices()
 	// global2local is read only at vertices of the part.
@@ -98,7 +98,7 @@ func (g *Graph) PartSubgraphWS(where []int, part int, ws *workspace.Workspace) (
 		xadj[i] = pos
 	}
 	ws.PutInt(global2local)
-	return &Graph{Xadj: xadj, Adjncy: adjncy[:pos], Adjwgt: adjwgt[:pos], Vwgt: vwgt}, local2global
+	return &Graph{Xadj: xadj, Adjncy: ws.TrimInt(adjncy, pos), Adjwgt: ws.TrimInt(adjwgt, pos), Vwgt: vwgt}, local2global
 }
 
 // Release returns the four CSR arrays of a graph whose arrays came from ws

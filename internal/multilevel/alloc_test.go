@@ -31,18 +31,21 @@ func allocPerCall(f func()) uint64 {
 //	recursive:     20,136-22,330 KB with one pooled workspace per
 //	               bisection, 5,483 KB with one arena per call, 4,563 KB
 //	               when uncoarsening also releases each coarse level it
-//	               has projected past (Hierarchy.Pop);
+//	               has projected past (Hierarchy.Pop), 2,844 KB when
+//	               returned pieces merge back and contraction trims its
+//	               staging arrays in place (workspace.TrimInt);
 //	direct + eco:  5,109-5,742 KB per bisection-pooled, 4,422 KB per call,
-//	               4,202 KB with Pop.
-//
-// The recursive bound lies between the last two figures, so an engine that
-// holds the whole hierarchy until the V-cycle ends fails it; the direct
-// bound lies between the first two, so the per-bisection design fails it.
+//	               4,202 KB with Pop, 3,537 KB merged and trimmed in place.
 //
 // The soc row is the soc-csrb-eco benchmark's engine call at 1/8 of its
 // vertex count: an 8,192-vertex power-law graph, k=32, direct + eco. It
-// measured 10,212 KB per call, and its bound sits 5% above that, the
-// alloc_mb_per_op tolerance of the benchmark.
+// measured 10,238 KB per call with an arena that never merged its pieces
+// and 9,437 KB with one that does.
+//
+// Every bound sits 5% above the last figure, the alloc_mb_per_op
+// tolerance of the benchmark, so an arena that does not merge returned
+// pieces, or a contraction that copies its adjacency out of the staging
+// arrays, fails all three rows.
 //
 // The fe3d-session shape has no row here: its boundary repair refines in
 // the session's own arena, and internal/sessions pins it
@@ -55,13 +58,13 @@ func TestEngineAllocBound(t *testing.T) {
 		run   func() (*Result, error)
 		bound uint64
 	}{
-		{"recursive", func() (*Result, error) { return Partition(g, 8, Options{Seed: 1}) }, 5000 << 10},
+		{"recursive", func() (*Result, error) { return Partition(g, 8, Options{Seed: 1}) }, 2990 << 10},
 		{"direct+eco", func() (*Result, error) {
 			return PartitionKWay(g, 8, Options{Seed: 1, Preset: PresetEco})
-		}, 4800 << 10},
+		}, 3715 << 10},
 		{"soc direct+eco", func() (*Result, error) {
 			return PartitionKWay(soc, 32, Options{Seed: 1, Preset: PresetEco})
-		}, 10720 << 10},
+		}, 9910 << 10},
 	} {
 		got := allocPerCall(func() {
 			if _, err := tc.run(); err != nil {

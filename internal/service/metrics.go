@@ -2,6 +2,7 @@ package service
 
 import (
 	"math/bits"
+	rtmetrics "runtime/metrics"
 	"sync/atomic"
 	"time"
 
@@ -262,5 +263,38 @@ type varz struct {
 		WALTruncations int64 `json:"wal_truncations"`
 	} `json:"sessions"`
 
+	// Memory is the process heap. Bytes allocated per request are
+	// Δtotal_alloc_bytes / Δcompleted between two reads.
+	Memory memoryVarz `json:"memory"`
+
 	Endpoints map[string]endpointVarz `json:"endpoints"`
+}
+
+// memoryVarz is the wire form of the heap figures in /varz.
+type memoryVarz struct {
+	// HeapLiveBytes is the heap the last garbage collection found live
+	// (0 until the first collection).
+	HeapLiveBytes uint64 `json:"heap_live_bytes"`
+	// TotalAllocBytes is the cumulative bytes allocated on the heap.
+	TotalAllocBytes uint64 `json:"total_alloc_bytes"`
+	// GCCycles is the number of completed garbage collections.
+	GCCycles uint64 `json:"gc_cycles"`
+}
+
+// readMemory reads the heap figures from runtime/metrics, which, unlike
+// runtime.ReadMemStats, does not stop the world.
+func readMemory() memoryVarz {
+	s := []rtmetrics.Sample{
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+	}
+	rtmetrics.Read(s)
+	var v [3]uint64
+	for i, x := range s {
+		if x.Value.Kind() == rtmetrics.KindUint64 {
+			v[i] = x.Value.Uint64()
+		}
+	}
+	return memoryVarz{HeapLiveBytes: v[0], TotalAllocBytes: v[1], GCCycles: v[2]}
 }

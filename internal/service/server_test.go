@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -649,5 +650,44 @@ func TestVarz(t *testing.T) {
 	}
 	if v.InFlight != 0 || v.QueueDepth != 0 {
 		t.Errorf("in_flight=%d queue_depth=%d, want 0/0 at rest", v.InFlight, v.QueueDepth)
+	}
+}
+
+// TestVarzMemory: the memory block's total_alloc_bytes rises across one
+// partition request, so an operator can read bytes per request as
+// Δtotal_alloc_bytes / Δcompleted.
+func TestVarzMemory(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueSize: 1})
+	runtime.GC() // heap_live_bytes reads 0 until the first collection
+	read := func() varz {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/varz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var v varz
+		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+			t.Fatalf("varz decode: %v", err)
+		}
+		return v
+	}
+	before := read()
+	req := mlpart.PartitionRequest{Graph: gridGraph(40, 40), K: 4}
+	if resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/partition", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("partition status %d: %s", resp.StatusCode, data)
+	}
+	after := read()
+	if after.Memory.TotalAllocBytes <= before.Memory.TotalAllocBytes {
+		t.Errorf("total_alloc_bytes %d -> %d across a partition request", before.Memory.TotalAllocBytes, after.Memory.TotalAllocBytes)
+	}
+	if after.Memory.GCCycles < before.Memory.GCCycles {
+		t.Errorf("gc_cycles went back: %d -> %d", before.Memory.GCCycles, after.Memory.GCCycles)
+	}
+	if after.Memory.GCCycles > 0 && after.Memory.HeapLiveBytes == 0 {
+		t.Errorf("heap_live_bytes is 0 after %d collections", after.Memory.GCCycles)
+	}
+	if d := after.Endpoints[epPartition].Completed - before.Endpoints[epPartition].Completed; d != 1 {
+		t.Errorf("completed moved by %d, want 1", d)
 	}
 }

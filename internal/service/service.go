@@ -363,6 +363,7 @@ func (s *Server) serveVarz(w http.ResponseWriter, r *http.Request) {
 		DegradedResults:  m.degraded.Load(),
 		UnsupportedMedia: m.unsupportedMedia.Load(),
 		Draining:         s.draining.Load(),
+		Memory:           readMemory(),
 		Endpoints:        make(map[string]endpointVarz, len(m.endpoints)),
 	}
 	v.Cache.Size = s.cache.len()

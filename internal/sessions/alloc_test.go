@@ -1,10 +1,13 @@
 package sessions
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"mlpart/internal/faults"
 	"mlpart/internal/graph"
 	"mlpart/internal/matgen"
 )
@@ -139,5 +142,53 @@ func TestResidentBytesWithinEstimate(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestChaosRepairPanicReleasesArena: a repair that panics abandons what it
+// had drawn from the session's arena, and the session must not keep those
+// pieces. One plan panics a boundary repair inside its first refinement
+// pass, with the refiner's arrays and the copy of where lent out, and a
+// later explicit full repair at the session/repair site. After every batch
+// the arena lends at most the where vector, and the resident bytes stay
+// within TestResidentBytesWithinEstimate's bound.
+func TestChaosRepairPanicReleasesArena(t *testing.T) {
+	g := matgen.FE3DTetra(20, 20, 20, 3)
+	cfg := Config{K: 32, Seed: 3}
+	// A dry run counts the kway/pass hits of Create, so that the plan's
+	// first kway/pass panic lands in the first repair.
+	count := faults.MustParse(faults.SiteSessionApply + "=error@1000000000")
+	mustCreate(t, mustManager(t, Options{Injector: count}), g, cfg)
+	plan := fmt.Sprintf("%s=panic@%d;%s=panic@3", faults.SiteKWayPass, count.HitCount(faults.SiteKWayPass)+1, faults.SiteSessionRepair)
+	m := mustManager(t, Options{Injector: faults.MustParse(plan)})
+	st := mustCreate(t, m, g, cfg)
+	limit := estimateCreateBytes(g)
+	batches := churnBatches(g, 5)
+	for i, mode := range []string{"", "full", "", "full", ""} {
+		ops := batches[i%2]
+		limit += estimateGrowth(ops)
+		got, err := m.Apply(st.ID, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode != "" {
+			if rep, rerr := m.Repair(st.ID, mode); rerr == nil {
+				got = rep
+			} else if !errors.As(rerr, new(*faults.PanicError)) {
+				t.Fatalf("batch %d: repair failed with %v, want the injected panic", i, rerr)
+			} else if got, err = m.Get(st.ID, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := m.sessions[st.ID]
+		if lent, where := s.ws.Lent(), int64(cap(s.where))*8; lent > where {
+			t.Errorf("batch %d (%s): the arena lends %d bytes, the where vector holds %d", i, mode, lent, where)
+		}
+		if got.ResidentBytes > limit {
+			t.Errorf("batch %d (%s): resident %d bytes, estimate %d", i, mode, got.ResidentBytes, limit)
+		}
+	}
+	if f := m.Stats().RepairFailures; f != 2 {
+		t.Fatalf("%d repairs failed, want the 2 the plan injects", f)
 	}
 }

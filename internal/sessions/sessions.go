@@ -424,7 +424,7 @@ type session struct {
 	cut   int
 	// ws is the arena the boundary and full repair tiers refine in. It
 	// keeps their arrays, and the where vector a repair replaces, for the
-	// next repair, and is counted in bytes.
+	// next repair, and is counted in bytes. A failed repair replaces it.
 	ws *workspace.Workspace
 
 	baselineCut int
@@ -805,6 +805,7 @@ func (m *Manager) Repair(id, mode string) (*State, error) {
 	start := time.Now()
 	if rerr := s.repair(m, tier, false); rerr != nil {
 		s.repairFailed = true
+		s.refreshBytes(m)
 		return nil, rerr
 	}
 	s.repairFailed = false
@@ -1077,6 +1078,12 @@ func (s *session) repair(m *Manager, tier Tier, replay bool) error {
 	})
 	if err != nil {
 		m.repairFailures.Add(1)
+		// The failed tier abandoned what it had drawn from the arena, and
+		// an abandoned piece stays pinned in its block, uncounted: the next
+		// repair starts on a new arena. where may lie in the old one, so
+		// it moves out too, or it would keep that arena's block alive.
+		s.ws = new(workspace.Workspace)
+		s.where = slices.Clone(s.where)
 		return err
 	}
 	switch tier {

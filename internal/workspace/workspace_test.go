@@ -1,6 +1,9 @@
 package workspace
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestIntReuse(t *testing.T) {
 	ws := &Workspace{}
@@ -87,22 +90,39 @@ func TestPutCap(t *testing.T) {
 	}
 }
 
+// TestMaxFreeBound: an arena keeps at most maxBlocks blocks per type.
+// Foreign pieces past the bound, and fresh requests that find nothing
+// free, are left to the garbage collector.
 func TestMaxFreeBound(t *testing.T) {
 	ws := &Workspace{}
-	for i := 0; i < 2*maxFree; i++ {
+	for i := 0; i < 2*maxBlocks; i++ {
 		ws.PutInt(make([]int, 4))
 	}
-	if len(ws.ints) > maxFree {
-		t.Fatalf("free list grew to %d, bound is %d", len(ws.ints), maxFree)
+	if len(ws.ints.blocks) > maxBlocks {
+		t.Fatalf("arena grew to %d blocks, bound is %d", len(ws.ints.blocks), maxBlocks)
+	}
+	if b := ws.Bytes(); b != maxBlocks*4*8 {
+		t.Fatalf("Bytes = %d, want %d: the dropped pieces must not count", b, maxBlocks*4*8)
+	}
+	s := ws.Int(5) // fits no block
+	if len(ws.ints.blocks) > maxBlocks || ws.Lent() != 0 {
+		t.Fatalf("a fresh request past the bound became a block (%d blocks, %d bytes lent)", len(ws.ints.blocks), ws.Lent())
+	}
+	ws.PutInt(s)
+	if len(ws.ints.blocks) > maxBlocks {
+		t.Fatalf("its return grew the arena to %d blocks", len(ws.ints.blocks))
 	}
 }
 
-// TestBytes: Bytes counts the free buffers at their full capacity, and a
-// lent buffer stops counting until it is returned.
+// TestBytes: Bytes counts the free space of the blocks, a lent piece
+// stops counting until it is returned, and Lent counts it meanwhile.
 func TestBytes(t *testing.T) {
 	var nilWS *Workspace
 	if b := nilWS.Bytes(); b != 0 {
 		t.Fatalf("nil workspace holds %d bytes", b)
+	}
+	if b := nilWS.Lent(); b != 0 {
+		t.Fatalf("nil workspace lends %d bytes", b)
 	}
 	ws := &Workspace{}
 	ws.PutInt(make([]int, 10, 16))
@@ -111,13 +131,35 @@ func TestBytes(t *testing.T) {
 		t.Fatalf("Bytes = %d, want %d", b, 16*8+100)
 	}
 	s := ws.Int(12)
-	if b := ws.Bytes(); b != 100 {
-		t.Fatalf("Bytes with the int buffer lent = %d, want 100", b)
+	if b, l := ws.Bytes(), ws.Lent(); b != 100 || l != 16*8 {
+		t.Fatalf("with the int buffer lent: Bytes = %d, Lent = %d, want 100 and %d", b, l, 16*8)
 	}
 	ws.PutInt(s)
-	if b := ws.Bytes(); b != 16*8+100 {
-		t.Fatalf("Bytes after return = %d, want %d", b, 16*8+100)
+	if b, l := ws.Bytes(), ws.Lent(); b != 16*8+100 || l != 0 {
+		t.Fatalf("after return: Bytes = %d, Lent = %d, want %d and 0", b, l, 16*8+100)
 	}
+	// A fresh block counts once it comes back, and a trimmed tail at once.
+	big := ws.Int(3 * minSplit)
+	if b, l := ws.Bytes(), ws.Lent(); b != 16*8+100 || l != 3*minSplit*8 {
+		t.Fatalf("fresh block lent: Bytes = %d, Lent = %d", b, l)
+	}
+	big = ws.TrimInt(big, minSplit)
+	if b, l := ws.Bytes(), ws.Lent(); b != 16*8+100+2*minSplit*8 || l != minSplit*8 {
+		t.Fatalf("trimmed: Bytes = %d, Lent = %d", b, l)
+	}
+	ws.PutInt(big)
+	if b, l := ws.Bytes(), ws.Lent(); b != 16*8+100+3*minSplit*8 || l != 0 {
+		t.Fatalf("all back: Bytes = %d, Lent = %d", b, l)
+	}
+}
+
+// extents returns the free extents of ws's int blocks, block by block.
+func extents(ws *Workspace) [][]extent {
+	var out [][]extent
+	for _, b := range ws.ints.blocks {
+		out = append(out, slices.Clone(b.free))
+	}
+	return out
 }
 
 func TestSplitPiecesDisjoint(t *testing.T) {
@@ -125,8 +167,10 @@ func TestSplitPiecesDisjoint(t *testing.T) {
 	ws.PutInt(make([]int, 64*minSplit))
 	sizes := []int{minSplit, 3 * minSplit, 5000, 2 * minSplit, 7, 10 * minSplit}
 	pieces := make([][]int, len(sizes))
+	used := 0
 	for i, n := range sizes {
 		pieces[i] = ws.Int(n)
+		used += n
 		if len(pieces[i]) != n {
 			t.Fatalf("piece %d: len %d, want %d", i, len(pieces[i]), n)
 		}
@@ -134,8 +178,8 @@ func TestSplitPiecesDisjoint(t *testing.T) {
 			pieces[i][j] = i*1_000_000 + j
 		}
 	}
-	if len(ws.ints) != 1 {
-		t.Fatalf("free list holds %d buffers, want the one remainder", len(ws.ints))
+	if got, want := extents(ws), [][]extent{{{used, 64*minSplit - used}}}; !slices.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("free extents %v, want the one remainder %v", got, want)
 	}
 	for i, p := range pieces {
 		if cap(p) != len(p) {
@@ -161,8 +205,8 @@ func TestSplitRemainderReused(t *testing.T) {
 	if &b[0] != &big[minSplit] {
 		t.Fatal("remainder not reused by the next request")
 	}
-	if len(ws.ints) != 0 {
-		t.Fatalf("free list holds %d buffers, want 0: a 4k remainder of a 16k buffer lends whole", len(ws.ints))
+	if got := extents(ws); len(got[0]) != 0 {
+		t.Fatalf("free extents %v, want none: a 4k remainder of a 16k extent lends whole", got)
 	}
 }
 
@@ -174,10 +218,66 @@ func TestNoSplitBelowThresholds(t *testing.T) {
 		ws := &Workspace{}
 		ws.PutInt(make([]int, tc.capacity))
 		got := ws.Int(tc.n)
-		if cap(got) != tc.capacity || len(ws.ints) != 0 {
-			t.Errorf("cap %d, n %d: got cap %d with %d free, want the buffer lent whole",
-				tc.capacity, tc.n, cap(got), len(ws.ints))
+		if cap(got) != tc.capacity || len(ws.ints.blocks[0].free) != 0 {
+			t.Errorf("cap %d, n %d: got cap %d with free extents %v, want the buffer lent whole",
+				tc.capacity, tc.n, cap(got), extents(ws))
 		}
+	}
+}
+
+// TestPutCoalesces: returned pieces merge with the free extents on both
+// sides, so a block cut into pieces serves a whole-block request again.
+func TestPutCoalesces(t *testing.T) {
+	ws := &Workspace{}
+	big := ws.Int(8 * minSplit)
+	ws.PutInt(big)
+	a, b, c := ws.Int(minSplit), ws.Int(minSplit), ws.Int(minSplit)
+	ws.PutInt(a)
+	ws.PutInt(c[:0]) // a zero-length view returns the whole piece
+	if got, want := extents(ws), [][]extent{{{0, minSplit}, {2 * minSplit, 6 * minSplit}}}; !slices.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("free extents %v, want %v", got, want)
+	}
+	ws.PutInt(b)
+	if got, want := extents(ws), [][]extent{{{0, 8 * minSplit}}}; !slices.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("free extents %v, want the whole block %v", got, want)
+	}
+	if again := ws.Int(8 * minSplit); &again[0] != &big[0] || len(ws.ints.blocks) != 1 {
+		t.Fatal("a whole-block request after coalescing was not served by the block")
+	}
+}
+
+// TestTrimInt: a lent piece's tail goes back to its block, a foreign
+// buffer's tail becomes a block, and a nil workspace copies.
+func TestTrimInt(t *testing.T) {
+	ws := &Workspace{}
+	s := ws.Int(4 * minSplit)
+	for i := range s {
+		s[i] = i
+	}
+	tr := ws.TrimInt(s, 100)
+	if len(tr) != 100 || cap(tr) != 100 || &tr[0] != &s[0] || tr[99] != 99 {
+		t.Fatalf("trimmed piece: len %d cap %d, not the front of the staging buffer", len(tr), cap(tr))
+	}
+	if next := ws.Int(minSplit); &next[0] != &s[100] {
+		t.Fatal("the trimmed tail was not lent to the next request")
+	} else {
+		ws.PutInt(next)
+	}
+	ws.PutInt(tr)
+	if got, want := extents(ws), [][]extent{{{0, 4 * minSplit}}}; !slices.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("free extents %v, want the whole block %v", got, want)
+	}
+
+	foreign := make([]int, 10, 50)
+	if got := ws.TrimInt(foreign, 10); cap(got) != 10 || ws.Bytes() != (4*minSplit+40)*8 {
+		t.Fatalf("foreign trim: cap %d, Bytes %d", cap(got), ws.Bytes())
+	}
+
+	var nilWS *Workspace
+	src := []int{1, 2, 3, 4}
+	got := nilWS.TrimInt(src[:4:4], 2)
+	if !slices.Equal(got, []int{1, 2}) || cap(got) != 2 || &got[0] == &src[0] {
+		t.Fatalf("nil trim = %v (cap %d), want a fresh exact-size copy", got, cap(got))
 	}
 }
 

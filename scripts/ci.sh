@@ -51,7 +51,7 @@ echo "== perfbench (own module, so root go test ./... never compiles it)"
 echo "== benchmark smoke (every benchmark once; fails if any of them fails)"
 go test -run '^$' -bench . -benchtime 1x ./...
 
-echo "== fuzz smoke (graph readers + binary + Validate, matching and cluster contraction, JSON and query request decoders + session delta log and snapshot reuse + BKWAY connectivity + projection + Repartition)"
+echo "== fuzz smoke (graph readers + binary + Validate, matching and cluster contraction, JSON and query request decoders + session delta log and snapshot reuse + BKWAY connectivity + projection + Repartition + the workspace arena against its model)"
 go test -fuzz '^FuzzRead$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/graph/
 go test -fuzz '^FuzzReadMatrixMarket$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/graph/
 go test -fuzz '^FuzzDecodeBinary$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/graph/
@@ -65,5 +65,6 @@ go test -fuzz '^FuzzSnapshotReuse$' -fuzztime 10s -fuzzminimizetime 100x -run '^
 go test -fuzz '^FuzzRefineKWayConnectivity$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/refine/
 go test -fuzz '^FuzzProject$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/refine/
 go test -fuzz '^FuzzRepartition$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' .
+go test -fuzz '^FuzzWorkspace$' -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/workspace/
 
 echo "CI OK"
