@@ -7,23 +7,48 @@ import "mlpart/internal/workspace"
 // where local2global[i] is the original id of subgraph vertex i. Edges
 // with exactly one endpoint inside are dropped (they are the cut edges).
 func (g *Graph) Subgraph(keep []bool) (*Graph, []int) {
-	n := g.NumVertices()
-	local2global := make([]int, 0)
-	global2local := make([]int, n)
-	for v := 0; v < n; v++ {
+	global2local := make([]int, g.NumVertices())
+	sn := 0
+	for v := range global2local {
+		global2local[v] = -1
 		if keep[v] {
-			global2local[v] = len(local2global)
-			local2global = append(local2global, v)
-		} else {
-			global2local[v] = -1
+			global2local[v] = sn
+			sn++
 		}
 	}
-	sn := len(local2global)
+	return g.induced(global2local, sn)
+}
+
+// PartSubgraph extracts the induced subgraph over vertices with
+// where[v] == part. See Subgraph for the return values.
+func (g *Graph) PartSubgraph(where []int, part int) (*Graph, []int) {
+	global2local := make([]int, g.NumVertices())
+	sn := 0
+	for v := range global2local {
+		global2local[v] = -1
+		if where[v] == part {
+			global2local[v] = sn
+			sn++
+		}
+	}
+	return g.induced(global2local, sn)
+}
+
+// induced builds the subgraph over the sn vertices v with
+// global2local[v] >= 0, vertex v becoming global2local[v], in vertex and
+// neighbour order. A first pass counts each kept vertex's kept neighbours,
+// so every array is allocated at its exact size; a second fills them.
+func (g *Graph) induced(global2local []int, sn int) (*Graph, []int) {
+	local2global := make([]int, sn)
 	xadj := make([]int, sn+1)
-	for i, v := range local2global {
+	for v, i := range global2local {
+		if i < 0 {
+			continue
+		}
+		local2global[i] = v
 		d := 0
 		for _, u := range g.Neighbors(v) {
-			if keep[u] {
+			if global2local[u] >= 0 {
 				d++
 			}
 		}
@@ -35,23 +60,16 @@ func (g *Graph) Subgraph(keep []bool) (*Graph, []int) {
 	for i, v := range local2global {
 		vwgt[i] = g.Vwgt[v]
 		p := xadj[i]
-		adj := g.Neighbors(v)
 		wgt := g.EdgeWeights(v)
-		for j, u := range adj {
-			if keep[u] {
-				adjncy[p] = global2local[u]
+		for j, u := range g.Neighbors(v) {
+			if l := global2local[u]; l >= 0 {
+				adjncy[p] = l
 				adjwgt[p] = wgt[j]
 				p++
 			}
 		}
 	}
 	return &Graph{Xadj: xadj, Adjncy: adjncy, Adjwgt: adjwgt, Vwgt: vwgt}, local2global
-}
-
-// PartSubgraph extracts the induced subgraph over vertices with
-// where[v] == part. See Subgraph for the return values.
-func (g *Graph) PartSubgraph(where []int, part int) (*Graph, []int) {
-	return g.PartSubgraphWS(where, part, nil)
 }
 
 // PartSubgraphWS is PartSubgraph drawing the subgraph's four arrays, the

@@ -259,3 +259,40 @@ func TestDegradedResultNotCached(t *testing.T) {
 		t.Errorf("clean retry still reports degradations: %+v", pr2.Degradations)
 	}
 }
+
+// TestChaosSessionWorkerPanic poisons the service worker path of a session
+// delta: the write comes back as a 500 with an incident id, the recovery
+// is counted, the session is exactly as before, and the next delta
+// succeeds.
+func TestChaosSessionWorkerPanic(t *testing.T) {
+	s, ts := newTestServer(t, Config{
+		FaultInjector: faults.MustParse("service/worker=panic@1"),
+	})
+	st := residentSession(t, s, gridGraph(8, 8))
+	delta := sessionWrites(st.ID)[1]
+
+	resp, data := postJSON(t, ts.Client(), ts.URL+delta.path, delta.body)
+	if resp.StatusCode != http.StatusInternalServerError || resp.Header.Get("X-Incident-Id") == "" {
+		t.Fatalf("poisoned delta: status %d, X-Incident-Id %q, want 500 with an id (%s)",
+			resp.StatusCode, resp.Header.Get("X-Incident-Id"), data)
+	}
+	if got := s.met.panicsRecovered.Load(); got != 1 {
+		t.Errorf("panics_recovered = %d, want 1", got)
+	}
+	got, err := s.sessions.Get(st.ID, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Seq != st.Seq || got.Deltas != 0 || got.Cut != st.Cut {
+		t.Fatalf("the poisoned delta changed the session: %+v, was %+v", got, st)
+	}
+
+	resp, data = postJSON(t, ts.Client(), ts.URL+delta.path, delta.body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta after the poisoned one: status %d, want 200 (%s)", resp.StatusCode, data)
+	}
+	var sr mlpart.SessionResponse
+	if err := json.Unmarshal(data, &sr); err != nil || sr.Deltas != 1 || sr.Seq != 1 {
+		t.Fatalf("delta reply: %s (%v)", data, err)
+	}
+}

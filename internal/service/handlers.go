@@ -22,6 +22,7 @@ import (
 	"mlpart/internal/errlist"
 	"mlpart/internal/faults"
 	"mlpart/internal/jobs"
+	"mlpart/internal/sessions"
 	"mlpart/internal/trace"
 )
 
@@ -120,13 +121,10 @@ var codecs = map[string]codec{
 		newRepartitionJob, repartitionBody),
 }
 
-// serveCompute is the shared request path of the three compute
-// endpoints: admission control, decode, cache lookup, worker acquisition
-// under the request deadline, then execute.
+// serveCompute is POST on the three compute endpoints: content
+// negotiation, then the admitted request path with the type's codec.
 func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, typ string) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "%s requires POST", r.URL.Path)
+	if !allow(w, r, http.MethodPost) {
 		return
 	}
 	epm := s.met.endpoints[typ]
@@ -141,7 +139,20 @@ func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, typ string
 	if !ok {
 		return
 	}
+	c := codecs[typ]
+	s.admit(w, r, epm, start, http.StatusOK, func() (job, bool) {
+		return decodeBody(s, w, r, isBinary, c.json, c.binary)
+	})
+}
 
+// admit is the one path of every synchronous request that computes — the
+// compute endpoints and the session writes: admission control, decode,
+// cache lookup, worker acquisition under the request deadline, then
+// execute. decode reads the request into its job, answering a bad body
+// itself; status is the reply code of a success. A session write
+// (sessionJob) changes resident state, so it is neither cached nor traced.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, epm *endpointMetrics, start time.Time,
+	status int, decode func() (job, bool)) {
 	// Stage 1: admission. No token, no work — shed immediately so load
 	// beyond workers+queue degrades into fast 429s, not memory growth.
 	if !s.pool.tryAdmit() {
@@ -167,19 +178,19 @@ func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, typ string
 	// Decoding (including the zero-copy binary decode and its fused
 	// validation) runs here, outside the worker slot: a malformed body
 	// never costs compute capacity.
-	j, ok := decodeBody(s, w, r, isBinary, codecs[typ].json, codecs[typ].binary)
+	j, ok := decode()
 	if !ok {
 		return
 	}
 	if pj, ok := j.(presetJob); ok {
 		s.met.countPreset(pj.preset())
 	}
-	wantTrace := r.URL.Query().Get("trace") == "1"
+	_, session := j.(sessionJob)
+	wantTrace := !session && r.URL.Query().Get("trace") == "1"
 	key := cacheKey(j, wantTrace)
 	if body, ok := s.cached(key); ok {
-		epm.completed.Add(1)
-		epm.latency.observe(time.Since(start))
-		writeResult(w, body, "hit", 0)
+		epm.done(start)
+		writeOutcome(w, outcome{Outcome: jobs.Outcome{Code: http.StatusOK, Body: body}}, "hit")
 		return
 	}
 
@@ -199,14 +210,17 @@ func (s *Server) serveCompute(w http.ResponseWriter, r *http.Request, typ string
 
 	cacheStatus := "miss"
 	var col *mlpart.TraceCollector
-	if wantTrace {
+	switch {
+	case session:
+		cacheStatus = ""
+	case wantTrace:
 		cacheStatus = "bypass"
 		col = &mlpart.TraceCollector{}
 	}
 	o := s.execute(ctx, j, key, faults.SiteServiceWorker, col, "")
 	if o.Code == http.StatusOK {
-		epm.completed.Add(1)
-		epm.latency.observe(time.Since(start))
+		epm.done(start)
+		o.Code = status
 	}
 	writeOutcome(w, o, cacheStatus)
 }
@@ -340,8 +354,11 @@ func (s *Server) execute(ctx context.Context, j job, key, site string, col *mlpa
 //
 // A recovered panic or an injected infrastructure fault is the server's
 // failure, not the client's: 500 with an incident id, detail logged
-// server-side — the poisoned request must not take the daemon down.
-// Everything else the engine rejects is a client error: 400.
+// server-side — the poisoned request must not take the daemon down. A
+// session write's typed failures carry their own statuses: an unknown
+// session is 404, a duplicate 409, a batch or graph over its session's
+// budget 413, and a full registry 429. Everything else the engine rejects
+// is a client error: 400.
 func (s *Server) computeFailure(err error) outcome {
 	o := outcome{reason: err.Error()}
 	var pe *faults.PanicError
@@ -360,9 +377,20 @@ func (s *Server) computeFailure(err error) outcome {
 		log.Printf("mlserved: incident %s: %v", o.incident, err)
 		o.Code = http.StatusInternalServerError
 		o.Body = errorBody("internal error (incident %s): %v", o.incident, err)
+	case errors.Is(err, sessions.ErrNotFound):
+		o.Code = http.StatusNotFound
+	case errors.Is(err, sessions.ErrExists):
+		o.Code = http.StatusConflict
+	case errors.Is(err, sessions.ErrBatchTooLarge), errors.Is(err, sessions.ErrSessionBytes):
+		o.Code = http.StatusRequestEntityTooLarge
+	case errors.Is(err, sessions.ErrTooManySessions), errors.Is(err, sessions.ErrResidentBytes):
+		s.met.rejected.Add(1)
+		o.Code = http.StatusTooManyRequests
 	default:
 		s.met.badReqs.Add(1)
 		o.Code = http.StatusBadRequest
+	}
+	if o.Body == nil {
 		o.Body = errorBody("%v", err)
 	}
 	return o
@@ -399,31 +427,29 @@ func degradedResponse(resp any) bool {
 	return ok && len(pr.Degradations) > 0
 }
 
-// writeOutcome writes an execution's reply; cacheStatus labels a 200.
+// writeOutcome writes an execution's reply. A success carries its cache
+// status (none for "") and compute time as headers, so that cached bodies
+// stay byte-identical to cold ones; a failure carries its incident id, and
+// a 429 its Retry-After hint.
 func writeOutcome(w http.ResponseWriter, o outcome, cacheStatus string) {
+	if o.canceled {
+		return
+	}
+	h := w.Header()
 	switch {
-	case o.canceled:
-	case o.Code == http.StatusOK:
-		writeResult(w, o.Body, cacheStatus, o.compute.Nanoseconds())
-	default:
-		if o.incident != "" {
-			w.Header().Set("X-Incident-Id", o.incident)
+	case o.Code == http.StatusOK || o.Code == http.StatusCreated:
+		if cacheStatus != "" {
+			h.Set("X-Cache", cacheStatus)
 		}
-		writeBody(w, o.Code, o.Body)
+		if ns := o.compute.Nanoseconds(); ns > 0 {
+			h.Set("X-Compute-Ns", strconv.FormatInt(ns, 10))
+		}
+	case o.incident != "":
+		h.Set("X-Incident-Id", o.incident)
+	case o.Code == http.StatusTooManyRequests:
+		h.Set("Retry-After", "1")
 	}
-}
-
-// writeResult writes a 200 with the (already encoded) result body. The
-// cache status and compute time travel as headers so that cached bodies
-// stay byte-identical to cold ones.
-func writeResult(w http.ResponseWriter, body []byte, cacheStatus string, computeNS int64) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", cacheStatus)
-	if computeNS > 0 {
-		w.Header().Set("X-Compute-Ns", strconv.FormatInt(computeNS, 10))
-	}
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+	writeBody(w, o.Code, o.Body)
 }
 
 // negotiate classifies the request body's encoding: JSON (the default

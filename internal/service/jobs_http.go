@@ -54,30 +54,13 @@ func jobWire(snap jobs.Snapshot) mlpart.JobResponse {
 	return r
 }
 
-// writeJob writes a JobResponse (or BatchResponse) reply.
-func writeJob(w http.ResponseWriter, status int, resp any) {
-	b, err := json.Marshal(resp)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encode: %v", err)
-		return
-	}
-	writeBody(w, status, append(b, '\n'))
-}
-
 // serveJobSubmit is POST /v1/jobs: decode and validate up front (exactly
 // like the synchronous path, including the binary CSR encoding), then
 // register and return 202 immediately.
 func (s *Server) serveJobSubmit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "%s requires POST", r.URL.Path)
-		return
-	}
 	// A draining daemon refuses new jobs: accepted jobs outlive their
 	// submission request, so anything admitted now would extend shutdown.
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "draining: not accepting new jobs")
+	if !allow(w, r, http.MethodPost) || s.refuseDraining(w, "new jobs") {
 		return
 	}
 	typ := r.URL.Query().Get("type")
@@ -107,7 +90,7 @@ func (s *Server) serveJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+resp.ID)
-	writeJob(w, http.StatusAccepted, resp)
+	writeJSON(w, http.StatusAccepted, resp)
 }
 
 // serveJobBatch is POST /v1/jobs/batch: many submissions in one round
@@ -115,14 +98,7 @@ func (s *Server) serveJobSubmit(w http.ResponseWriter, r *http.Request) {
 // independently — a shed or invalid entry carries its error in its reply
 // slot without failing the rest of the batch.
 func (s *Server) serveJobBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "%s requires POST", r.URL.Path)
-		return
-	}
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "draining: not accepting new jobs")
+	if !allow(w, r, http.MethodPost) || s.refuseDraining(w, "new jobs") {
 		return
 	}
 	if isBinary, err := binaryRequest(r); err != nil || isBinary {
@@ -182,7 +158,7 @@ func (s *Server) serveJobBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Jobs[i] = jr
 	}
-	writeJob(w, http.StatusAccepted, resp)
+	writeJSON(w, http.StatusAccepted, resp)
 }
 
 // buildBatchJob decodes and validates one batch entry through the codec
@@ -262,6 +238,9 @@ func (s *Server) serveJobByID(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such resource %q", r.URL.Path)
 		return
 	}
+	if !allow(w, r, http.MethodGet, http.MethodDelete) {
+		return
+	}
 	switch r.Method {
 	case http.MethodGet:
 		jb, ok := s.jobs.Get(id)
@@ -278,10 +257,10 @@ func (s *Server) serveJobByID(w http.ResponseWriter, r *http.Request) {
 			writeBody(w, snap.Outcome.Code, snap.Outcome.Body)
 		case jobs.StateCanceled:
 			w.Header().Set("X-Job-State", string(snap.State))
-			writeJob(w, http.StatusOK, jobWire(snap))
+			writeJSON(w, http.StatusOK, jobWire(snap))
 		default:
 			w.Header().Set("Retry-After", "1")
-			writeJob(w, http.StatusOK, jobWire(snap))
+			writeJSON(w, http.StatusOK, jobWire(snap))
 		}
 	case http.MethodDelete:
 		if _, ok := s.jobs.Cancel(id); !ok {
@@ -291,7 +270,7 @@ func (s *Server) serveJobByID(w http.ResponseWriter, r *http.Request) {
 		jb, ok := s.jobs.Get(id)
 		if !ok {
 			// Evicted between Cancel and Get; report the cancellation.
-			writeJob(w, http.StatusOK, mlpart.JobResponse{
+			writeJSON(w, http.StatusOK, mlpart.JobResponse{
 				Kind:          mlpart.WireKindJob,
 				SchemaVersion: mlpart.SchemaVersion,
 				ID:            id,
@@ -299,10 +278,7 @@ func (s *Server) serveJobByID(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-		writeJob(w, http.StatusOK, jobWire(jb.Snapshot()))
-	default:
-		w.Header().Set("Allow", "GET, DELETE")
-		writeError(w, http.StatusMethodNotAllowed, "%s requires GET or DELETE", r.URL.Path)
+		writeJSON(w, http.StatusOK, jobWire(jb.Snapshot()))
 	}
 }
 

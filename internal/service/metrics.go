@@ -84,6 +84,12 @@ type endpointMetrics struct {
 	latency   histogram
 }
 
+// done counts a completed request that started at start.
+func (e *endpointMetrics) done(start time.Time) {
+	e.completed.Add(1)
+	e.latency.observe(time.Since(start))
+}
+
 // metrics is the server's whole observable state, all plain atomics so
 // that /varz never contends with the request path.
 type metrics struct {

@@ -137,16 +137,20 @@ func decodeBoth(t *testing.T, typ, query, member string) (keys [2]string, reqs [
 	csrb := binaryBody(t, wg, part)
 
 	if typ == "session" {
-		sj, err := decodeSessionCreate([]byte(body))
-		if err != nil {
+		i := 0
+		c := createCodec(func(req mlpart.SessionCreateRequest, _ *mlpart.Graph) (job, error) {
+			req.Graph = mlpart.WireGraph{}
+			reqs[i] = req
+			i++
+			return nil, nil
+		})
+		if _, err := c.json([]byte(body)); err != nil {
 			t.Fatalf("json %s: %v", body, err)
 		}
-		sb, err := decodeSessionCreateBinary(csrb, q)
-		if err != nil {
+		if _, err := c.binary(csrb, q); err != nil {
 			t.Fatalf("query %s: %v", q.Encode(), err)
 		}
-		sj.req.Graph = mlpart.WireGraph{}
-		return keys, [2]any{sj.req, sb.req}
+		return keys, reqs
 	}
 	jj, err := codecs[typ].json([]byte(body))
 	if err != nil {

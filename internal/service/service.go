@@ -45,6 +45,8 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -261,16 +263,9 @@ func (s *Server) Config() Config { return s.cfg }
 // document is static for a given build, so clients may cache it per
 // connection.
 func (s *Server) serveCapabilities(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed; use GET", r.Method)
-		return
+	if allow(w, r, http.MethodGet) {
+		writeJSON(w, http.StatusOK, mlpart.NewCapabilitiesResponse())
 	}
-	b, err := json.Marshal(mlpart.NewCapabilitiesResponse())
-	if err != nil {
-		// The capabilities object contains nothing unmarshalable; unreachable.
-		panic(err)
-	}
-	writeBody(w, http.StatusOK, append(b, '\n'))
 }
 
 // serveHealthz is the liveness probe: 200 for the whole process lifetime,
@@ -456,4 +451,36 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 // writeError emits the wire schema's error object.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeBody(w, status, errorBody(format, args...))
+}
+
+// writeJSON encodes resp as a newline-terminated JSON reply.
+func writeJSON(w http.ResponseWriter, status int, resp any) {
+	b, err := json.Marshal(resp)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode: %v", err)
+		return
+	}
+	writeBody(w, status, append(b, '\n'))
+}
+
+// allow reports whether r's method is one of methods; otherwise it
+// answers 405 with an Allow header.
+func allow(w http.ResponseWriter, r *http.Request, methods ...string) bool {
+	if slices.Contains(methods, r.Method) {
+		return true
+	}
+	w.Header().Set("Allow", strings.Join(methods, ", "))
+	writeError(w, http.StatusMethodNotAllowed, "%s requires %s", r.URL.Path, strings.Join(methods, " or "))
+	return false
+}
+
+// refuseDraining answers 503 with a Retry-After hint once draining has
+// begun, naming the work refused, and reports whether it did.
+func (s *Server) refuseDraining(w http.ResponseWriter, what string) bool {
+	if !s.draining.Load() {
+		return false
+	}
+	w.Header().Set("Retry-After", "1")
+	writeError(w, http.StatusServiceUnavailable, "draining: not accepting %s", what)
+	return true
 }

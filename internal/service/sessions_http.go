@@ -4,10 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 	"time"
 
@@ -27,12 +25,15 @@ import (
 //	POST   /v1/graphs/{id}/repartition     explicit repair (auto or forced tier)
 //	DELETE /v1/graphs/{id}                 drop the session (memory and disk)
 //
-// Sessions bypass the admission queue — the manager's session-count and
-// resident-byte budgets are their admission control — but creation,
-// deltas and repairs wait for the same worker slots as synchronous
-// requests, so the pool's concurrency bound holds across all three APIs.
-// Mutating requests are refused with 503 while draining; reads and
-// deletes keep working so operators can inspect and shed state.
+// Creation, deltas and repairs are session writes: each runs as a
+// sessionJob on the compute endpoints' own path (admit), so it passes
+// admission control, decodes outside the worker slot, waits for a slot
+// under the request deadline and executes with the same panic boundary
+// and error mapping. The manager's session-count and resident-byte
+// budgets are checked only once the slot is held: they bound resident
+// state, not waiting requests. Writes are refused with 503 while
+// draining; reads, the list and deletes take only the session lock and
+// keep working so operators can inspect and shed state.
 
 // epSessions is the /varz endpoint name of the session API.
 const epSessions = "sessions"
@@ -61,95 +62,63 @@ func sessionWire(st *sessions.State) mlpart.SessionResponse {
 	}
 }
 
-// writeSession writes a SessionResponse (or list) reply.
-func writeSession(w http.ResponseWriter, status int, resp any) {
-	b, err := json.Marshal(resp)
+// sessionJob is one session write as a job: its reply is the session's
+// state after the write, which is never cached.
+type sessionJob func(ctx context.Context) (*sessions.State, error)
+
+func (sessionJob) key() string      { return "" }
+func (sessionJob) timeoutMS() int64 { return 0 }
+
+func (j sessionJob) run(ctx context.Context, _ mlpart.Tracer, _ *mlpart.FaultInjector) (any, error) {
+	st, err := j(ctx)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encode: %v", err)
-		return
+		return nil, err
 	}
-	writeBody(w, status, append(b, '\n'))
+	return sessionWire(st), nil
 }
 
-// sessionFailure maps a manager error to its HTTP reply. Typed budget
-// and lookup failures carry their own statuses; anything else falls
-// through to computeFailure, so an injected fault or recovered panic
-// inside a session gets the same 500-plus-incident treatment as the
-// compute endpoints.
-func (s *Server) sessionFailure(w http.ResponseWriter, err error) {
-	var oe *sessions.OpError
-	switch {
-	case errors.As(err, &oe):
+// createCodec is the codec of a POST /v1/graphs body, JSON or csrb;
+// build turns the decoded request into its job. No batch entry carries
+// one.
+func createCodec(build func(mlpart.SessionCreateRequest, *mlpart.Graph) (job, error)) codec {
+	return requestCodec(func(mlpart.BatchJob) *mlpart.SessionCreateRequest { return nil },
+		func(req *mlpart.SessionCreateRequest) *mlpart.WireGraph { return &req.Graph },
+		build, graphBody[mlpart.SessionCreateRequest])
+}
+
+// decodeWrite decodes a delta or repair request's JSON body, capped at
+// MaxBodyBytes; an empty body is a zero request when emptyOK. A failure is
+// answered with 400 and ok=false.
+func decodeWrite[R any](s *Server, w http.ResponseWriter, r *http.Request, emptyOK bool) (req R, ok bool) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&req)
+	if err != nil && !(emptyOK && errors.Is(err, io.EOF)) {
 		s.met.badReqs.Add(1)
-		writeError(w, http.StatusBadRequest, "%v", err)
-	case errors.Is(err, sessions.ErrNotFound):
-		writeError(w, http.StatusNotFound, "%v", err)
-	case errors.Is(err, sessions.ErrExists):
-		writeError(w, http.StatusConflict, "%v", err)
-	case errors.Is(err, sessions.ErrBatchTooLarge), errors.Is(err, sessions.ErrSessionBytes):
-		writeError(w, http.StatusRequestEntityTooLarge, "%v", err)
-	case errors.Is(err, sessions.ErrTooManySessions), errors.Is(err, sessions.ErrResidentBytes):
-		s.met.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "%v", err)
-	default:
-		writeOutcome(w, s.computeFailure(err), "")
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return req, false
 	}
+	return req, true
 }
 
-// sessionSlot blocks for a worker slot under the server's compute
-// ceiling; the returned release func is non-nil exactly when acquisition
-// succeeded (failure has already been written to w).
-func (s *Server) sessionSlot(w http.ResponseWriter, r *http.Request) func() {
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	if err := s.pool.acquire(ctx); err != nil {
-		writeOutcome(w, s.aborted(ctx, err), "")
-		cancel()
-		return nil
+// sessionRequest opens a request to the session API: 404 while the API
+// is disabled, else the request is counted and its endpoint metrics and
+// start time returned.
+func (s *Server) sessionRequest(w http.ResponseWriter) (*endpointMetrics, time.Time, bool) {
+	if s.sessions == nil {
+		writeError(w, http.StatusNotFound, "session API disabled (max sessions < 0)")
+		return nil, time.Time{}, false
 	}
-	s.met.inFlight.Add(1)
-	s.met.started.Add(1)
-	return func() {
-		s.met.inFlight.Add(-1)
-		s.pool.release()
-		cancel()
-	}
-}
-
-// sessionCreate is a decoded POST /v1/graphs body.
-type sessionCreate struct {
-	g   *mlpart.Graph
-	req mlpart.SessionCreateRequest
-}
-
-func decodeSessionCreate(data []byte) (sessionCreate, error) {
-	req, err := decodeJSON(data, func(r *mlpart.SessionCreateRequest) *mlpart.WireGraph { return &r.Graph })
-	if err != nil {
-		return sessionCreate{}, fmt.Errorf("bad request body: %v", err)
-	}
-	g, err := req.Graph.ToGraph()
-	if err != nil {
-		return sessionCreate{}, fmt.Errorf("bad graph: %v", err)
-	}
-	return sessionCreate{g, req}, nil
-}
-
-func decodeSessionCreateBinary(data []byte, q url.Values) (sessionCreate, error) {
-	req, g, err := decodeBinary(data, q, graphBody[mlpart.SessionCreateRequest])
-	return sessionCreate{g, req}, err
+	epm := s.met.endpoints[epSessions]
+	epm.requests.Add(1)
+	return epm, time.Now(), true
 }
 
 // serveSessions is GET (list) / POST (create) /v1/graphs.
 func (s *Server) serveSessions(w http.ResponseWriter, r *http.Request) {
-	if s.sessions == nil {
-		writeError(w, http.StatusNotFound, "session API disabled (max sessions < 0)")
+	epm, start, ok := s.sessionRequest(w)
+	if !ok || !allow(w, r, http.MethodGet, http.MethodPost) {
 		return
 	}
-	epm := s.met.endpoints[epSessions]
-	epm.requests.Add(1)
-	start := time.Now()
-	switch r.Method {
-	case http.MethodGet:
+	if r.Method == http.MethodGet {
 		resp := mlpart.SessionListResponse{
 			Kind:          mlpart.WireKindSessionList,
 			SchemaVersion: mlpart.SchemaVersion,
@@ -158,154 +127,87 @@ func (s *Server) serveSessions(w http.ResponseWriter, r *http.Request) {
 		for _, st := range s.sessions.List() {
 			resp.Sessions = append(resp.Sessions, sessionWire(st))
 		}
-		writeSession(w, http.StatusOK, resp)
-		epm.completed.Add(1)
-		epm.latency.observe(time.Since(start))
-	case http.MethodPost:
-		if s.draining.Load() {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "draining: not accepting new sessions")
-			return
-		}
-		isBinary, ok := s.negotiate(w, r)
-		if !ok {
-			return
-		}
-		sc, ok := decodeBody(s, w, r, isBinary, decodeSessionCreate, decodeSessionCreateBinary)
-		if !ok {
-			return
-		}
-		// The initial partition is a full V-cycle: real compute, so it
-		// takes a worker slot like any synchronous request.
-		release := s.sessionSlot(w, r)
-		if release == nil {
-			return
-		}
-		st, cerr := s.sessions.Create(sc.g, sessions.Config{K: sc.req.K, Seed: sc.req.Seed, Ubfactor: sc.req.Ubfactor})
-		release()
-		if cerr != nil {
-			s.sessionFailure(w, cerr)
-			return
-		}
-		w.Header().Set("Location", "/v1/graphs/"+st.ID)
-		writeSession(w, http.StatusCreated, sessionWire(st))
-		epm.completed.Add(1)
-		epm.latency.observe(time.Since(start))
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		writeError(w, http.StatusMethodNotAllowed, "%s requires GET or POST", r.URL.Path)
+		writeJSON(w, http.StatusOK, resp)
+		epm.done(start)
+		return
 	}
+	if s.refuseDraining(w, "new sessions") {
+		return
+	}
+	isBinary, ok := s.negotiate(w, r)
+	if !ok {
+		return
+	}
+	// The initial partition is a full V-cycle under the request deadline;
+	// a create that misses it leaves no session behind.
+	c := createCodec(func(req mlpart.SessionCreateRequest, g *mlpart.Graph) (job, error) {
+		cfg := sessions.Config{K: req.K, Seed: req.Seed, Ubfactor: req.Ubfactor}
+		return sessionJob(func(ctx context.Context) (*sessions.State, error) {
+			st, err := s.sessions.CreateCtx(ctx, g, cfg)
+			if err == nil {
+				w.Header().Set("Location", "/v1/graphs/"+st.ID)
+			}
+			return st, err
+		}), nil
+	})
+	s.admit(w, r, epm, start, http.StatusCreated, func() (job, bool) {
+		return decodeBody(s, w, r, isBinary, c.json, c.binary)
+	})
 }
 
 // serveSessionByID routes /v1/graphs/{id}, /v1/graphs/{id}/edges and
 // /v1/graphs/{id}/repartition.
 func (s *Server) serveSessionByID(w http.ResponseWriter, r *http.Request) {
-	if s.sessions == nil {
-		writeError(w, http.StatusNotFound, "session API disabled (max sessions < 0)")
+	epm, start, ok := s.sessionRequest(w)
+	if !ok {
 		return
 	}
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/graphs/")
-	id, sub := rest, ""
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		id, sub = rest[:i], rest[i+1:]
-	}
-	if id == "" {
+	id, sub, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/graphs/"), "/")
+	switch {
+	case id == "":
 		writeError(w, http.StatusNotFound, "no such resource %q", r.URL.Path)
-		return
-	}
-	epm := s.met.endpoints[epSessions]
-	epm.requests.Add(1)
-	start := time.Now()
-	done := func() {
-		epm.completed.Add(1)
-		epm.latency.observe(time.Since(start))
-	}
-	switch sub {
-	case "":
-		switch r.Method {
-		case http.MethodGet:
+	case sub == "":
+		if !allow(w, r, http.MethodGet, http.MethodDelete) {
+			return
+		}
+		if r.Method == http.MethodGet {
 			st, err := s.sessions.Get(id, r.URL.Query().Get("where") == "1")
 			if err != nil {
-				s.sessionFailure(w, err)
+				writeOutcome(w, s.computeFailure(err), "")
 				return
 			}
-			writeSession(w, http.StatusOK, sessionWire(st))
-			done()
-		case http.MethodDelete:
+			writeJSON(w, http.StatusOK, sessionWire(st))
+		} else {
 			if err := s.sessions.Delete(id); err != nil {
-				s.sessionFailure(w, err)
+				writeOutcome(w, s.computeFailure(err), "")
 				return
 			}
 			w.WriteHeader(http.StatusNoContent)
-			done()
-		default:
-			w.Header().Set("Allow", "GET, DELETE")
-			writeError(w, http.StatusMethodNotAllowed, "%s requires GET or DELETE", r.URL.Path)
 		}
-	case "edges":
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			writeError(w, http.StatusMethodNotAllowed, "%s requires POST", r.URL.Path)
+		epm.done(start)
+	case sub == "edges":
+		if !allow(w, r, http.MethodPost) || s.refuseDraining(w, "session deltas") {
 			return
 		}
-		if s.draining.Load() {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "draining: not accepting session deltas")
+		s.admit(w, r, epm, start, http.StatusOK, func() (job, bool) {
+			req, ok := decodeWrite[mlpart.SessionDeltaRequest](s, w, r, false)
+			if !ok {
+				return nil, false
+			}
+			ops := make([]sessions.Op, len(req.Ops))
+			for i, op := range req.Ops {
+				ops[i] = sessions.Op(op)
+			}
+			return sessionJob(func(context.Context) (*sessions.State, error) { return s.sessions.Apply(id, ops) }), true
+		})
+	case sub == "repartition":
+		if !allow(w, r, http.MethodPost) || s.refuseDraining(w, "session repairs") {
 			return
 		}
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		var req mlpart.SessionDeltaRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.met.badReqs.Add(1)
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-			return
-		}
-		ops := make([]sessions.Op, len(req.Ops))
-		for i, op := range req.Ops {
-			ops[i] = sessions.Op(op)
-		}
-		release := s.sessionSlot(w, r)
-		if release == nil {
-			return
-		}
-		st, err := s.sessions.Apply(id, ops)
-		release()
-		if err != nil {
-			s.sessionFailure(w, err)
-			return
-		}
-		writeSession(w, http.StatusOK, sessionWire(st))
-		done()
-	case "repartition":
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			writeError(w, http.StatusMethodNotAllowed, "%s requires POST", r.URL.Path)
-			return
-		}
-		if s.draining.Load() {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "draining: not accepting session repairs")
-			return
-		}
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		var req mlpart.SessionRepairRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-			s.met.badReqs.Add(1)
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-			return
-		}
-		release := s.sessionSlot(w, r)
-		if release == nil {
-			return
-		}
-		st, err := s.sessions.Repair(id, req.Mode)
-		release()
-		if err != nil {
-			s.sessionFailure(w, err)
-			return
-		}
-		writeSession(w, http.StatusOK, sessionWire(st))
-		done()
+		s.admit(w, r, epm, start, http.StatusOK, func() (job, bool) {
+			req, ok := decodeWrite[mlpart.SessionRepairRequest](s, w, r, true)
+			return sessionJob(func(context.Context) (*sessions.State, error) { return s.sessions.Repair(id, req.Mode) }), ok
+		})
 	default:
 		writeError(w, http.StatusNotFound, "no such resource %q", r.URL.Path)
 	}

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"mlpart"
 	"mlpart/internal/faults"
+	"mlpart/internal/sessions"
 )
 
 func getURL(t *testing.T, client *http.Client, url string) (*http.Response, []byte) {
@@ -354,4 +358,161 @@ func TestSessionCreateRejectsAsymmetricGraph(t *testing.T) {
 	if want := "bad graph: graph: asymmetric edge (0,1): 1 vs 2"; resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), want) {
 		t.Errorf("csrb: status %d, body %s; want 400 naming %q", resp.StatusCode, data, want)
 	}
+}
+
+// holdSlot sends a partition request that holds s's worker slot from
+// inside the computation until the returned func is called; that func
+// waits for the held request's reply. Every later computation runs
+// through the hook without stopping.
+func holdSlot(t *testing.T, s *Server, ts *httptest.Server) (release func()) {
+	t.Helper()
+	block := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	s.hookCompute = func(context.Context) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-block
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		postJSONNoFatal(ts.Client(), ts.URL+"/v1/partition", mlpart.PartitionRequest{Graph: gridGraph(8, 8), K: 2})
+	}()
+	<-entered
+	return func() {
+		close(block)
+		<-done
+	}
+}
+
+// residentSession creates a session on s's manager directly, bypassing
+// the request path and its fault sites.
+func residentSession(t *testing.T, s *Server, wg mlpart.WireGraph) *sessions.State {
+	t.Helper()
+	st, err := s.sessions.Create(mustGraph(t, wg), sessions.Config{K: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// sessionWrites returns one request of each session write on session id.
+func sessionWrites(id string) []struct {
+	name, path string
+	body       any
+} {
+	return []struct {
+		name, path string
+		body       any
+	}{
+		{"create", "/v1/graphs", mlpart.SessionCreateRequest{Graph: gridGraph(9, 9), K: 2, Seed: 1}},
+		{"delta", "/v1/graphs/" + id + "/edges", mlpart.SessionDeltaRequest{Ops: []mlpart.DeltaOp{{Op: "vwgt", U: 0, W: 2}}}},
+		{"repair", "/v1/graphs/" + id + "/repartition", mlpart.SessionRepairRequest{Mode: "full"}},
+	}
+}
+
+// TestSessionWritesShedWhenSaturated: with the only worker slot held and
+// no queue, every session write is shed at admission with a fast 429 and
+// Retry-After, counted as rejected, instead of holding its decoded body
+// until the deadline; once the slot frees, a write is admitted.
+func TestSessionWritesShedWhenSaturated(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: -1, Timeout: 2 * time.Second})
+	st := residentSession(t, s, gridGraph(8, 8))
+	release := holdSlot(t, s, ts)
+	for _, wr := range sessionWrites(st.ID) {
+		start := time.Now()
+		resp, data := postJSON(t, ts.Client(), ts.URL+wr.path, wr.body)
+		if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+			t.Errorf("%s while saturated: status %d, Retry-After %q after %s: %s",
+				wr.name, resp.StatusCode, resp.Header.Get("Retry-After"), time.Since(start), data)
+		}
+	}
+	release()
+	if a, r := s.met.admitted.Load(), s.met.rejected.Load(); a != 1 || r != 3 {
+		t.Errorf("admitted %d, rejected %d; want 1 (the held request) and 3", a, r)
+	}
+	resp, data := postJSON(t, ts.Client(), ts.URL+sessionWrites(st.ID)[1].path, sessionWrites(st.ID)[1].body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta after the slot freed: status %d: %s", resp.StatusCode, data)
+	}
+	if a := s.met.admitted.Load(); a != 2 {
+		t.Errorf("admitted %d after the delta, want 2", a)
+	}
+}
+
+// TestSessionWriteQueueDeadline: a session write admitted into the queue
+// that waits past its deadline gets 504 without entering the pool, and
+// counts as admitted and timed out.
+func TestSessionWriteQueueDeadline(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueSize: 1, Timeout: 200 * time.Millisecond})
+	st := residentSession(t, s, gridGraph(8, 8))
+	release := holdSlot(t, s, ts)
+	defer release()
+	delta := sessionWrites(st.ID)[1]
+	resp, data := postJSON(t, ts.Client(), ts.URL+delta.path, delta.body)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("queued delta: status %d, want 504: %s", resp.StatusCode, data)
+	}
+	// The held request counts as started only once its hook returns.
+	if a, to, started := s.met.admitted.Load(), s.met.timedOut.Load(), s.met.started.Load(); a != 2 || to != 1 || started != 0 {
+		t.Errorf("admitted %d, timed_out %d, started %d; want 2, 1, 0", a, to, started)
+	}
+	if got, err := s.sessions.Get(st.ID, false); err != nil || got.Seq != 0 {
+		t.Errorf("session after the timed-out delta: %+v, %v", got, err)
+	}
+}
+
+// TestSessionWritesCarryComputeTime: a session write's 201 or 200 carries
+// X-Compute-Ns like every computed reply, but no X-Cache header, and
+// ?trace=1 wraps nothing: the body is the session state.
+func TestSessionWritesCarryComputeTime(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	id := sessions.IDFor(mustGraph(t, gridGraph(9, 9)))
+	for i, wr := range sessionWrites(id) {
+		resp, data := postJSON(t, ts.Client(), ts.URL+wr.path+"?trace=1", wr.body)
+		want := http.StatusOK
+		if i == 0 {
+			want = http.StatusCreated
+		}
+		if resp.StatusCode != want {
+			t.Fatalf("%s: status %d, want %d: %s", wr.name, resp.StatusCode, want, data)
+		}
+		if resp.Header.Get("X-Compute-Ns") == "" || resp.Header.Get("X-Cache") != "" {
+			t.Errorf("%s: X-Compute-Ns %q, X-Cache %q; want a time and no cache status",
+				wr.name, resp.Header.Get("X-Compute-Ns"), resp.Header.Get("X-Cache"))
+		}
+		var sr mlpart.SessionResponse
+		if err := json.Unmarshal(data, &sr); err != nil || sr.Kind != mlpart.WireKindSession || sr.ID != id {
+			t.Errorf("%s: body is not the session's state: %s", wr.name, data)
+		}
+	}
+}
+
+// TestSessionCreateHonorsDeadline: a create whose initial V-cycle outlasts
+// the server's deadline answers 504, as /v1/partition does, and leaves no
+// session behind.
+func TestSessionCreateHonorsDeadline(t *testing.T) {
+	s, ts := newTestServer(t, Config{Timeout: time.Millisecond})
+	wg := gridGraph(150, 150)
+	resp, data := postBinary(t, ts.Client(), ts.URL+"/v1/graphs?k=8&seed=1", binaryBody(t, wg, nil))
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", resp.StatusCode, data)
+	}
+	if n := s.sessions.Stats().Sessions; n != 0 {
+		t.Fatalf("%d sessions after a create past its deadline, want 0", n)
+	}
+	if _, err := s.sessions.Get(sessions.IDFor(mustGraph(t, wg)), false); !errors.Is(err, sessions.ErrNotFound) {
+		t.Fatalf("the timed-out create is readable: %v", err)
+	}
+}
+
+func mustGraph(t *testing.T, wg mlpart.WireGraph) *mlpart.Graph {
+	t.Helper()
+	g, err := wg.ToGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }

@@ -145,6 +145,33 @@ func TestResidentBytesWithinEstimate(t *testing.T) {
 	}
 }
 
+// TestVCycleRepairsKeepResidentBytes: a vcycle repair copies the cycle's
+// partition into the session's arena, so forced vcycle repairs reuse the
+// same two where vectors and the resident bytes stay within Create's
+// estimate. Adopting the cycle's own vector left one more vertex-sized
+// block free in the arena per repair: 8 B per vertex, past the estimate by
+// about the 20th repair on this mesh.
+func TestVCycleRepairsKeepResidentBytes(t *testing.T) {
+	g := matgen.FE3DTetra(20, 20, 20, 3)
+	m := mustManager(t, Options{})
+	st := mustCreate(t, m, g, Config{K: 32, Seed: 3})
+	limit := estimateCreateBytes(g)
+	var first int64
+	for i := 0; i < 24; i++ {
+		got, err := m.Repair(st.ID, "vcycle")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			first = got.ResidentBytes
+		}
+		if got.ResidentBytes > limit || (i > 1 && got.ResidentBytes != first) {
+			t.Fatalf("vcycle repair %d: resident %d bytes, %d after the second, estimate %d",
+				i+1, got.ResidentBytes, first, limit)
+		}
+	}
+}
+
 // TestChaosRepairPanicReleasesArena: a repair that panics abandons what it
 // had drawn from the session's arena, and the session must not keep those
 // pieces. One plan panics a boundary repair inside its first refinement

@@ -31,6 +31,7 @@
 package sessions
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -509,6 +510,13 @@ func estimateBytes(n, dir int64) int64 {
 // return, and a second O(n + m) pass would cost a large create tens of
 // milliseconds and a transpose of scratch.
 func (m *Manager) Create(g *graph.Graph, cfg Config) (*State, error) {
+	return m.CreateCtx(context.Background(), g, cfg)
+}
+
+// CreateCtx is Create under ctx: the initial V-cycle checks it at every
+// level boundary, and a create it ends returns the wrapped ctx.Err() and
+// leaves no session behind.
+func (m *Manager) CreateCtx(ctx context.Context, g *graph.Graph, cfg Config) (*State, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, &OpError{Index: -1, Reason: err.Error()}
 	}
@@ -582,6 +590,7 @@ func (m *Manager) Create(g *graph.Graph, cfg Config) (*State, error) {
 	res, err := multilevel.PartitionKWay(g, cfg.K, multilevel.Options{
 		Seed:     cfg.Seed,
 		Ubfactor: cfg.Ubfactor,
+		Context:  ctx,
 		Injector: m.opts.Injector,
 	})
 	if err != nil {
@@ -1070,7 +1079,12 @@ func (s *session) repair(m *Manager, tier Tier, replay bool) error {
 			if verr != nil {
 				return verr
 			}
-			s.adopt(&kway.Partition{G: g, K: s.k, Where: res.Where, Pwgt: res.PartWeights, Cut: res.EdgeCut}, true)
+			// The cycle's where is copied into an arena piece, so that the
+			// session only ever holds vectors its arena lent.
+			p := s.partition(g)
+			copy(p.Where, res.Where)
+			p.Pwgt, p.Cut = res.PartWeights, res.EdgeCut
+			s.adopt(p, true)
 		default:
 			return fmt.Errorf("sessions: unknown repair tier %d", tier)
 		}

@@ -1,6 +1,7 @@
 package sessions
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -56,6 +57,27 @@ func mustCreate(t *testing.T, m *Manager, g *graph.Graph, cfg Config) *State {
 		t.Fatalf("Create: %v", err)
 	}
 	return st
+}
+
+// TestCreateCtxCanceled: a create whose context has ended returns the
+// context's error and leaves no session behind, in memory or on disk; the
+// same graph can be created afterwards.
+func TestCreateCtxCanceled(t *testing.T) {
+	dir := t.TempDir()
+	m := mustManager(t, Options{StateDir: dir})
+	g := matgen.Grid2D(20, 20)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := m.CreateCtx(ctx, g, Config{K: 4, Seed: 1}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("CreateCtx on a canceled context: %v, want context.Canceled", err)
+	}
+	if n := m.Stats().Sessions; n != 0 {
+		t.Fatalf("%d sessions after a canceled create, want 0", n)
+	}
+	if _, err := os.Stat(filepath.Join(dir, IDFor(g))); !os.IsNotExist(err) {
+		t.Fatalf("a canceled create left its session directory: %v", err)
+	}
+	mustCreate(t, m, g, Config{K: 4, Seed: 1})
 }
 
 // crossPair returns one vertex from part 0 and one from part 1.

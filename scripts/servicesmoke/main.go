@@ -12,8 +12,9 @@
 // exits 0. A second daemon run with a delay fault at jobs/run proves the
 // drain path waits for a running async job ("jobs drained" in its log)
 // instead of abandoning it. A third run exercises durable graph
-// sessions: it creates a session, streams delta batches, forces a
-// repartition, SIGKILLs the daemon mid-flight, restarts it on the same
+// sessions: it creates a session, streams delta batches (the first must
+// carry X-Compute-Ns), forces a repartition, requires /varz admitted to
+// have risen by one per session write, SIGKILLs the daemon mid-flight, restarts it on the same
 // -state-dir and requires the recovered partition vector and edge-cut
 // to be byte-identical to the pre-kill state. It exits non-zero with a
 // diagnostic on any mismatch.
@@ -438,6 +439,22 @@ func drainWaitsForJobs(mlserved string, reqBody []byte) error {
 	return nil
 }
 
+// varzAdmitted reads the daemon's /varz admitted counter.
+func varzAdmitted(rc *service.RetryClient, base string) (int64, error) {
+	resp, err := rc.Get(base + "/varz")
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	var v struct {
+		Admitted int64 `json:"admitted"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		return 0, fmt.Errorf("/varz decode: %v", err)
+	}
+	return v.Admitted, nil
+}
+
 // sessionsSurviveKill is the crash-recovery drill for resident graph
 // sessions: create a durable session, stream delta batches, force a full
 // repartition, then SIGKILL the daemon — no drain, no snapshot flush —
@@ -483,6 +500,12 @@ func sessionsSurviveKill(mlserved string, g *mlpart.Graph) error {
 	}
 	defer daemon.Process.Kill()
 
+	// Session writes are admitted like compute requests: /varz admitted
+	// must rise by one per create, delta batch and repair.
+	admittedBefore, err := varzAdmitted(rc, base)
+	if err != nil {
+		return err
+	}
 	st, err := sdk.CreateSession(ctx, &mlpart.SessionCreateRequest{
 		Graph: *mlpart.NewWireGraph(g), K: 4, Seed: 11,
 	})
@@ -490,19 +513,44 @@ func sessionsSurviveKill(mlserved string, g *mlpart.Graph) error {
 		return fmt.Errorf("CreateSession: %v", err)
 	}
 	// Stream a few delta batches: edge weight bumps on existing edges
-	// plus vertex reweights, enough to leave real WAL records behind.
+	// plus vertex reweights, enough to leave real WAL records behind. The
+	// first goes out raw, so that its reply's headers can be checked: a
+	// delta reply carries its compute time like every computed reply.
 	n := st.Vertices
-	for batch := 0; batch < 4; batch++ {
+	const batches = 4
+	for batch := 0; batch < batches; batch++ {
 		ops := []mlpart.DeltaOp{
 			{Op: mlpart.DeltaOpVwgt, U: (batch * 13) % n, W: 2 + batch},
 			{Op: mlpart.DeltaOpVwgt, U: (batch*13 + 7) % n, W: 1 + batch},
 		}
-		if _, err := sdk.ApplyDeltas(ctx, st.ID, ops); err != nil {
-			return fmt.Errorf("ApplyDeltas %d: %v", batch, err)
+		if batch > 0 {
+			if _, err := sdk.ApplyDeltas(ctx, st.ID, ops); err != nil {
+				return fmt.Errorf("ApplyDeltas %d: %v", batch, err)
+			}
+			continue
+		}
+		body, _ := json.Marshal(mlpart.SessionDeltaRequest{Ops: ops})
+		resp, err := rc.Post(base+"/v1/graphs/"+st.ID+"/edges", mlpart.ContentTypeJSON, body)
+		if err != nil {
+			return fmt.Errorf("delta %d: %v", batch, err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Compute-Ns") == "" {
+			return fmt.Errorf("delta %d: status %d, X-Compute-Ns %q; want 200 with a compute time: %s",
+				batch, resp.StatusCode, resp.Header.Get("X-Compute-Ns"), data)
 		}
 	}
 	if _, err := sdk.RepairSession(ctx, st.ID, "full"); err != nil {
 		return fmt.Errorf("RepairSession: %v", err)
+	}
+	admittedAfter, err := varzAdmitted(rc, base)
+	if err != nil {
+		return err
+	}
+	if writes := int64(1 + batches + 1); admittedAfter-admittedBefore != writes {
+		return fmt.Errorf("/varz admitted rose by %d over %d session writes, want one each",
+			admittedAfter-admittedBefore, writes)
 	}
 	want, err := sdk.GetSession(ctx, st.ID, true)
 	if err != nil {
